@@ -75,6 +75,10 @@ def run_fig5_sweep(cfg):
                         proxy_sd=float(p["proxy_sd"]),
                         n_noise_features=int(p["n_noise_features"]))
     features = spec.features
+    for key in ("eval_rows", "background_rows"):
+        if not 1 <= int(p[key]) <= cfg.n:
+            raise ConfigValidationError(
+                f"{key} = {p[key]} must lie in 1..n (n = {cfg.n})")
     train_seed = derive_seed(cfg.seed, 0)
     test_seed = derive_seed(cfg.seed, 1)
     # fixed evaluation/background row subsets, shared across the grid

@@ -66,14 +66,15 @@ class GbtModel:
     base_score: float
     loss: str
     feature_names: list
-    bin_edges: list = field(repr=False, default=None)
     loss_history: np.ndarray = field(repr=False, default=None)
 
 
 def _bin_columns(X, n_bins):
     """Per-feature quantile edges and integer codes (code = count of edges
-    at or below the value, so code <= i means value < edges[i])."""
-    edges, codes = [], np.empty(X.shape, dtype=np.int32)
+    at or below the value, so code <= i means value < edges[i]).  Codes are
+    column-major: a node gathers each feature's codes from one contiguous
+    column."""
+    edges, codes = [], np.empty(X.shape, dtype=np.int32, order="F")
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     for j in range(X.shape[1]):
         e = np.unique(np.quantile(X[:, j], qs))
@@ -85,6 +86,7 @@ def _bin_columns(X, n_bins):
 def _grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
     """Grow one tree on the binned columns; fills ``train_pred`` with the
     tree's prediction for every training row as leaves are finalized."""
+    columns = codes.T
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -97,7 +99,8 @@ def _grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
 
     def build(rows, remaining):
         node = new_node()
-        s = float(resid[rows].sum())
+        r = resid[rows]
+        s = float(r.sum())
         cnt = rows.size
         value[node] = s / cnt
         if remaining == 0 or cnt < 2 * min_leaf:
@@ -105,12 +108,12 @@ def _grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
             return node
         best = None  # (gain, feature, bin index)
         base = s * s / cnt
-        for j in range(codes.shape[1]):
+        for j, column in enumerate(columns):
             nb = edges[j].size + 1
             if nb < 2:
                 continue
-            c = codes[rows, j]
-            sums = np.bincount(c, weights=resid[rows], minlength=nb).cumsum()[:-1]
+            c = column.take(rows)
+            sums = np.bincount(c, weights=r, minlength=nb).cumsum()[:-1]
             cnts = np.bincount(c, minlength=nb).cumsum()[:-1]
             rcnts = cnt - cnts
             ok = (cnts >= min_leaf) & (rcnts >= min_leaf)
@@ -128,7 +131,7 @@ def _grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
             train_pred[rows] = value[node]
             return node
         _, j, i = best
-        go_left = codes[rows, j] <= i
+        go_left = columns[j].take(rows) <= i
         feature[node] = j
         threshold[node] = float(edges[j][i])
         left[node] = build(rows[go_left], remaining - 1)
@@ -192,7 +195,7 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
         trees.append(tree)
         history[t + 1] = _mean_loss(F, y, cfg.loss)
     return GbtModel(trees, cfg.learning_rate, base, cfg.loss, features,
-                    edges, history)
+                    history)
 
 
 def decision_function(model: GbtModel, X: np.ndarray) -> np.ndarray:

@@ -243,6 +243,26 @@ def test_cli_bad_override_prints_json_error(tmp_path, capsys):
     assert payload["error"] == "ConfigValidationError"
 
 
+@pytest.mark.parametrize("override, key", [
+    ("", "eval_rows"),                      # default eval_rows = 100 > n
+    ("eval_rows = 10\n", "background_rows"),  # default background_rows = 64
+])
+def test_cli_fig5_rows_above_n_prints_json_error(tmp_path, capsys, override,
+                                                 key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(override, encoding="utf-8")
+    code = main(["run", "fig5_sweep", "--out", str(tmp_path / "out"),
+                 "--n", "50", "--config", str(cfg)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert sorted(payload) == ["error", "message"]
+    assert payload["error"] == "ConfigValidationError"
+    assert key in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_file_applies_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_candidates = 4\nseed = 11\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ import scmlab.explain as explain
 from scmlab import (Dataset, GbtConfig, MlpConfig, attribution_summary,
                     gbt_train, mlp_train, shapley_exact)
 from scmlab.errors import EmptyBackgroundError, TooManyFeaturesError
+from scmlab.flexfit import (model_from_json_dict, model_to_json_dict,
+                            predict_on_matrix)
 from scmlab.rng import normal_column, uniform_column
+from shapley_helpers import grid_coalition_outputs
 
 
 def make_data(**cols):
@@ -231,3 +236,112 @@ def test_summary_mean_abs_matches_per_instance_values():
                         for i in range(E.shape[0])])
     assert np.allclose(s.mean_abs_phi, np.abs(per_row).mean(axis=0),
                        rtol=0, atol=1e-12)
+
+
+# --- GBT tree-pattern path against the brute-force grid -------------------
+
+def gbt_fixture(d, loss="squared", depth=2, n_trees=25, n=300, seed=20,
+                min_leaf=10):
+    """A trained GBT on d normal features, with evaluation and background
+    rows drawn from the same features."""
+    names = [f"x{j}" for j in range(d)]
+    cols = {f: normal_column(seed, (j,), n) for j, f in enumerate(names)}
+    score = np.sin(cols["x0"]) + cols["x1"] * cols[names[-1]]
+    if loss == "logistic":
+        y = (uniform_column(seed, (99,), n) < 1.0 / (1.0 + np.exp(-score)))
+    else:
+        y = score + 0.1 * normal_column(seed, (98,), n)
+    model = gbt_train(Dataset({**cols, "y": y.astype(float)}), "y", names,
+                      GbtConfig(n_trees=n_trees, depth=depth,
+                                min_leaf=min_leaf, loss=loss))
+    X = np.column_stack([cols[f] for f in names])
+    return model, X[:5], X[-16:]
+
+
+def assert_matches_grid(model, E, B):
+    """Coalition outputs, Shapley values, base and predictions of the tree
+    path equal the grid route's bit for bit."""
+    grid = partial(grid_coalition_outputs, model)
+    masks, _, _ = explain._coalition_tables(E.shape[1])
+    assert np.array_equal(explain._gbt_coalition_outputs(model, masks, E, B),
+                          grid(masks, E, B))
+    phi, base, full = explain._phi_matrix(explain._coalition_outputs(model),
+                                          E, B)
+    ref_phi, ref_base, _ = explain._phi_matrix(grid, E, B)
+    assert np.array_equal(phi, ref_phi)
+    assert base == ref_base
+    assert np.array_equal(full, predict_on_matrix(model, E))
+    att = shapley_exact(model, E[0], B)
+    assert np.array_equal(att.phi, explain._phi_matrix(grid, E[:1], B)[0][0])
+    assert att.prediction == predict_on_matrix(model, E[:1])[0]
+    summary = attribution_summary(model, E, B, relevant=[])
+    assert np.array_equal(summary.mean_abs_phi, np.abs(ref_phi).mean(axis=0))
+    return phi
+
+
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_gbt_path_matches_grid_by_loss_and_depth(loss, depth):
+    model, E, B = gbt_fixture(4, loss=loss, depth=depth)
+    assert_matches_grid(model, E, B)
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_gbt_path_matches_grid_by_width(d):
+    model, E, B = gbt_fixture(d, depth=3, n_trees=15)
+    assert_matches_grid(model, E[:3], B[:8])
+
+
+def test_gbt_path_constant_column_exactly_zero():
+    n = 300
+    x = normal_column(21, (0,), n)
+    z = normal_column(21, (1,), n)
+    data = make_data(x=x, flat=np.full(n, 2.0), z=z, y=x * z + x)
+    model = gbt_train(data, "y", ["x", "flat", "z"],
+                      GbtConfig(n_trees=20, depth=2, min_leaf=10))
+    B = np.column_stack([x[:12], np.linspace(-5.0, 5.0, 12), z[:12]])
+    E = np.column_stack([x[-4:], np.full(4, 9.0), z[-4:]])
+    phi = assert_matches_grid(model, E, B)
+    assert np.all(phi[:, 1] == 0.0)
+    assert np.all(phi[:, 0] != 0.0)
+
+
+def test_gbt_path_without_trees():
+    model, E, B = gbt_fixture(3, n_trees=0)
+    assert model.trees == []
+    phi = assert_matches_grid(model, E, B)
+    assert np.all(phi == 0.0)
+
+
+def test_gbt_path_single_leaf_trees():
+    # min_leaf above half the rows: no split is allowed, so every tree is
+    # one leaf with an empty feature set
+    model, E, B = gbt_fixture(3, n_trees=5, n=60, min_leaf=40)
+    assert all(t.feature.size == 1 for t in model.trees)
+    phi = assert_matches_grid(model, E, B)
+    assert np.all(phi == 0.0)
+    # single leaves interleaved with split trees
+    split_model, _, _ = gbt_fixture(3, n_trees=6)
+    doc = model_to_json_dict(split_model)
+    doc["trees"][1:1] = model_to_json_dict(model)["trees"][:2]
+    doc["trees"].append(model_to_json_dict(model)["trees"][0])
+    assert_matches_grid(model_from_json_dict(doc), E, B)
+
+
+def test_gbt_path_after_json_round_trip():
+    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
+    loaded = model_from_json_dict(model_to_json_dict(model))
+    assert np.array_equal(assert_matches_grid(loaded, E, B),
+                          assert_matches_grid(model, E, B))
+
+
+@pytest.mark.parametrize("budget", [1, 16_000])
+def test_gbt_path_with_small_row_budgets(monkeypatch, budget):
+    # 1: one evaluation row and one tree per step; 16 000: one chunk of
+    # evaluation rows, trees in blocks of a few
+    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
+    full = attribution_summary(model, E, B, relevant=["x0"])
+    monkeypatch.setattr(explain, "_CHUNK_ROWS", budget)
+    assert_matches_grid(model, E, B)
+    tiny = attribution_summary(model, E, B, relevant=["x0"])
+    assert np.array_equal(full.mean_abs_phi, tiny.mean_abs_phi)
