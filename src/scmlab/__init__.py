@@ -11,7 +11,7 @@ from ._version import __version__
 from .dataset import Dataset
 from .estimators import (CorrResult, FitResult, MiResult, logistic_fit,
                          mutual_information, ols_fit, pearson)
-from .experiments import ExperimentConfig, LinprobsSpec
+from .experiments import ExperimentConfig
 from .explain import (Attribution, AttributionSummary, attribution_summary,
                       shapley_exact)
 from .flexfit import (GbtConfig, GbtModel, MlpConfig, MlpModel, SplitPlan,
@@ -39,5 +39,5 @@ __all__ = [
     "GbtConfig", "GbtModel", "gbt_train", "predict",
     "SplitPlan", "StepRecord", "split", "stepwise_forward",
     "Attribution", "AttributionSummary", "shapley_exact", "attribution_summary",
-    "experiments", "ExperimentConfig", "LinprobsSpec",
+    "experiments", "ExperimentConfig",
 ]

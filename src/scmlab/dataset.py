@@ -12,12 +12,9 @@ class Dataset:
     ----------
     columns : mapping of str -> array-like
         Column name to values; all columns must share one positive length.
-    seed : int, optional
-        Seed recorded at creation when the data came from a seeded sampler;
-        purely informational.
     """
 
-    def __init__(self, columns, seed=None):
+    def __init__(self, columns):
         cols = {}
         n = None
         for name, values in columns.items():
@@ -35,7 +32,6 @@ class Dataset:
             raise ValueError("a dataset needs at least one column and one row")
         self._cols = cols
         self.n_rows = n
-        self.seed = seed
 
     @property
     def names(self):
@@ -60,13 +56,12 @@ class Dataset:
     def with_column(self, name: str, values) -> "Dataset":
         cols = dict(self._cols)
         cols[name] = values
-        return Dataset(cols, seed=self.seed)
+        return Dataset(cols)
 
     def take(self, rows) -> "Dataset":
         """Row subset (by index array), keeping all columns."""
         rows = np.asarray(rows)
-        return Dataset({k: v[rows] for k, v in self._cols.items()},
-                       seed=self.seed)
+        return Dataset({k: v[rows] for k, v in self._cols.items()})
 
     def __repr__(self):
         return f"Dataset({self.n_rows} rows x {len(self._cols)} cols: {', '.join(self._cols)})"

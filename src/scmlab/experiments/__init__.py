@@ -17,11 +17,11 @@ from .curves import run_fig3_fit
 from .identify import run_backdoor_report
 from .overfit import run_overfit_demo
 from .panels import run_fig2_panels
-from .sweep import LinprobsSpec, run_fig5_sweep
+from .sweep import run_fig5_sweep
 from .tables import run_part2_regressions, run_table2, run_table3
 
-__all__ = ["ExperimentConfig", "LinprobsSpec", "build_config",
-           "list_experiments", "parse_config_file", "run"]
+__all__ = ["ExperimentConfig", "build_config", "list_experiments",
+           "parse_config_file", "run"]
 
 _REGISTRY = {
     "table2": (

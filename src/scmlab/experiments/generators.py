@@ -15,7 +15,7 @@ from ..graph import Dag
 from ..scm import Assignment, NoiseSpec, StructuralModel, validate_model
 
 
-def exogenous_predictor_model(theta=(3.3, 0.1, 0.3, 0.5), noise_sd=1.0):
+def exogenous_predictor_model(theta, noise_sd=1.0):
     """Outcome regressed on independent predictors, no confounding.
 
     x0 is the constant 1, x1..x3 are independent standard normals, and
@@ -66,28 +66,24 @@ def hidden_confounder_graph():
                observed={"x", "y"})
 
 
-def sine_trend_model(trend=0.5, amplitude=2.0, frequency=3.0,
-                     x_lo=-4.0, x_hi=4.0, noise_sd=0.3):
+def sine_trend_model(trend, amplitude, frequency, x_lo, x_hi, noise_sd):
     """y := trend*x + amplitude*sin(frequency*x) + Gaussian noise,
     x uniform on [x_lo, x_hi] — linear-in-x fits are structurally unable
     to track the oscillation."""
-    def curve(x):
-        return trend * x + amplitude * np.sin(frequency * x)
-
     return validate_model(StructuralModel([
         ("x", Assignment.exogenous(NoiseSpec.uniform(x_lo, x_hi))),
-        ("y", Assignment.custom(["x"], curve,
+        ("y", Assignment.custom(["x"],
+                                sine_trend_mean(trend, amplitude, frequency),
                                 noise=NoiseSpec.gaussian(sd=noise_sd))),
     ]))
 
 
-def sine_trend_mean(trend=0.5, amplitude=2.0, frequency=3.0):
+def sine_trend_mean(trend, amplitude, frequency):
     """The noise-free regression function of :func:`sine_trend_model`."""
     return lambda x: trend * x + amplitude * np.sin(frequency * x)
 
 
-def blended_logit_model(q, coefficients=(0.388, -0.325, 1.714, -1.0, 1.265, 0.0233),
-                        proxy_sd=3.5, n_noise_features=4):
+def blended_logit_model(q, coefficients, proxy_sd, n_noise_features):
     """Binary outcome whose log-odds blend a linear and a quadratic term
     in x1, weighted (1-q) and q, plus a linear x2 term.
 
@@ -124,7 +120,7 @@ def blended_logit_model(q, coefficients=(0.388, -0.325, 1.714, -1.0, 1.265, 0.02
     return validate_model(StructuralModel(pairs))
 
 
-def blended_logit_features(n_noise_features=4):
+def blended_logit_features(n_noise_features):
     return ["x1", "x2", "x3", "x4"] + [f"n{i}" for i in range(1, n_noise_features + 1)]
 
 
@@ -177,7 +173,7 @@ def shape_pair_model(shape, noise_sd=0.1):
     return validate_model(StructuralModel(pairs))
 
 
-def noise_candidates_model(n_candidates=20):
+def noise_candidates_model(n_candidates):
     """A target and candidate predictors that are all mutually independent
     standard normals — nothing to find, everything to overfit."""
     pairs = [("y", Assignment.exogenous(NoiseSpec.gaussian()))]

@@ -16,8 +16,6 @@ draw-to-draw noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 from scipy.stats import spearmanr
@@ -32,31 +30,8 @@ from ..scm import sample
 from .generators import blended_logit_features, blended_logit_model
 from .report import write_run
 
-_DEFAULT_LINK_COEFFICIENTS = (0.388, -0.325, 1.714, -1.0, 1.265, 0.0233)
-
-
-@dataclass(frozen=True)
-class LinprobsSpec:
-    """Configuration of the blended-logit sweep: grid, link coefficients,
-    and the relevant/irrelevant feature partition."""
-
-    q_grid: tuple = tuple(i / 10.0 for i in range(11))
-    coefficients: tuple = _DEFAULT_LINK_COEFFICIENTS
-    relevant: tuple = ("x1", "x2")
-    proxy_sd: float = 3.5
-    n_noise_features: int = 4
-
-    def __post_init__(self):
-        for q in self.q_grid:
-            if not 0.0 <= float(q) <= 1.0:
-                raise ConfigValidationError(
-                    f"blend weight {q!r} outside [0, 1]")
-        if len(self.coefficients) != 6:
-            raise ConfigValidationError("expected six link coefficients")
-
-    @property
-    def features(self) -> list:
-        return blended_logit_features(self.n_noise_features)
+# the features that drive the outcome; attribution mass elsewhere is leakage
+RELEVANT = ("x1", "x2")
 
 
 def _log_loss(y, p):
@@ -70,11 +45,19 @@ def _misclass(y, p):
 
 def run_fig5_sweep(cfg):
     p = cfg.params
-    spec = LinprobsSpec(q_grid=tuple(float(q) for q in p["q_grid"]),
-                        coefficients=tuple(float(c) for c in p["coefficients"]),
-                        proxy_sd=float(p["proxy_sd"]),
-                        n_noise_features=int(p["n_noise_features"]))
-    features = spec.features
+    q_grid = [float(q) for q in p["q_grid"]]
+    coefficients = tuple(float(c) for c in p["coefficients"])
+    proxy_sd = float(p["proxy_sd"])
+    n_noise_features = int(p["n_noise_features"])
+    for q in q_grid:
+        if not 0.0 <= q <= 1.0:
+            raise ConfigValidationError(
+                f"q_grid: blend weight {q!r} outside [0, 1]")
+    if len(coefficients) != 6:
+        raise ConfigValidationError(
+            f"coefficients: expected six link coefficients, got "
+            f"{len(coefficients)}")
+    features = blended_logit_features(n_noise_features)
     for key in ("eval_rows", "background_rows"):
         if not 1 <= int(p[key]) <= cfg.n:
             raise ConfigValidationError(
@@ -90,10 +73,9 @@ def run_fig5_sweep(cfg):
     sweep_rows, mass_rows = [], []
     series = {k: [] for k in ("logit_logloss", "gbt_logloss", "bayes_logloss",
                               "logit_irr_mass", "gbt_irr_mass")}
-    for qi, q in enumerate(spec.q_grid):
-        model = blended_logit_model(q, coefficients=spec.coefficients,
-                                    proxy_sd=spec.proxy_sd,
-                                    n_noise_features=spec.n_noise_features)
+    for q in q_grid:
+        model = blended_logit_model(q, coefficients, proxy_sd,
+                                    n_noise_features)
         # same seeds for every q: q enters only the link, so the base draws
         # are identical across the grid and the comparison is paired
         train = sample(model, cfg.n, train_seed)
@@ -112,14 +94,13 @@ def run_fig5_sweep(cfg):
                                   learning_rate=float(p["gbt_learning_rate"]),
                                   min_leaf=int(p["gbt_min_leaf"]),
                                   n_bins=int(p["gbt_bins"]),
-                                  loss="logistic",
-                                  seed=derive_seed(cfg.seed, 4, qi)))
+                                  loss="logistic"))
 
         X_test = test.matrix(features)
         logit_p = logit_prob(X_test)
         gbt_p = _gbt_predict(gbt, X_test)
         point = {
-            "q": float(q),
+            "q": q,
             "logit_logloss": _log_loss(y_test, logit_p),
             "gbt_logloss": _log_loss(y_test, gbt_p),
             "bayes_logloss": _log_loss(y_test, test.column("p")),
@@ -130,9 +111,9 @@ def run_fig5_sweep(cfg):
         eval_set = test.take(eval_rows)
         background = train.take(bg_rows)
         logit_att = attribution_summary(logit_prob, eval_set, background,
-                                        spec.relevant, features=features)
+                                        RELEVANT, features=features)
         gbt_att = attribution_summary(gbt, eval_set, background,
-                                      spec.relevant, features=features)
+                                      RELEVANT, features=features)
         point["logit_relevant_mass"] = logit_att.relevant_mass
         point["logit_irrelevant_mass"] = logit_att.irrelevant_mass
         point["gbt_relevant_mass"] = gbt_att.relevant_mass
@@ -143,7 +124,7 @@ def run_fig5_sweep(cfg):
             "logit_irrelevant_mass", "gbt_relevant_mass",
             "gbt_irrelevant_mass")])
         for att, mname in ((logit_att, "logistic"), (gbt_att, "gbt")):
-            mass_rows.append([float(q), mname]
+            mass_rows.append([q, mname]
                              + [float(v) for v in att.mean_abs_phi])
 
         series["logit_logloss"].append(point["logit_logloss"])
@@ -152,13 +133,12 @@ def run_fig5_sweep(cfg):
         series["logit_irr_mass"].append(point["logit_irrelevant_mass"])
         series["gbt_irr_mass"].append(point["gbt_irrelevant_mass"])
 
-    qs = [float(q) for q in spec.q_grid]
-    loss_rho = float(spearmanr(qs, series["logit_logloss"]).statistic)
-    mass_rho = float(spearmanr(qs, series["logit_irr_mass"]).statistic)
+    loss_rho = float(spearmanr(q_grid, series["logit_logloss"]).statistic)
+    mass_rho = float(spearmanr(q_grid, series["logit_irr_mass"]).statistic)
     ll = series["logit_logloss"]
     results = {
-        "q_grid": qs,
-        "relevant_features": list(spec.relevant),
+        "q_grid": q_grid,
+        "relevant_features": list(RELEVANT),
         "logit_logloss_spearman": loss_rho,
         "logit_irrelevant_mass_spearman": mass_rho,
         "logit_logloss_strictly_increasing": bool(

@@ -267,7 +267,10 @@ def _phi_matrix(coalition_outputs, E: np.ndarray, B: np.ndarray) -> tuple:
             without = np.nonzero(~masks[:, j])[0]
             with_j = without | (1 << j)
             w = weights[sizes[without]]
-            phi[lo:lo + chunk, j] = (w[:, None] * (v[with_j] - v[without])).sum(axis=0)
+            # sequential over coalitions, so a row's phi does not depend on
+            # how many rows share its chunk
+            phi[lo:lo + chunk, j] = (
+                w[:, None] * (v[with_j] - v[without])).cumsum(axis=0)[-1]
     return phi, base, full
 
 

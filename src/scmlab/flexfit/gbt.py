@@ -29,7 +29,6 @@ class GbtConfig:
     min_leaf: int = 20
     n_bins: int = 64
     loss: str = "squared"          # "squared" | "logistic"
-    seed: int = 0                  # reserved; the fitter itself is deterministic
 
 
 @dataclass
@@ -54,8 +53,10 @@ class Tree:
                 out[rows] = self.value[node]
                 continue
             go_left = X[rows, f] < self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
+            for child, sub in ((self.left[node], rows[go_left]),
+                               (self.right[node], rows[~go_left])):
+                if sub.size:
+                    stack.append((child, sub))
         return out
 
 

@@ -54,11 +54,7 @@ class MlpModel:
     x_scale: np.ndarray
     y_mean: float
     y_scale: float
-    config: MlpConfig
     loss_history: np.ndarray = field(repr=False, default=None)
-
-    def layer_sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
 
 def _act(z, kind):
@@ -177,7 +173,7 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
         raise DivergenceError("final loss is not finite")
     return MlpModel(weights, biases, cfg.activation, cfg.output,
                     features, target, x_mean, x_scale, y_mean, y_scale,
-                    cfg, history)
+                    history)
 
 
 def predict_matrix(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -265,5 +261,4 @@ def from_json_dict(doc: dict) -> MlpModel:
         np.asarray(doc["x_mean"], dtype=np.float64),
         np.asarray(doc["x_scale"], dtype=np.float64),
         float(doc["y_mean"]), float(doc["y_scale"]),
-        MlpConfig(), None,
     )

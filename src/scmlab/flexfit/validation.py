@@ -23,7 +23,6 @@ class SplitPlan:
 
     train_idx: np.ndarray
     test_idx: np.ndarray
-    seed: int
     folds: np.ndarray = None
 
     @property
@@ -58,7 +57,7 @@ def split(data: Dataset, test_fraction: float = None, k_folds: int = None,
                 f"{n}-row split")
         test = np.sort(perm[:n_test])
         train = np.sort(perm[n_test:])
-        return SplitPlan(train, test, seed)
+        return SplitPlan(train, test)
     if k_folds < 2:
         raise ValueError("k_folds must be at least 2")
     if n < k_folds:
@@ -67,7 +66,7 @@ def split(data: Dataset, test_fraction: float = None, k_folds: int = None,
     for i, chunk in enumerate(np.array_split(perm, k_folds)):
         folds[chunk] = i
     train, test = np.nonzero(folds != 0)[0], np.nonzero(folds == 0)[0]
-    return SplitPlan(train, test, seed, folds)
+    return SplitPlan(train, test, folds)
 
 
 @dataclass

@@ -4,7 +4,8 @@ closed-form solutions for the linear-Gaussian family.
 A model is a set of nodes, each carrying exactly one assignment that
 computes the node from its parents plus independent noise. Assignments use
 assignment semantics (the value is *set* from the right-hand side, never
-solved for), so the induced parent graph must be acyclic.
+solved for), so the induced parent graph must be acyclic; validation takes
+the evaluation order from :func:`graph.topological_sort`.
 
 Two assignment kinds exist:
 
@@ -25,14 +26,15 @@ Two assignment kinds exist:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (CycleError, DuplicateAssignmentError, NonlinearModelError,
+from .errors import (DuplicateAssignmentError, NonlinearModelError,
                      SingularCovarianceError, UnknownNodeError,
                      UnknownParentError)
+from .graph import Dag, topological_sort
 from .rng import normal_column, uniform_column
 
 _COND_LIMIT = 1e12  # condition-number guard for covariance solves
@@ -168,6 +170,9 @@ class StructuralModel:
 def validate_model(model: StructuralModel) -> StructuralModel:
     """Check well-formedness, cache the topological order, return the model.
 
+    The order is :func:`graph.topological_sort` of the model's ``Dag``:
+    parents before children, ties broken by declared node order.
+
     Raises
     ------
     DuplicateAssignmentError
@@ -196,28 +201,7 @@ def validate_model(model: StructuralModel) -> StructuralModel:
                 raise UnknownParentError(
                     f"node {name!r} references unknown parent {p!r}")
 
-    # Kahn's algorithm; leftover nodes witness a cycle.
-    indeg = {n: 0 for n in model.nodes}
-    children = {n: [] for n in model.nodes}
-    for name, a in model.assignments.items():
-        indeg[name] = len(a.parents)
-        for p in a.parents:
-            children[p].append(name)
-    ready = [n for n in model.nodes if indeg[n] == 0]
-    order = []
-    while ready:
-        # stable: pick in declared-node order for reproducible output
-        ready.sort(key=model.nodes.index)
-        n = ready.pop(0)
-        order.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    if len(order) != len(model.nodes):
-        cyclic = [n for n in model.nodes if n not in order]
-        raise CycleError(f"cycle among nodes {cyclic}")
-    model._order = order
+    model._order = topological_sort(Dag.from_structural_model(model))
     return model
 
 
@@ -251,7 +235,7 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
             value = np.asarray(a.func(*[cols[p] for p in a.parents]),
                                dtype=np.float64) + noise
         cols[name] = value
-    return Dataset({name: cols[name] for name in model.nodes}, seed=seed)
+    return Dataset({name: cols[name] for name in model.nodes})
 
 
 def intervene(model: StructuralModel, node: str, value) -> StructuralModel:

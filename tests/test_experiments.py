@@ -246,6 +246,9 @@ def test_cli_bad_override_prints_json_error(tmp_path, capsys):
 @pytest.mark.parametrize("override, key", [
     ("", "eval_rows"),                      # default eval_rows = 100 > n
     ("eval_rows = 10\n", "background_rows"),  # default background_rows = 64
+    ("eval_rows = 10\nbackground_rows = 10\nq_grid = 0 1.5\n", "q_grid"),
+    ("eval_rows = 10\nbackground_rows = 10\ncoefficients = 1 2 3\n",
+     "coefficients"),
 ])
 def test_cli_fig5_rows_above_n_prints_json_error(tmp_path, capsys, override,
                                                  key):

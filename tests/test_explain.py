@@ -89,7 +89,7 @@ def test_gbt_constant_column_gets_exactly_zero():
     x = normal_column(3, (0,), n)
     data = make_data(x=x, flat=np.zeros(n), y=2.0 * x)
     model = gbt_train(data, "y", ["x", "flat"],
-                      GbtConfig(n_trees=30, depth=2, seed=0))
+                      GbtConfig(n_trees=30, depth=2))
     B = np.column_stack([x[:32], np.full(32, 7.0)])
     att = shapley_exact(model, {"x": 0.4, "flat": -3.0}, B)
     assert att.phi[model.feature_names.index("flat")] == 0.0
@@ -128,8 +128,7 @@ def test_efficiency_residual_gbt_logistic():
     p = 1.0 / (1.0 + np.exp(-(x1 - x2)))
     y = (uniform_column(5, (2,), n) < p).astype(float)
     model = gbt_train(make_data(x1=x1, x2=x2, y=y), "y", ["x1", "x2"],
-                      GbtConfig(n_trees=60, depth=2, loss="logistic",
-                                seed=1))
+                      GbtConfig(n_trees=60, depth=2, loss="logistic"))
     B = np.column_stack([x1[:50], x2[:50]])
     att = shapley_exact(model, {"x1": 1.0, "x2": -0.5}, B)
     assert abs(att.efficiency_residual) < 1e-9
@@ -205,6 +204,23 @@ def test_chunked_evaluation_matches_single_pass(monkeypatch):
     tiny = attribution_summary(f, E, B, relevant=["a"],
                                features=["a", "b", "c"])
     assert np.array_equal(full.mean_abs_phi, tiny.mean_abs_phi)
+
+
+def test_phi_of_a_row_does_not_depend_on_its_batch():
+    # 128 coalitions per feature: enough terms that a pairwise sum would
+    # round differently from a sequential one
+    B = random_background(14, 16, 8)
+    E = random_background(15, 6, 8)
+
+    def f(X):   # exact IEEE operations only: each output depends on its row alone
+        return (X[:, 0] * X[:, 1] + X[:, 2] * X[:, 2] - X[:, 3]
+                + 0.5 * X[:, 4] * X[:, 5] * X[:, 6] + X[:, 7])
+
+    batch, _, _ = explain._phi_matrix(explain._coalition_outputs(f), E, B)
+    for i in range(E.shape[0]):
+        alone, _, _ = explain._phi_matrix(explain._coalition_outputs(f),
+                                          E[i:i + 1], B)
+        assert np.array_equal(alone[0], batch[i])
 
 
 # --- summaries ------------------------------------------------------------

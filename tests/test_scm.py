@@ -8,6 +8,8 @@ from scmlab import (Assignment, NoiseSpec, StructuralModel, intervene,
 from scmlab.errors import (CycleError, DuplicateAssignmentError,
                            NonlinearModelError, SingularCovarianceError,
                            UnknownNodeError, UnknownParentError)
+from sem_helpers import (dense_covariance, dense_mean, random_linear_model,
+                         total_effect_matrix)
 
 
 def two_node(sd=0.5):
@@ -54,9 +56,23 @@ def test_validate_rejects_cycle():
     assert "a" in str(err.value) or "b" in str(err.value)
 
 
+def out_of_order_model():
+    # declared children-first, with d, a and e ready at the start: only
+    # the declared-order tie-break gives d, a, b, c, e
+    return validate_model(StructuralModel([
+        ("c", Assignment.linear(["b", "a"], [1.0, 1.0])),
+        ("d", Assignment.exogenous(NoiseSpec.gaussian())),
+        ("b", Assignment.linear(["a"], [1.0])),
+        ("a", Assignment.exogenous(NoiseSpec.gaussian())),
+        ("e", Assignment.exogenous(NoiseSpec.gaussian())),
+    ]))
+
+
 def test_validate_returns_model_and_caches_order():
-    m = chain_model()
-    assert m._order == ["a", "b", "c"]
+    for build, order in ((chain_model, ["a", "b", "c"]),
+                         (out_of_order_model, ["d", "a", "b", "c", "e"])):
+        m = build()
+        assert m._order == order
 
 
 # --- sampling -------------------------------------------------------------
@@ -242,6 +258,24 @@ def test_total_effect_rejects_custom_on_path():
                                noise=NoiseSpec.gaussian()),
     }))
     assert total_effect_linear(m2, "x", "y") == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (120, 2), (300, 3)])
+def test_linear_oracles_match_dense_matrix_form(n, seed):
+    m = random_linear_model(n, seed)
+    assert m.nodes != m._order                 # declared out of order
+    assert np.allclose(population_covariance(m), dense_covariance(m),
+                       rtol=1e-10, atol=1e-10)
+    assert np.allclose(population_mean(m), dense_mean(m),
+                       rtol=1e-10, atol=1e-10)
+    A = total_effect_matrix(m)
+    g = np.random.default_rng(seed)
+    linked = np.argwhere(A - np.eye(n) != 0)   # (outcome, cause), path exists
+    queries = [*linked[g.choice(len(linked), 15)], *g.choice(n, size=(5, 2))]
+    for o, c in queries:
+        if c != o:
+            assert abs(total_effect_linear(m, m.nodes[c], m.nodes[o])
+                       - A[o, c]) <= 1e-10 * (1.0 + abs(A[o, c]))
 
 
 # --- model files ----------------------------------------------------------
