@@ -102,8 +102,10 @@ class UnknownExperimentError(ScmLabError):
     """Requested experiment name is not registered."""
 
 
-class ConfigValidationError(ScmLabError):
-    """Experiment configuration failed validation."""
+class ConfigValidationError(ScmLabError, ValueError):
+    """A configuration value (an experiment parameter or a model setting)
+    failed validation; the message names the field.  Also a ``ValueError``,
+    so callers catching that still catch it."""
 
 
 class IoError(ScmLabError):

@@ -7,6 +7,14 @@ within a node the best split maximizes the exact variance-reduction score
 sum_l^2/n_l + sum_r^2/n_r under a min-leaf constraint. Leaves carry the
 mean residual, shrunk by the learning rate. No second-order weights, no
 column or row subsampling — small-scale fidelity over system parity.
+
+The training matrix is binned once per fit. A node scores every feature's
+candidates in one pass over padded (feature, bin) sum and count tables.
+Count tables are integers and are reused exactly: the root's is counted
+once per fit and a right child's is its parent's minus its sibling's. Sum
+tables are counted per node from the node's residuals in row order, so
+the trees are those of a plain per-feature search. Rows are partitioned
+with ``compress``, in the grower and in the tree walk.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from ..errors import DegenerateTargetError
+from ..errors import ConfigValidationError, DegenerateTargetError
 
 _MAX_BINS = 64
 
@@ -43,6 +51,7 @@ class Tree:
     value: np.ndarray
 
     def predict(self, X):
+        """Leaf value of every row of X."""
         n = X.shape[0]
         out = np.empty(n)
         stack = [(0, np.arange(n))]
@@ -52,9 +61,13 @@ class Tree:
             if f < 0:
                 out[rows] = self.value[node]
                 continue
-            go_left = X[rows, f] < self.threshold[node]
-            for child, sub in ((self.left[node], rows[go_left]),
-                               (self.right[node], rows[~go_left])):
+            column = X[:, f]
+            if rows.size < n:
+                column = column.take(rows)
+            go_left = column < self.threshold[node]
+            for child, mask in ((self.left[node], go_left),
+                                (self.right[node], ~go_left)):
+                sub = rows.compress(mask)
                 if sub.size:
                     stack.append((child, sub))
         return out
@@ -70,24 +83,57 @@ class GbtModel:
     loss_history: np.ndarray = field(repr=False, default=None)
 
 
+@dataclass(frozen=True)
+class _Bins:
+    """The training matrix binned once per fit.
+
+    ``columns[j]`` holds feature j's codes for every row, contiguously;
+    code = count of ``edges[j]`` at or below the value, so code <= i means
+    value < edges[j][i].  Codes are ``intp``, what ``bincount`` and ``take``
+    index with, so no call casts them.  Every tree's root holds all rows,
+    so its per-bin row counts (one row of ``counts`` per feature, padded
+    with zeros to the widest feature) are counted here once.  Candidate i
+    of feature j sends codes <= i left; ``splittable[j, i]`` is false for
+    the padding candidates i >= edges[j].size, which would send every row
+    left.
+    """
+
+    columns: np.ndarray
+    edges: list
+    counts: np.ndarray
+    splittable: np.ndarray
+
+
 def _bin_columns(X, n_bins):
-    """Per-feature quantile edges and integer codes (code = count of edges
-    at or below the value, so code <= i means value < edges[i]).  Codes are
-    column-major: a node gathers each feature's codes from one contiguous
-    column."""
-    edges, codes = [], np.empty(X.shape, dtype=np.int32, order="F")
+    """Per-feature quantile edges and integer codes, as :class:`_Bins`."""
+    edges, codes = [], np.empty(X.shape, dtype=np.intp, order="F")
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     for j in range(X.shape[1]):
         e = np.unique(np.quantile(X[:, j], qs))
         edges.append(e)
         codes[:, j] = np.searchsorted(e, X[:, j], side="right")
-    return edges, codes
-
-
-def _grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
-    """Grow one tree on the binned columns; fills ``train_pred`` with the
-    tree's prediction for every training row as leaves are finalized."""
+    sizes = np.array([e.size for e in edges], dtype=np.intp)
+    width = int(sizes.max(initial=0)) + 1
     columns = codes.T
+    counts = np.array([np.bincount(c, minlength=width) for c in columns],
+                      dtype=np.intp).reshape(len(edges), width)
+    splittable = np.arange(width - 1) < sizes[:, None]
+    return _Bins(columns, edges, counts, splittable)
+
+
+def _grow_tree(bins, resid, depth, min_leaf, train_pred):
+    """Grow one tree on the binned columns; fills ``train_pred`` with the
+    tree's prediction for every training row as leaves are finalized.
+
+    A node fills one (feature, bin) sum table and, unless its parent
+    derived it, one count table with a ``bincount`` per feature, then runs
+    one cumulative sum, gain and flat ``argmax`` over the tables.  Among
+    equal gains the flat argmax takes the earliest feature, then the
+    earliest bin.
+    """
+    columns, edges = bins.columns, bins.edges
+    d, width = bins.counts.shape
+    all_rows = np.arange(resid.size)
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -98,48 +144,56 @@ def _grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
         value.append(0.0)
         return len(feature) - 1
 
-    def build(rows, remaining):
+    def build(rows, r, counts, remaining):
+        """Grow the subtree on ``rows`` (residuals ``r``); ``counts`` is
+        the node's count table when already known.  Returns the node and
+        its count table, or None when it did not search."""
         node = new_node()
-        r = resid[rows]
         s = float(r.sum())
         cnt = rows.size
         value[node] = s / cnt
         if remaining == 0 or cnt < 2 * min_leaf:
             train_pred[rows] = value[node]
-            return node
-        best = None  # (gain, feature, bin index)
-        base = s * s / cnt
-        for j, column in enumerate(columns):
-            nb = edges[j].size + 1
-            if nb < 2:
-                continue
-            c = column.take(rows)
-            sums = np.bincount(c, weights=r, minlength=nb).cumsum()[:-1]
-            cnts = np.bincount(c, minlength=nb).cumsum()[:-1]
-            rcnts = cnt - cnts
-            ok = (cnts >= min_leaf) & (rcnts >= min_leaf)
-            if not ok.any():
-                continue
-            gain = np.where(
-                ok,
-                sums * sums / np.maximum(cnts, 1)
-                + (s - sums) ** 2 / np.maximum(rcnts, 1),
-                -np.inf)
-            i = int(np.argmax(gain))
-            if best is None or gain[i] > best[0]:
-                best = (float(gain[i]), j, i)
-        if best is None or best[0] - base <= 1e-12:
+            return node, None
+        codes = (columns if rows is all_rows
+                 else [column.take(rows) for column in columns])
+        sums = np.empty((d, width))
+        for j, c in enumerate(codes):
+            sums[j] = np.bincount(c, weights=r, minlength=width)
+        if counts is None:
+            counts = np.empty((d, width), dtype=np.intp)
+            for j, c in enumerate(codes):
+                counts[j] = np.bincount(c, minlength=width)
+        sums_l = sums.cumsum(axis=1)[:, :-1]
+        cnts = counts.cumsum(axis=1)[:, :-1]
+        rcnts = cnt - cnts
+        ok = bins.splittable & (cnts >= min_leaf) & (rcnts >= min_leaf)
+        gain = np.where(
+            ok,
+            sums_l * sums_l / np.maximum(cnts, 1)
+            + (s - sums_l) ** 2 / np.maximum(rcnts, 1),
+            -np.inf)
+        j, i = divmod(int(gain.argmax()), width - 1)
+        if float(gain[j, i]) - s * s / cnt <= 1e-12:
             train_pred[rows] = value[node]
-            return node
-        _, j, i = best
-        go_left = columns[j].take(rows) <= i
+            return node, counts
+        go_left = codes[j] <= i
+        go_right = ~go_left
         feature[node] = j
         threshold[node] = float(edges[j][i])
-        left[node] = build(rows[go_left], remaining - 1)
-        right[node] = build(rows[~go_left], remaining - 1)
-        return node
+        left[node], left_counts = build(rows.compress(go_left),
+                                        r.compress(go_left), None,
+                                        remaining - 1)
+        right[node], _ = build(
+            rows.compress(go_right), r.compress(go_right),
+            None if left_counts is None else counts - left_counts,
+            remaining - 1)
+        return node, counts
 
-    build(np.arange(codes.shape[0]), depth)
+    # with no candidate at all (every column constant, or n_bins = 1) the
+    # tree is one leaf
+    build(all_rows, resid, bins.counts,
+          depth if bins.splittable.any() else 0)
     return Tree(np.asarray(feature, dtype=np.int32),
                 np.asarray(threshold),
                 np.asarray(left, dtype=np.int32),
@@ -163,11 +217,16 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
     """
     cfg = config or GbtConfig()
     if cfg.depth < 1:
-        raise ValueError("depth must be at least 1")
+        raise ConfigValidationError(f"depth = {cfg.depth} must be at least 1")
     if cfg.n_trees < 0:
-        raise ValueError("n_trees must be non-negative")
+        raise ConfigValidationError(
+            f"n_trees = {cfg.n_trees} must be non-negative")
     if not 1 <= cfg.n_bins <= _MAX_BINS:
-        raise ValueError(f"n_bins must lie in 1..{_MAX_BINS}")
+        raise ConfigValidationError(
+            f"n_bins = {cfg.n_bins} must lie in 1..{_MAX_BINS}")
+    if cfg.min_leaf < 1:
+        raise ConfigValidationError(
+            f"min_leaf = {cfg.min_leaf} must be at least 1")
     features = list(features)
     X = train.matrix(features)
     y = train.column(target).astype(np.float64)
@@ -183,7 +242,7 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
             raise DegenerateTargetError("target has zero variance")
         base = float(y.mean())
 
-    edges, codes = _bin_columns(X, cfg.n_bins)
+    bins = _bin_columns(X, cfg.n_bins)
     F = np.full(y.size, base)
     trees = []
     history = np.empty(cfg.n_trees + 1)
@@ -191,7 +250,7 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
     train_pred = np.empty(y.size)
     for t in range(cfg.n_trees):
         resid = y - expit(F) if cfg.loss == "logistic" else y - F
-        tree = _grow_tree(codes, edges, resid, cfg.depth, cfg.min_leaf, train_pred)
+        tree = _grow_tree(bins, resid, cfg.depth, cfg.min_leaf, train_pred)
         F += cfg.learning_rate * train_pred
         trees.append(tree)
         history[t + 1] = _mean_loss(F, y, cfg.loss)
@@ -201,7 +260,9 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
 
 def decision_function(model: GbtModel, X: np.ndarray) -> np.ndarray:
     """Raw additive score (margin for logistic loss, mean for squared)."""
-    X = np.asarray(X, dtype=np.float64)
+    # column-major, so each tree walk gathers a split's feature from one
+    # contiguous column
+    X = np.asfortranarray(X, dtype=np.float64)
     F = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
         F += model.learning_rate * tree.predict(X)

@@ -1,0 +1,141 @@
+"""Plain twin of the boosted-tree fit and prediction.
+
+The package grows each tree with one split search per node over padded
+per-feature tables, reuses integer count tables (a right child's counts
+are its parent's minus its sibling's) and partitions rows with
+``compress``. This module keeps the straightforward route that replaced:
+``int32`` column-major codes, one ``bincount`` pair and one ``argmax`` per
+feature per node, and boolean-mask row partitions in both the grower and
+the tree walk. The package must match it bit for bit, so the tests
+compare the two with ``np.array_equal``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import expit
+
+from scmlab.flexfit.gbt import _mean_loss
+
+
+def bin_columns(X, n_bins):
+    """Per-feature quantile edges and integer codes (code = count of edges
+    at or below the value, so code <= i means value < edges[i]).  Codes are
+    column-major: a node gathers each feature's codes from one contiguous
+    column."""
+    edges, codes = [], np.empty(X.shape, dtype=np.int32, order="F")
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    for j in range(X.shape[1]):
+        e = np.unique(np.quantile(X[:, j], qs))
+        edges.append(e)
+        codes[:, j] = np.searchsorted(e, X[:, j], side="right")
+    return edges, codes
+
+
+def grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
+    """Grow one tree on the binned columns; fills ``train_pred`` with the
+    tree's prediction for every training row as leaves are finalized.
+    Returns the five flat arrays (feature, threshold, left, right, value)."""
+    columns = codes.T
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def build(rows, remaining):
+        node = new_node()
+        r = resid[rows]
+        s = float(r.sum())
+        cnt = rows.size
+        value[node] = s / cnt
+        if remaining == 0 or cnt < 2 * min_leaf:
+            train_pred[rows] = value[node]
+            return node
+        best = None  # (gain, feature, bin index)
+        base = s * s / cnt
+        for j, column in enumerate(columns):
+            nb = edges[j].size + 1
+            if nb < 2:
+                continue
+            c = column.take(rows)
+            sums = np.bincount(c, weights=r, minlength=nb).cumsum()[:-1]
+            cnts = np.bincount(c, minlength=nb).cumsum()[:-1]
+            rcnts = cnt - cnts
+            ok = (cnts >= min_leaf) & (rcnts >= min_leaf)
+            if not ok.any():
+                continue
+            gain = np.where(
+                ok,
+                sums * sums / np.maximum(cnts, 1)
+                + (s - sums) ** 2 / np.maximum(rcnts, 1),
+                -np.inf)
+            i = int(np.argmax(gain))
+            if best is None or gain[i] > best[0]:
+                best = (float(gain[i]), j, i)
+        if best is None or best[0] - base <= 1e-12:
+            train_pred[rows] = value[node]
+            return node
+        _, j, i = best
+        go_left = columns[j].take(rows) <= i
+        feature[node] = j
+        threshold[node] = float(edges[j][i])
+        left[node] = build(rows[go_left], remaining - 1)
+        right[node] = build(rows[~go_left], remaining - 1)
+        return node
+
+    build(np.arange(codes.shape[0]), depth)
+    return (np.asarray(feature, dtype=np.int32), np.asarray(threshold),
+            np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32),
+            np.asarray(value))
+
+
+def fit(X, y, config, base):
+    """The boosting loop of ``gbt_train`` on the reference grower, from the
+    given base score: returns the trees' flat arrays and the loss history."""
+    edges, codes = bin_columns(X, config.n_bins)
+    F = np.full(y.size, base)
+    trees = []
+    history = np.empty(config.n_trees + 1)
+    history[0] = _mean_loss(F, y, config.loss)
+    train_pred = np.empty(y.size)
+    for t in range(config.n_trees):
+        resid = y - expit(F) if config.loss == "logistic" else y - F
+        trees.append(grow_tree(codes, edges, resid, config.depth,
+                               config.min_leaf, train_pred))
+        F += config.learning_rate * train_pred
+        history[t + 1] = _mean_loss(F, y, config.loss)
+    return trees, history
+
+
+def tree_predict(arrays, X):
+    """Leaf value of every row of X, walking the tree with boolean masks."""
+    feature, threshold, left, right, value = arrays
+    n = X.shape[0]
+    out = np.empty(n)
+    stack = [(0, np.arange(n))]
+    while stack:
+        node, rows = stack.pop()
+        f = feature[node]
+        if f < 0:
+            out[rows] = value[node]
+            continue
+        go_left = X[rows, f] < threshold[node]
+        for child, sub in ((left[node], rows[go_left]),
+                           (right[node], rows[~go_left])):
+            if sub.size:
+                stack.append((child, sub))
+    return out
+
+
+def decision_function(trees, learning_rate, base, X):
+    """Raw additive score of the trees (flat arrays) on X."""
+    X = np.asarray(X, dtype=np.float64)
+    F = np.full(X.shape[0], base)
+    for arrays in trees:
+        F += learning_rate * tree_predict(arrays, X)
+    return F

@@ -249,6 +249,8 @@ def test_cli_bad_override_prints_json_error(tmp_path, capsys):
     ("eval_rows = 10\nbackground_rows = 10\nq_grid = 0 1.5\n", "q_grid"),
     ("eval_rows = 10\nbackground_rows = 10\ncoefficients = 1 2 3\n",
      "coefficients"),
+    ("eval_rows = 10\nbackground_rows = 10\ngbt_depth = 0\n", "depth"),
+    ("eval_rows = 10\nbackground_rows = 10\ngbt_min_leaf = 0\n", "min_leaf"),
 ])
 def test_cli_fig5_rows_above_n_prints_json_error(tmp_path, capsys, override,
                                                  key):

@@ -5,9 +5,15 @@ from scmlab import (Dataset, GbtConfig, MlpConfig, gbt_train, gradient_check,
                     mlp_train, predict, split, stepwise_forward)
 from scmlab.errors import (DegenerateTargetError, DivergenceError,
                            InsufficientDataError, MissingFeatureError)
+from scmlab.experiments import build_config
+from scmlab.experiments.generators import (blended_logit_features,
+                                           blended_logit_model)
 from scmlab.flexfit import (model_from_json_dict, model_to_json_dict,
                             predict_on_matrix)
+from scmlab.flexfit import gbt as gbt_module
 from scmlab.rng import normal_column, uniform_column
+from scmlab.scm import sample
+import gbt_helpers
 
 
 def make_data(**cols):
@@ -196,6 +202,121 @@ def test_gbt_json_round_trip():
     X = np.linspace(-3, 3, 77)[:, None]
     assert np.allclose(predict_on_matrix(model, X),
                        predict_on_matrix(clone, X))
+
+
+# --- GBT against the plain reference grower -------------------------------
+
+def mixed_columns(n, seed):
+    """Columns whose bin counts differ (1, 2 and 64 bins) plus an exact copy
+    of the 64-bin column, so ties between features occur."""
+    x = normal_column(seed, (0,), n)
+    return {"const": np.full(n, 2.5),
+            "binary": (uniform_column(seed, (1,), n) < 0.4).astype(float),
+            "x": x, "x_copy": x.copy()}
+
+
+def mixed_target(cols, loss, seed):
+    score = np.sin(2.0 * cols["x"]) + cols["binary"]
+    if loss == "logistic":
+        p = 1.0 / (1.0 + np.exp(-score))
+        return (uniform_column(seed, (2,), p.size) < p).astype(float)
+    return score + 0.2 * normal_column(seed, (3,), score.size)
+
+
+def rows_on_thresholds(model, X):
+    """Copies of X's first row with one split feature set exactly to a
+    split threshold, one row per split node of the model."""
+    rows = []
+    for tree in model.trees:
+        for f, t in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                rows.append(X[0].copy())
+                rows[-1][f] = t
+    return np.array(rows).reshape(-1, X.shape[1])
+
+
+def counts_by_node(bins, tree):
+    """Per-feature bin counts of the training rows each node holds, counted
+    directly with one ``bincount`` per feature."""
+    d, width = bins.counts.shape
+    out = {}
+    stack = [(0, np.arange(bins.columns.shape[1]))]
+    while stack:
+        node, rows = stack.pop()
+        out[node] = np.array([np.bincount(c.take(rows), minlength=width)
+                              for c in bins.columns]).reshape(d, width)
+        f = tree.feature[node]
+        if f >= 0:
+            i = np.searchsorted(bins.edges[f], tree.threshold[node])
+            go_left = bins.columns[f].take(rows) <= i
+            stack.append((tree.left[node], rows.compress(go_left)))
+            stack.append((tree.right[node], rows.compress(~go_left)))
+    return out
+
+
+GBT_REFERENCE_CASES = {
+    **{f"{loss}-depth{depth}": (
+        "mixed", dict(n_trees=12, depth=depth, learning_rate=0.3, min_leaf=8,
+                      loss=loss))
+       for loss in ("squared", "logistic") for depth in (1, 2, 3)},
+    "one-bin": ("mixed", dict(n_trees=3, n_bins=1, min_leaf=1)),
+    "min-leaf-above-half": ("mixed", dict(n_trees=3, depth=2, min_leaf=201)),
+    "fig5-sized": ("fig5", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GBT_REFERENCE_CASES))
+def test_gbt_matches_reference_bit_for_bit(case):
+    data, config = GBT_REFERENCE_CASES[case]
+    if data == "fig5":
+        # the registered fig5 model and GBT at q = 1, on 2000 rows and 25
+        # trees
+        p = build_config("fig5_sweep", "unused").params
+        config = GbtConfig(n_trees=25, depth=p["gbt_depth"],
+                           learning_rate=p["gbt_learning_rate"],
+                           min_leaf=p["gbt_min_leaf"], n_bins=p["gbt_bins"],
+                           loss="logistic")
+        names = blended_logit_features(p["n_noise_features"])
+        train = sample(blended_logit_model(1.0, p["coefficients"],
+                                           p["proxy_sd"],
+                                           p["n_noise_features"]), 2000, 5)
+    else:
+        config = GbtConfig(**config)
+        cols = mixed_columns(400, 31)
+        names = list(cols)
+        train = Dataset({**cols, "y": mixed_target(cols, config.loss, 32)})
+    model = gbt_train(train, "y", names, config)
+    X, y = train.matrix(names), train.column("y")
+    trees, history = gbt_helpers.fit(X, y, config, model.base_score)
+    assert len(model.trees) == len(trees)
+    for tree, ref in zip(model.trees, trees):
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right,
+                  tree.value)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(arrays, ref))
+    assert np.array_equal(model.loss_history, history)
+    X_pred = np.vstack([X[:50], rows_on_thresholds(model, X)])
+    for rows in (X_pred, X_pred[:0], X_pred[-1:]):
+        assert np.array_equal(
+            gbt_module.decision_function(model, rows),
+            gbt_helpers.decision_function(trees, config.learning_rate,
+                                          model.base_score, rows))
+    split_features = {int(f) for t in model.trees for f in t.feature}
+    if case in ("one-bin", "min-leaf-above-half"):
+        assert split_features == {-1}
+    elif data == "mixed":
+        # the copy ties with x on every candidate: the earlier feature wins
+        assert names.index("x") in split_features
+        assert names.index("x_copy") not in split_features
+    if data == "fig5":
+        bins = gbt_module._bin_columns(X, config.n_bins)
+        for tree in model.trees:
+            counts = counts_by_node(bins, tree)
+            assert np.array_equal(counts[0], bins.counts)
+            for node in np.flatnonzero(tree.feature >= 0):
+                assert np.array_equal(
+                    counts[node] - counts[tree.left[node]],
+                    counts[tree.right[node]])
 
 
 # --- split / stepwise -----------------------------------------------------
