@@ -48,6 +48,12 @@ class TooManyCandidatesError(ScmLabError):
     candidate nodes."""
 
 
+class GraphFileError(ScmLabError, ValueError):
+    """A line of a graph exchange file is not a ``parent child`` pair; the
+    message gives the path and the 1-based line number.  Also a
+    ``ValueError``, as a malformed line raised before."""
+
+
 # --- estimator layer ----------------------------------------------------
 
 class RankDeficientError(ScmLabError):

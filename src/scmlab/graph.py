@@ -23,8 +23,8 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (CycleError, OverlappingSetsError, TooManyCandidatesError,
-                     UnknownNodeError)
+from .errors import (CycleError, GraphFileError, OverlappingSetsError,
+                     TooManyCandidatesError, UnknownNodeError)
 
 _CANDIDATE_LIMIT = 20
 
@@ -147,45 +147,54 @@ def d_separated(g: Dag, X, Y, Z, method: str = "reachable") -> bool:
     if not X or not Y:
         return True
     if method == "reachable":
-        return not (_reachable(g, X, Z) & Y)
+        return not _reaches(g, X, Y, Z)
     if method == "moral":
         return _moral_separated(g, X, Y, Z)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _reachable(g: Dag, X: set, Z: set) -> set:
-    """Nodes reachable from X along some active path given Z.
+def _reaches(g: Dag, X: set, Y: set, Z: set) -> bool:
+    """True iff some node of Y is reachable from X along an active path
+    given Z; stops at the first node of Y it reaches.
 
-    State space is (node, direction of arrival): "down" = entered along an
-    edge out of the previous node, "up" = entered against an edge. From a
-    non-collider position travel continues per the chain/fork rules; travel
-    through a collider needs the collider (or a descendant) in Z, which the
-    precomputed ancestors-of-Z set answers in O(1).
+    States are (node, direction of arrival), kept as one visited set per
+    direction: "down" = entered along an edge out of the previous node,
+    "up" = entered against an edge. From a non-collider position travel
+    continues per the chain/fork rules; travel through a collider needs
+    the collider (or a descendant) in Z, which the precomputed
+    ancestors-of-Z set answers in O(1). X, Y and Z are disjoint, so a
+    node of Y is never in Z and is reached as soon as it is entered.
     """
     anc_z = Z | g.ancestors_of(Z)
-    visited = set()
-    # direction "up": as if we entered the start nodes from a child
-    frontier = [(x, "up") for x in X]
-    reached = set()
-    while frontier:
-        node, direction = frontier.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node not in Z:
-            reached.add(node)
-        if direction == "up" and node not in Z:
-            # continue to parents (against edges) and children (with edges)
-            frontier.extend((p, "up") for p in g._parents[node])
-            frontier.extend((c, "down") for c in g._children[node])
-        elif direction == "down":
+    up_seen, down_seen = set(), set()
+    # the start nodes count as entered from a child ("up")
+    up, down = list(X), []
+    while up or down:
+        if up:
+            node = up.pop()
+            if node in up_seen:
+                continue
+            up_seen.add(node)
+            if node in Y:
+                return True
+            if node not in Z:
+                # continue to parents (against edges) and children (with edges)
+                up.extend(g._parents[node])
+                down.extend(g._children[node])
+        else:
+            node = down.pop()
+            if node in down_seen:
+                continue
+            down_seen.add(node)
+            if node in Y:
+                return True
             if node not in Z:
                 # chain: keep descending
-                frontier.extend((c, "down") for c in g._children[node])
+                down.extend(g._children[node])
             if node in anc_z:
                 # collider with (a descendant in) Z: bounce to parents
-                frontier.extend((p, "up") for p in g._parents[node])
-    return reached - X
+                up.extend(g._parents[node])
+    return False
 
 
 def _moral_separated(g: Dag, X: set, Y: set, Z: set) -> bool:
@@ -247,16 +256,26 @@ def backdoor_paths(g: Dag, cause: str, outcome: str) -> list:
 
 def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     """Backdoor criterion: no member of Z descends from cause, and Z
-    d-separates cause from outcome once cause's outgoing edges are cut."""
+    d-separates cause from outcome once cause's outgoing edges are cut.
+
+    When cause has no children (the graph is already cut) both steps
+    reduce to the d-separation test, which runs on ``g`` itself.
+    """
     Z = set(Z)
     g._check_nodes(cause, outcome, *Z)
     if cause in Z or outcome in Z:
         raise ValueError("cause and outcome cannot be in the adjustment set")
-    if Z & g.descendants_of(cause):
-        return False
-    cut = Dag(g.nodes, [e for e in g.edges if e[0] != cause],
-              observed=g.observed)
-    return d_separated(cut, {cause}, {outcome}, Z)
+    if g._children[cause]:
+        if Z & g.descendants_of(cause):
+            return False
+        g = _cut_outgoing(g, cause)
+    return d_separated(g, {cause}, {outcome}, Z)
+
+
+def _cut_outgoing(g: Dag, cause: str) -> Dag:
+    """Copy of ``g`` without the edges out of ``cause``."""
+    return Dag(g.nodes, [e for e in g.edges if e[0] != cause],
+               observed=g.observed)
 
 
 @dataclass
@@ -297,26 +316,25 @@ def minimal_backdoor_sets(g: Dag, cause: str, outcome: str,
             f"cap of {_CANDIDATE_LIMIT}")
     usable = sorted(candidates - g.descendants_of(cause) - {cause, outcome})
     paths = backdoor_paths(g, cause, outcome)
-    # sets are represented as sorted name tuples so output order never
-    # depends on hash order
-    valid = []
+    # usable already excludes the descendants of cause, so every subset
+    # is tested on one cut graph built here
+    cut = _cut_outgoing(g, cause)
+    # sets are sorted name tuples generated by size, then lexicographically,
+    # so output order never depends on hash order, and a valid set is
+    # minimal iff no minimal set found before it is contained in it
+    valid, minimal = [], []
     for size in range(len(usable) + 1):
         for subset in combinations(usable, size):
-            if is_valid_backdoor_set(g, cause, outcome, subset):
+            if is_valid_backdoor_set(cut, cause, outcome, subset):
                 valid.append(subset)
-    minimal = [s for s in valid
-               if not any(set(t) < set(s) for t in valid)]
-    identifiable = bool(valid)
-
-    def order(s):
-        return (len(s), s)
-
+                if not any(set(subset).issuperset(m) for m in minimal):
+                    minimal.append(subset)
     return AdjustmentAnalysis(
         query=(cause, outcome),
         backdoor_paths=paths,
-        valid_sets=sorted(valid, key=order),
-        minimal_sets=sorted(minimal, key=order),
-        identifiable=identifiable,
+        valid_sets=valid,
+        minimal_sets=minimal,
+        identifiable=bool(valid),
     )
 
 
@@ -339,9 +357,14 @@ def save_graph(g: Dag, path: str) -> None:
 
 
 def load_graph(path: str) -> Dag:
+    """Read a graph written by :func:`save_graph`.
+
+    Raises GraphFileError, naming the path and line, for an edge line that
+    is not exactly two names.
+    """
     nodes, observed, edges = None, None, []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -352,8 +375,12 @@ def load_graph(path: str) -> Dag:
             elif line.startswith("#"):
                 continue
             else:
-                p, c = line.split()
-                edges.append((p, c))
+                pair = line.split()
+                if len(pair) != 2:
+                    raise GraphFileError(
+                        f"{path}:{lineno}: expected 'parent child', got "
+                        f"{len(pair)} names in {line!r}")
+                edges.append(tuple(pair))
     if nodes is None:
         nodes = sorted({n for e in edges for n in e})
     return Dag(nodes, edges, observed)

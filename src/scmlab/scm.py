@@ -159,6 +159,8 @@ class StructuralModel:
         for k, v in self._pairs:
             self.assignments.setdefault(k, v)
         self._order = None  # cached topological order, set by validate_model
+        self._cov = None    # read-only moments, set on first use by
+        self._mu = None     # population_covariance / population_mean
 
     def parents(self, node: str) -> tuple:
         return self.assignments[node].parents
@@ -274,7 +276,14 @@ def population_covariance(model: StructuralModel) -> np.ndarray:
     noise. For node v with parents P and weights w:
     Cov(v, u) = sum_p w_p Cov(p, u) for previously solved u, and
     Var(v) = w' Sigma_PP w + Var(noise).
+
+    The matrix is computed once per model, stored on it and returned
+    read-only (writing into it raises ``ValueError``); copy it to modify.
+    A model is never changed after validation (:func:`intervene` builds a
+    new one), so the stored matrix cannot go stale.
     """
+    if model._cov is not None:
+        return model._cov
     _require_linear_gaussian(model)
     order = _ensure_validated(model)
     idx = {name: i for i, name in enumerate(model.nodes)}
@@ -292,11 +301,19 @@ def population_covariance(model: StructuralModel) -> np.ndarray:
             cov[i, i] = w @ cov[np.ix_(pidx, pidx)] @ w + a.noise.variance()
         else:
             cov[i, i] = a.noise.variance()
+    cov.setflags(write=False)
+    model._cov = cov
     return cov
 
 
 def population_mean(model: StructuralModel) -> np.ndarray:
-    """Exact mean vector over ``model.nodes`` (linear-Gaussian models)."""
+    """Exact mean vector over ``model.nodes`` (linear-Gaussian models).
+
+    Computed once per model, stored on it and returned read-only, like
+    :func:`population_covariance`.
+    """
+    if model._mu is not None:
+        return model._mu
     _require_linear_gaussian(model)
     order = _ensure_validated(model)
     idx = {name: i for i, name in enumerate(model.nodes)}
@@ -306,6 +323,8 @@ def population_mean(model: StructuralModel) -> np.ndarray:
         mu[idx[name]] = (a.intercept
                          + sum(w * mu[idx[p]] for p, w in zip(a.parents, a.weights))
                          + a.noise.mean())
+    mu.setflags(write=False)
+    model._mu = mu
     return mu
 
 
@@ -313,6 +332,9 @@ def population_regression(model: StructuralModel, target: str,
                           regressors) -> np.ndarray:
     """Population least-squares coefficients [intercept, b_1..b_k] of
     target on regressors — the limit of any consistent OLS fit.
+
+    Reads the model's stored moments, so repeated calls on one model cost
+    only the regressor block's solve.
     """
     regressors = list(regressors)
     for name in [target, *regressors]:

@@ -42,24 +42,32 @@ def all_dags(m: int) -> np.ndarray:
     return A[np.sort(keep)]
 
 
-def _bmm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+# The products below take float32 operands (0.0/1.0) that the callers cast
+# once per operand, not once per product.
+
+def _bmm(Xf: np.ndarray, Yf: np.ndarray) -> np.ndarray:
     """Boolean batched matrix product over the DAG axis."""
-    return (X.astype(np.float32) @ Y.astype(np.float32)) > 0.5
+    return (Xf @ Yf) > 0.5
 
 
-def _bvm(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _bvm(v: np.ndarray, Af: np.ndarray) -> np.ndarray:
     """Boolean batched vector-matrix product: reach one step along A."""
-    return (v.astype(np.float32)[:, None, :] @ A.astype(np.float32))[:, 0] > 0.5
+    return (v.astype(np.float32)[:, None, :] @ Af)[:, 0] > 0.5
+
+
+def _square_closure(C: np.ndarray) -> np.ndarray:
+    """Transitive closure of a reflexive boolean stack by repeated squaring."""
+    m = C.shape[1]
+    steps = max(1, int(np.ceil(np.log2(max(m, 2)))))
+    for _ in range(steps):
+        Cf = C.astype(np.float32)
+        C = _bmm(Cf, Cf)
+    return C
 
 
 def reflexive_closure(A: np.ndarray) -> np.ndarray:
     """R[d, i, j] True iff j is reachable from i (including i itself)."""
-    m = A.shape[1]
-    R = A | np.eye(m, dtype=bool)
-    steps = max(1, int(np.ceil(np.log2(max(m, 2)))))
-    for _ in range(steps):
-        R = _bmm(R, R)
-    return R
+    return _square_closure(A | np.eye(A.shape[1], dtype=bool))
 
 
 def moral_separated_batch(A, R, x: int, y: int, Z) -> np.ndarray:
@@ -69,14 +77,12 @@ def moral_separated_batch(A, R, x: int, y: int, Z) -> np.ndarray:
     targets[[x, y, *Z]] = True
     anc = (R & targets).any(axis=2)                       # (D, m)
     Ap = A & anc[:, :, None] & anc[:, None, :]
-    M = Ap | Ap.transpose(0, 2, 1) | _bmm(Ap, Ap.transpose(0, 2, 1))
+    Apf = Ap.astype(np.float32)
+    M = Ap | Ap.transpose(0, 2, 1) | _bmm(Apf, Apf.transpose(0, 2, 1))
     live = anc.copy()
     live[:, list(Z)] = False
     M = M & live[:, :, None] & live[:, None, :]
-    C = M | np.eye(m, dtype=bool)
-    steps = max(1, int(np.ceil(np.log2(max(m, 2)))))
-    for _ in range(steps):
-        C = _bmm(C, C)
+    C = _square_closure(M | np.eye(m, dtype=bool))
     return ~C[:, x, y]
 
 
@@ -91,13 +97,17 @@ def reachable_separated_batch(A, R, x: int, y: int, Z) -> np.ndarray:
     z[list(Z)] = True
     not_z = ~z
     anc_z = (R & z).any(axis=2)                           # includes Z itself
-    AT = A.transpose(0, 2, 1)
+    Af = A.astype(np.float32)
+    ATf = np.ascontiguousarray(Af.transpose(0, 2, 1))
     up = np.zeros((D, m), dtype=bool)
     down = np.zeros((D, m), dtype=bool)
     up[:, x] = True
     while True:
-        new_up = up | _bvm(up & not_z, AT) | _bvm(down & anc_z, AT)
-        new_down = down | _bvm(up & not_z, A) | _bvm(down & not_z, A)
+        # one step along AT from every state that may move to its parents
+        # (up and not in Z, or a collider opened by Z), one along A from
+        # every state that may move to its children (up or down, not in Z)
+        new_up = up | _bvm((up & not_z) | (down & anc_z), ATf)
+        new_down = down | _bvm((up | down) & not_z, Af)
         if (new_up == up).all() and (new_down == down).all():
             break
         up, down = new_up, new_down

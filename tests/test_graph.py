@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ from scmlab import (Assignment, Dag, NoiseSpec, StructuralModel,
                     backdoor_paths, d_separated, is_valid_backdoor_set,
                     load_graph, minimal_backdoor_sets, save_graph, to_dot,
                     topological_sort, validate_model)
-from scmlab.errors import (CycleError, OverlappingSetsError,
+from scmlab.errors import (CycleError, GraphFileError, OverlappingSetsError,
                            TooManyCandidatesError, UnknownNodeError)
 
 from dsep_helpers import (all_dags, all_queries, moral_separated_batch,
                           reflexive_closure)
+from sem_helpers import random_linear_model
 
 
 def chain():
@@ -141,6 +144,23 @@ def test_scalar_methods_match_exhaustive_batch_on_subsample():
             assert got == want
 
 
+def test_methods_agree_on_large_random_graphs():
+    # the reachability sweep stops at the first node of Y it reaches; the
+    # moral route never stops early, so the two still cross-check
+    rng = np.random.default_rng(11)
+    answers = []
+    for seed in range(3):
+        g = Dag.from_structural_model(random_linear_model(300, seed))
+        for _ in range(100):
+            picks = rng.choice(g.nodes, size=2 + int(rng.integers(0, 5)),
+                               replace=False)
+            X, Y, Z = {picks[0]}, {picks[1]}, set(picks[2:])
+            a = d_separated(g, X, Y, Z, method="reachable")
+            assert a == d_separated(g, X, Y, Z, method="moral"), (seed, picks)
+            answers.append(a)
+    assert 0.2 < np.mean(answers) < 0.8      # both answers are exercised
+
+
 # --- backdoor machinery ---------------------------------------------------
 
 def test_backdoor_paths_found_and_sorted():
@@ -170,6 +190,9 @@ def test_descendants_of_cause_invalidate_a_set():
     assert not is_valid_backdoor_set(g, "x", "y", {"m"})
     assert not is_valid_backdoor_set(g, "x", "y", {"m", "z"})
     assert is_valid_backdoor_set(g, "x", "y", {"z"})
+    # an explicit candidate list may name a descendant; the search prunes it
+    analysis = minimal_backdoor_sets(g, "x", "y", candidates={"m", "z"})
+    assert analysis.valid_sets == analysis.minimal_sets == [("z",)]
 
 
 def test_minimal_backdoor_sets_simple():
@@ -204,6 +227,49 @@ def test_minimal_backdoor_sets_candidate_cap():
         minimal_backdoor_sets(g, "x", "y")
 
 
+def _random_dag(rng, n):
+    """A DAG on ``n`` shuffled names with about a quarter unobserved."""
+    names = [f"v{i}" for i in rng.permutation(n)]
+    edges = [(names[i], names[j]) for j in range(n) for i in range(j)
+             if rng.random() < 0.3]
+    observed = {v for v in names if rng.random() < 0.75}
+    return Dag(names, edges, observed=observed), names
+
+
+def _reference_backdoor_sets(g, cause, outcome, candidates):
+    """Every subset of ``candidates``, by size then name, that
+    ``is_valid_backdoor_set`` accepts on ``g`` itself, and the
+    inclusion-minimal ones among them."""
+    pool = sorted(candidates)
+    valid = [S for k in range(len(pool) + 1)
+             for S in itertools.combinations(pool, k)
+             if is_valid_backdoor_set(g, cause, outcome, S)]
+    minimal = [S for S in valid if not any(set(T) < set(S) for T in valid)]
+    return valid, minimal
+
+
+def test_minimal_backdoor_sets_match_per_subset_criterion():
+    rng = np.random.default_rng(5)
+    with_descendant_candidates = 0
+    for case in range(12):
+        g, names = _random_dag(rng, int(rng.integers(8, 13)))
+        # cause early in the topological order, outcome late, so that
+        # cause usually has descendants and backdoor paths exist
+        cause, outcome = names[int(rng.integers(0, 3))], names[-1 - case % 3]
+        everything = set(g.nodes) - {cause, outcome}
+        for candidates in (None, everything):
+            got = minimal_backdoor_sets(g, cause, outcome, candidates)
+            pool = (g.observed - {cause, outcome} if candidates is None
+                    else candidates)
+            valid, minimal = _reference_backdoor_sets(g, cause, outcome, pool)
+            assert got.valid_sets == valid, (case, candidates)
+            assert got.minimal_sets == minimal, (case, candidates)
+            assert got.identifiable == bool(valid)
+        if everything & g.descendants_of(cause):
+            with_descendant_candidates += 1
+    assert with_descendant_candidates >= 6
+
+
 # --- files and export -----------------------------------------------------
 
 def test_graph_save_load_round_trip(tmp_path):
@@ -215,6 +281,14 @@ def test_graph_save_load_round_trip(tmp_path):
     assert g2.nodes == g.nodes
     assert set(g2.edges) == set(g.edges)
     assert g2.observed == g.observed
+
+
+@pytest.mark.parametrize("bad", ["x", "x y z"])
+def test_load_graph_rejects_line_that_is_not_a_pair(tmp_path, bad):
+    path = tmp_path / "g.edges"
+    path.write_text(f"# nodes: x y z\nx y\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(GraphFileError, match=rf"g\.edges:4: .*{bad!r}"):
+        load_graph(str(path))
 
 
 def test_to_dot_marks_unobserved_dashed():

@@ -205,6 +205,53 @@ def test_population_covariance_rejects_custom_and_uniform():
         population_covariance(validate_model(uni))
 
 
+def test_moments_are_stored_read_only():
+    m = chain_model()
+    beta = population_regression(m, "c", ["b"])
+    cov, mu = population_covariance(m), population_mean(m)
+    assert population_covariance(m) is cov and population_mean(m) is mu
+    with pytest.raises(ValueError):
+        cov[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        mu[:] = 0.0
+    with pytest.raises(ValueError):
+        cov *= 2.0
+    again = population_regression(m, "c", ["b"])
+    assert again.tobytes() == beta.tobytes()
+    # a fresh model computes the same coefficients from scratch
+    assert population_regression(chain_model(), "c", ["b"]).tobytes() == beta.tobytes()
+
+
+def test_intervened_model_gets_its_own_moments():
+    m = chain_model()
+    cov, mu = population_covariance(m), population_mean(m)
+    cov_before, mu_before = cov.copy(), mu.copy()
+    m_do = intervene(m, "b", 3.0)
+    cov_do, mu_do = population_covariance(m_do), population_mean(m_do)
+    assert cov_do is not cov and mu_do is not mu
+    assert cov_do[1, 1] == 0.0 and mu_do[1] == 3.0
+    assert population_covariance(m) is cov and population_mean(m) is mu
+    assert np.array_equal(cov, cov_before) and np.array_equal(mu, mu_before)
+
+
+def test_non_gaussian_models_raise_on_every_call():
+    custom = validate_model(StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.gaussian()),
+        "y": Assignment.custom(["x"], lambda x: x * x,
+                               noise=NoiseSpec.gaussian()),
+    }))
+    uni = validate_model(StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.uniform(0.0, 1.0)),
+        "y": Assignment.linear(["x"], [1.0], noise=NoiseSpec.gaussian()),
+    }))
+    for m in (custom, uni):
+        for _ in range(2):
+            for oracle in (population_covariance, population_mean,
+                           lambda m: population_regression(m, "y", ["x"])):
+                with pytest.raises(NonlinearModelError):
+                    oracle(m)
+
+
 def test_population_regression_exact_on_structural_truth():
     m = chain_model()
     beta = population_regression(m, "c", ["b", "a"])
