@@ -37,6 +37,12 @@ class SingularCovarianceError(ScmLabError):
     """Regressor covariance block is numerically singular."""
 
 
+class ModelFileError(ScmLabError, ValueError):
+    """A model exchange file lacks a section or key, or holds a value that
+    does not parse; the message gives the path.  Also a ``ValueError``, as
+    a malformed file raised before."""
+
+
 # --- graph layer --------------------------------------------------------
 
 class OverlappingSetsError(ScmLabError):

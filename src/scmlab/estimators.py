@@ -22,6 +22,7 @@ from .rng import substream
 
 _RANK_TOL = 1e-10          # singular values below tol*s_max are rank loss
 _GRAD_TOL = 1e-8           # logistic convergence: max |gradient|
+_MAX_NEWTON_ITER = 200     # logistic Newton steps before giving up
 _MI_JITTER = 1e-10         # relative tie-breaking jitter for the MI estimator
 
 
@@ -157,8 +158,7 @@ def pearson(data: Dataset, a: str, b: str) -> CorrResult:
     return CorrResult(r, p, n)
 
 
-def logistic_fit(data: Dataset, target: str, regressors,
-                 max_iter: int = 200) -> FitResult:
+def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     """Logistic regression by damped Newton iterations.
 
     Converged when the score's max component drops below 1e-8. Degenerate
@@ -187,7 +187,7 @@ def logistic_fit(data: Dataset, target: str, regressors,
 
     loss = nll(beta)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         prob = expit(X @ beta)
         grad = X.T @ (y - prob)
         if np.max(np.abs(grad)) < _GRAD_TOL:

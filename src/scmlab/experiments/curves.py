@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigValidationError
 from ..estimators import ols_fit
 from ..flexfit import MlpConfig, mlp_train, predict_on_matrix
 from ..rng import derive_seed
@@ -19,6 +20,26 @@ def _mse(y, pred):
 
 def run_fig3_fit(cfg):
     p = cfg.params
+    hidden = tuple(int(h) for h in p["hidden"])
+    if not hidden or min(hidden) < 1:
+        raise ConfigValidationError(
+            f"hidden = {p['hidden']!r} must list one or more layer sizes, "
+            f"each at least 1")
+    if p["activation"] not in ("tanh", "relu"):
+        raise ConfigValidationError(
+            f"activation = {p['activation']!r} must be 'tanh' or 'relu'")
+    if int(p["epochs"]) < 0:
+        raise ConfigValidationError(
+            f"epochs = {p['epochs']} must be non-negative")
+    if not p["x_lo"] < p["x_hi"]:
+        raise ConfigValidationError(
+            f"x_lo = {p['x_lo']} must be below x_hi = {p['x_hi']}")
+    if not p["noise_sd"] >= 0.0:
+        raise ConfigValidationError(
+            f"noise_sd = {p['noise_sd']} must be non-negative")
+    if not p["grid_step"] > 0.0:
+        raise ConfigValidationError(
+            f"grid_step = {p['grid_step']} must be positive")
     model = sine_trend_model(trend=p["trend"], amplitude=p["amplitude"],
                              frequency=p["frequency"], x_lo=p["x_lo"],
                              x_hi=p["x_hi"], noise_sd=p["noise_sd"])
@@ -30,7 +51,7 @@ def run_fig3_fit(cfg):
     def lin_pred(x):
         return lin.coefficients[0] + lin.coefficients[1] * x
 
-    mlp_cfg = MlpConfig(hidden=tuple(int(h) for h in p["hidden"]),
+    mlp_cfg = MlpConfig(hidden=hidden,
                         activation=p["activation"], output="identity",
                         learning_rate=p["learning_rate"],
                         epochs=int(p["epochs"]), momentum=p["momentum"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigValidationError
 from ..estimators import ols_fit, pearson
 from ..scm import (population_covariance, population_regression, sample,
                    total_effect_linear)
@@ -16,6 +17,10 @@ def run_table2(cfg):
     """OLS on the exogenous-predictor model: the benign case where the
     estimated coefficients match the generating ones."""
     theta = list(cfg.params["theta"])
+    if len(theta) != 4:
+        raise ConfigValidationError(
+            f"theta: expected four weights (x0 = 1, x1..x3), got "
+            f"{len(theta)}")
     model = exogenous_predictor_model(theta=theta)
     data = sample(model, cfg.n, cfg.seed)
     fit = ols_fit(data, "y", ["x1", "x2", "x3"])

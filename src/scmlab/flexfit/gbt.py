@@ -19,7 +19,7 @@ with ``compress``, in the grower and in the tree walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -80,7 +80,6 @@ class GbtModel:
     base_score: float
     loss: str
     feature_names: list
-    loss_history: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -201,20 +200,8 @@ def _grow_tree(bins, resid, depth, min_leaf, train_pred):
                 np.asarray(value))
 
 
-def _mean_loss(F, y, loss):
-    if loss == "logistic":
-        # numerically stable mean log-loss of the margin F
-        return float(np.mean(np.logaddexp(0.0, F) - y * F))
-    d = F - y
-    return float(np.mean(d * d))
-
-
 def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtModel:
-    """Fit the boosted ensemble on a dataset.
-
-    The training-loss trajectory (base score, then after each tree) is kept
-    on the model; it is non-increasing for the shipped configurations.
-    """
+    """Fit the boosted ensemble on a dataset."""
     cfg = config or GbtConfig()
     if cfg.depth < 1:
         raise ConfigValidationError(f"depth = {cfg.depth} must be at least 1")
@@ -245,17 +232,13 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
     bins = _bin_columns(X, cfg.n_bins)
     F = np.full(y.size, base)
     trees = []
-    history = np.empty(cfg.n_trees + 1)
-    history[0] = _mean_loss(F, y, cfg.loss)
     train_pred = np.empty(y.size)
-    for t in range(cfg.n_trees):
+    for _ in range(cfg.n_trees):
         resid = y - expit(F) if cfg.loss == "logistic" else y - F
-        tree = _grow_tree(bins, resid, cfg.depth, cfg.min_leaf, train_pred)
+        trees.append(_grow_tree(bins, resid, cfg.depth, cfg.min_leaf,
+                                train_pred))
         F += cfg.learning_rate * train_pred
-        trees.append(tree)
-        history[t + 1] = _mean_loss(F, y, cfg.loss)
-    return GbtModel(trees, cfg.learning_rate, base, cfg.loss, features,
-                    history)
+    return GbtModel(trees, cfg.learning_rate, base, cfg.loss, features)
 
 
 def decision_function(model: GbtModel, X: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ class MlpConfig:
     learning_rate: float = 0.01
     epochs: int = 20000
     momentum: float = 0.0
-    standardize: bool = True       # affine-normalize inputs (and target when identity)
     init_scale: float = 1.5        # spread of the first layer's weights and biases
     seed: int = 0
 
@@ -49,7 +48,6 @@ class MlpModel:
     activation: str
     output: str
     feature_names: list
-    target_name: str
     x_mean: np.ndarray
     x_scale: np.ndarray
     y_mean: float
@@ -128,8 +126,9 @@ def _init_params(sizes, cfg):
 def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpModel:
     """Fit the network on a dataset by full-batch gradient descent.
 
-    Raises DivergenceError as soon as the loss is non-finite or exceeds
-    1e6 times its initial value.
+    Inputs, and the target under identity output, are standardized first;
+    the model keeps the affine maps.  Raises DivergenceError as soon as the
+    loss is non-finite or exceeds 1e6 times its initial value.
     """
     cfg = config or MlpConfig()
     if not cfg.hidden:
@@ -137,10 +136,9 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     features = list(features)
     X = train.matrix(features)
     y = train.column(target).astype(np.float64)
-    x_mean = X.mean(axis=0) if cfg.standardize else np.zeros(X.shape[1])
-    x_scale = X.std(axis=0) if cfg.standardize else np.ones(X.shape[1])
+    x_mean, x_scale = X.mean(axis=0), X.std(axis=0)
     x_scale = np.where(x_scale == 0, 1.0, x_scale)
-    if cfg.standardize and cfg.output == "identity":
+    if cfg.output == "identity":
         y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
     else:
         y_mean, y_scale = 0.0, 1.0
@@ -172,7 +170,7 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     if not np.isfinite(history[cfg.epochs]):
         raise DivergenceError("final loss is not finite")
     return MlpModel(weights, biases, cfg.activation, cfg.output,
-                    features, target, x_mean, x_scale, y_mean, y_scale,
+                    features, x_mean, x_scale, y_mean, y_scale,
                     history)
 
 
@@ -240,7 +238,6 @@ def to_json_dict(model: MlpModel) -> dict:
         "activation": model.activation,
         "output": model.output,
         "feature_names": list(model.feature_names),
-        "target_name": model.target_name,
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "x_mean": model.x_mean.tolist(),
@@ -257,7 +254,7 @@ def from_json_dict(doc: dict) -> MlpModel:
         [np.asarray(w, dtype=np.float64) for w in doc["weights"]],
         [np.asarray(b, dtype=np.float64) for b in doc["biases"]],
         doc["activation"], doc["output"],
-        list(doc["feature_names"]), doc["target_name"],
+        list(doc["feature_names"]),
         np.asarray(doc["x_mean"], dtype=np.float64),
         np.asarray(doc["x_scale"], dtype=np.float64),
         float(doc["y_mean"]), float(doc["y_scale"]),

@@ -203,12 +203,12 @@ def _moral_separated(g: Dag, X: set, Y: set, Z: set) -> bool:
     keep = X | Y | Z
     keep = keep | g.ancestors_of(keep)
     undirected = {n: set() for n in keep}
-    for p, c in g.edges:
-        if p in keep and c in keep:
+    # keep is closed under parents, so every parent of a kept node is kept
+    for c in keep:
+        ps = g._parents[c]
+        for p in ps:
             undirected[p].add(c)
             undirected[c].add(p)
-    for c in keep:
-        ps = [p for p in g._parents[c] if p in keep]
         for a, b in combinations(ps, 2):
             undirected[a].add(b)
             undirected[b].add(a)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (DuplicateAssignmentError, NonlinearModelError,
-                     SingularCovarianceError, UnknownNodeError,
-                     UnknownParentError)
+from .errors import (DuplicateAssignmentError, ModelFileError,
+                     NonlinearModelError, SingularCovarianceError,
+                     UnknownNodeError, UnknownParentError)
 from .graph import Dag, topological_sort
 from .rng import normal_column, uniform_column
 
@@ -427,28 +427,60 @@ def save_model(model: StructuralModel, path: str) -> None:
         cp.write(fh)
 
 
+_NOISE_KINDS = {"gaussian": NoiseSpec.gaussian, "uniform": NoiseSpec.uniform,
+                "constant": NoiseSpec.constant}
+
+
 def load_model(path: str) -> StructuralModel:
-    """Read a model written by :func:`save_model`; validates before return."""
+    """Read a model written by :func:`save_model`; validates before return.
+
+    Raises ModelFileError, naming the path, for a file that is not INI, a
+    missing section or key, a non-numeric value, an unknown noise kind, or
+    values the noise or assignment constructors reject.
+    """
     cp = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
-    nodes = cp["model"]["nodes"].split()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except configparser.Error as exc:
+        raise ModelFileError(f"{path}: not a model file: {exc}") from None
+
+    def section(name):
+        if not cp.has_section(name):
+            raise ModelFileError(f"{path}: missing section [{name}]")
+        return cp[name]
+
+    def value(sec, key):
+        if key not in sec:
+            raise ModelFileError(f"{path}: [{sec.name}] has no {key!r} key")
+        return sec[key]
+
+    def floats(sec, key, tokens):
+        try:
+            return [float(t) for t in tokens]
+        except ValueError:
+            raise ModelFileError(
+                f"{path}: [{sec.name}] {key} = {sec[key]!r} is not "
+                f"numeric") from None
+
+    nodes = value(section("model"), "nodes").split()
     pairs = []
     for name in nodes:
-        sec = cp[f"node {name}"]
+        sec = section(f"node {name}")
         parents = sec.get("parents", "").split()
-        weights = [float(w) for w in sec.get("weights", "").split()]
-        noise_parts = sec["noise"].split()
-        kind, params = noise_parts[0], tuple(float(x) for x in noise_parts[1:])
-        scale = float(sec.get("scale", "1.0"))
-        if kind == "gaussian":
-            noise = NoiseSpec.gaussian(*params, scale=scale)
-        elif kind == "uniform":
-            noise = NoiseSpec.uniform(*params, scale=scale)
-        elif kind == "constant":
-            noise = NoiseSpec.constant(*params, scale=scale)
-        else:
-            raise ValueError(f"unknown noise kind {kind!r} for node {name!r}")
-        pairs.append((name, Assignment.linear(
-            parents, weights, float(sec.get("intercept", "0.0")), noise)))
+        weights = floats(sec, "weights", sec.get("weights", "").split())
+        kind, *params = value(sec, "noise").split() or [""]
+        if kind not in _NOISE_KINDS:
+            raise ModelFileError(
+                f"{path}: [{sec.name}] unknown noise kind {kind!r}; choose "
+                f"from {', '.join(_NOISE_KINDS)}")
+        params = floats(sec, "noise", params)
+        [scale] = floats(sec, "scale", [sec.get("scale", "1.0")])
+        [intercept] = floats(sec, "intercept", [sec.get("intercept", "0.0")])
+        try:
+            noise = _NOISE_KINDS[kind](*params, scale=scale)
+            pairs.append((name, Assignment.linear(parents, weights, intercept,
+                                                  noise)))
+        except (TypeError, ValueError) as exc:
+            raise ModelFileError(f"{path}: [{sec.name}] {exc}") from None
     return validate_model(StructuralModel(pairs, nodes=nodes))

@@ -8,6 +8,9 @@ are its parent's minus its sibling's) and partitions rows with
 feature per node, and boolean-mask row partitions in both the grower and
 the tree walk. The package must match it bit for bit, so the tests
 compare the two with ``np.array_equal``.
+
+The package keeps no training-loss trajectory; the reference loop records
+one, and :func:`replay_loss` rebuilds it from a fitted model's trees.
 """
 
 from __future__ import annotations
@@ -15,7 +18,26 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from scmlab.flexfit.gbt import _mean_loss
+
+def _mean_loss(F, y, loss):
+    if loss == "logistic":
+        # numerically stable mean log-loss of the margin F
+        return float(np.mean(np.logaddexp(0.0, F) - y * F))
+    d = F - y
+    return float(np.mean(d * d))
+
+
+def replay_loss(model, X, y):
+    """Training-loss trajectory of a fitted ``GbtModel`` on its training
+    rows: the base score's loss, then the loss after each tree, adding the
+    trees' shrunk leaf values in tree order as the boosting loop did."""
+    F = np.full(y.size, model.base_score)
+    history = np.empty(len(model.trees) + 1)
+    history[0] = _mean_loss(F, y, model.loss)
+    for t, tree in enumerate(model.trees):
+        F += model.learning_rate * tree.predict(X)
+        history[t + 1] = _mean_loss(F, y, model.loss)
+    return history
 
 
 def bin_columns(X, n_bins):

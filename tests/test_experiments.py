@@ -243,20 +243,43 @@ def test_cli_bad_override_prints_json_error(tmp_path, capsys):
     assert payload["error"] == "ConfigValidationError"
 
 
-@pytest.mark.parametrize("override, key", [
-    ("", "eval_rows"),                      # default eval_rows = 100 > n
-    ("eval_rows = 10\n", "background_rows"),  # default background_rows = 64
-    ("eval_rows = 10\nbackground_rows = 10\nq_grid = 0 1.5\n", "q_grid"),
-    ("eval_rows = 10\nbackground_rows = 10\ncoefficients = 1 2 3\n",
+CLI_CONFIG_ERRORS = [
+    ("fig5_sweep", "", "eval_rows"),        # default eval_rows = 100 > n
+    ("fig5_sweep", "eval_rows = 10\n", "background_rows"),  # default 64
+    ("fig5_sweep", "eval_rows = 10\nbackground_rows = 10\nq_grid = 0 1.5\n",
+     "q_grid"),
+    ("fig5_sweep",
+     "eval_rows = 10\nbackground_rows = 10\ncoefficients = 1 2 3\n",
      "coefficients"),
-    ("eval_rows = 10\nbackground_rows = 10\ngbt_depth = 0\n", "depth"),
-    ("eval_rows = 10\nbackground_rows = 10\ngbt_min_leaf = 0\n", "min_leaf"),
-])
-def test_cli_fig5_rows_above_n_prints_json_error(tmp_path, capsys, override,
-                                                 key):
+    ("fig5_sweep", "eval_rows = 10\nbackground_rows = 10\ngbt_depth = 0\n",
+     "depth"),
+    ("fig5_sweep",
+     "eval_rows = 10\nbackground_rows = 10\ngbt_min_leaf = 0\n", "min_leaf"),
+    ("fig3_fit", "hidden =\n", "hidden"),
+    # rejected before the fit, not after its 20 000 epochs
+    ("fig3_fit", "grid_step = 0\n", "grid_step"),
+    ("fig3_fit", "activation = sigmoid\n", "activation"),  # ran as relu
+    ("fig3_fit", "epochs = -1\n", "epochs"),
+    ("fig3_fit", "x_lo = 5\n", "x_lo"),
+    ("fig3_fit", "noise_sd = -1\n", "noise_sd"),
+    ("fig2_panels", "mi_k = 0\n", "mi_k"),
+    ("fig2_panels", "rho_grid = 1.5\n", "rho_grid"),
+    ("fig2_panels", "shape_noise_sd = -1\n", "shape_noise_sd"),
+    ("overfit_demo", "test_fraction = 1.5\n", "test_fraction"),
+    ("overfit_demo", "n_candidates = 0\n", "n_candidates"),
+    ("table2", "theta = 1 2\n", "theta"),
+]
+
+
+# the fig5 rows keep the ids they had before the experiment column existed
+@pytest.mark.parametrize("experiment, override, key", [
+    pytest.param(*row, id="-".join(row[1:] if row[0] == "fig5_sweep" else row))
+    for row in CLI_CONFIG_ERRORS])
+def test_cli_fig5_rows_above_n_prints_json_error(tmp_path, capsys, experiment,
+                                                 override, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(override, encoding="utf-8")
-    code = main(["run", "fig5_sweep", "--out", str(tmp_path / "out"),
+    code = main(["run", experiment, "--out", str(tmp_path / "out"),
                  "--n", "50", "--config", str(cfg)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,10 @@ def test_mlp_json_round_trip():
     X = np.linspace(-3, 3, 50)[:, None]
     assert np.allclose(predict_on_matrix(model, X),
                        predict_on_matrix(clone, X))
+    # documents written while the model carried its target's name
+    old = model_from_json_dict({**doc, "target_name": "y"})
+    assert np.array_equal(predict_on_matrix(old, X),
+                          predict_on_matrix(model, X))
 
 
 # --- GBT ------------------------------------------------------------------
@@ -138,7 +144,7 @@ def test_gbt_loss_history_non_increasing():
     model = gbt_train(d, "y", ["x"],
                       GbtConfig(n_trees=80, depth=3, learning_rate=0.1,
                                 min_leaf=10))
-    h = model.loss_history
+    h = gbt_helpers.replay_loss(model, d.matrix(["x"]), d.column("y"))
     assert len(h) == 81
     assert (np.diff(h) <= 1e-12).all()
     assert h[-1] < 0.05
@@ -202,6 +208,17 @@ def test_gbt_json_round_trip():
     X = np.linspace(-3, 3, 77)[:, None]
     assert np.allclose(predict_on_matrix(model, X),
                        predict_on_matrix(clone, X))
+
+    # the clone carries every field the fitted model carries
+    def carried(obj):
+        return [f.name for f in dataclasses.fields(obj)
+                if getattr(obj, f.name) is not None]
+
+    assert carried(clone) == carried(model)
+    for tree, copy in zip(model.trees, clone.trees, strict=True):
+        for name in carried(tree):
+            a, b = getattr(tree, name), getattr(copy, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # --- GBT against the plain reference grower -------------------------------
@@ -294,7 +311,7 @@ def test_gbt_matches_reference_bit_for_bit(case):
                   tree.value)
         assert all(a.dtype == b.dtype and np.array_equal(a, b)
                    for a, b in zip(arrays, ref))
-    assert np.array_equal(model.loss_history, history)
+    assert np.array_equal(gbt_helpers.replay_loss(model, X, y), history)
     X_pred = np.vstack([X[:50], rows_on_thresholds(model, X)])
     for rows in (X_pred, X_pred[:0], X_pred[-1:]):
         assert np.array_equal(

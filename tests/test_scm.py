@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from scmlab import (Assignment, NoiseSpec, StructuralModel, intervene,
                     population_regression, sample, save_model,
                     total_effect_linear, validate_model)
 from scmlab.errors import (CycleError, DuplicateAssignmentError,
-                           NonlinearModelError, SingularCovarianceError,
-                           UnknownNodeError, UnknownParentError)
+                           ModelFileError, NonlinearModelError,
+                           SingularCovarianceError, UnknownNodeError,
+                           UnknownParentError)
 from sem_helpers import (dense_covariance, dense_mean, random_linear_model,
                          total_effect_matrix)
 
@@ -346,3 +349,25 @@ def test_save_rejects_custom_assignment(tmp_path):
     }))
     with pytest.raises(ValueError):
         save_model(m, str(tmp_path / "bad.model"))
+
+
+@pytest.mark.parametrize("edit, expect", [
+    (("[node y]", "[nody y]"), "missing section [node y]"),
+    (("nodes = ", "names = "), "has no 'nodes' key"),
+    (("weights = 2.0", "weights = two"), "is not numeric"),
+    (("noise = gaussian 0.0 0.5", "noise = laplace 0.0 0.5"),
+     "unknown noise kind 'laplace'"),
+    (("weights = 2.0", "weights = 2.0 3.0"), "one weight per parent"),
+    (("[model]", ""), "not a model file"),
+], ids=["missing-section", "missing-key", "non-numeric", "unknown-noise-kind",
+        "weight-count", "no-section-header"])
+def test_load_model_names_the_file_and_the_fault(tmp_path, edit, expect):
+    path = tmp_path / "two.model"
+    save_model(two_node(), str(path))
+    text = path.read_text(encoding="utf-8")
+    assert edit[0] in text
+    path.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+    with pytest.raises(ModelFileError, match=re.escape(expect)) as err:
+        load_model(str(path))
+    assert isinstance(err.value, ValueError)
+    assert str(err.value).startswith(f"{path}: ")
