@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteValueError
+
 
 class Dataset:
     """Immutable table of named float64 columns of equal length.
@@ -11,7 +13,8 @@ class Dataset:
     Parameters
     ----------
     columns : mapping of str -> array-like
-        Column name to values; all columns must share one positive length.
+        Column name to values; all columns must share one positive length,
+        and every value must be finite (else NonFiniteValueError).
     """
 
     def __init__(self, columns):
@@ -26,6 +29,9 @@ class Dataset:
             elif v.shape[0] != n:
                 raise ValueError(
                     f"column {name!r} has length {v.shape[0]}, expected {n}")
+            if not np.isfinite(v).all():
+                raise NonFiniteValueError(
+                    f"column {name!r} holds a non-finite value")
             v.flags.writeable = False
             cols[name] = v
         if not cols or n == 0:

@@ -71,6 +71,11 @@ class InsufficientDataError(ScmLabError):
     """Not enough rows for the requested fit or split."""
 
 
+class NonFiniteValueError(ScmLabError, ValueError):
+    """A dataset column or a report result holds NaN or an infinity; the
+    message names the column or the result key."""
+
+
 class DegenerateColumnError(ScmLabError):
     """A column required to vary has zero variance."""
 

@@ -98,6 +98,9 @@ class ExperimentConfig:
         if self.n < 10:
             raise ConfigValidationError(
                 f"n = {self.n} is below the minimum of 10")
+        if self.seed < 0:
+            raise ConfigValidationError(
+                f"seed = {self.seed} must be non-negative")
 
 
 def _coerce(key, value, default):

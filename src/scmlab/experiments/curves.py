@@ -20,17 +20,12 @@ def _mse(y, pred):
 
 def run_fig3_fit(cfg):
     p = cfg.params
-    hidden = tuple(int(h) for h in p["hidden"])
-    if not hidden or min(hidden) < 1:
-        raise ConfigValidationError(
-            f"hidden = {p['hidden']!r} must list one or more layer sizes, "
-            f"each at least 1")
-    if p["activation"] not in ("tanh", "relu"):
-        raise ConfigValidationError(
-            f"activation = {p['activation']!r} must be 'tanh' or 'relu'")
-    if int(p["epochs"]) < 0:
-        raise ConfigValidationError(
-            f"epochs = {p['epochs']} must be non-negative")
+    mlp_cfg = MlpConfig(hidden=tuple(int(h) for h in p["hidden"]),
+                        activation=p["activation"], output="identity",
+                        learning_rate=p["learning_rate"],
+                        epochs=int(p["epochs"]), momentum=p["momentum"],
+                        init_scale=p["init_scale"],
+                        seed=derive_seed(cfg.seed, 2))
     if not p["x_lo"] < p["x_hi"]:
         raise ConfigValidationError(
             f"x_lo = {p['x_lo']} must be below x_hi = {p['x_hi']}")
@@ -51,12 +46,6 @@ def run_fig3_fit(cfg):
     def lin_pred(x):
         return lin.coefficients[0] + lin.coefficients[1] * x
 
-    mlp_cfg = MlpConfig(hidden=hidden,
-                        activation=p["activation"], output="identity",
-                        learning_rate=p["learning_rate"],
-                        epochs=int(p["epochs"]), momentum=p["momentum"],
-                        init_scale=p["init_scale"],
-                        seed=derive_seed(cfg.seed, 2))
     mlp = mlp_train(train, "y", ["x"], mlp_cfg)
 
     def mlp_pred(x):

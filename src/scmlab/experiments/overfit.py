@@ -15,9 +15,9 @@ def run_overfit_demo(cfg):
     p = cfg.params
     n_cand = int(p["n_candidates"])
     test_fraction = float(p["test_fraction"])
-    if n_cand < 1:
+    if n_cand < 2:
         raise ConfigValidationError(
-            f"n_candidates = {n_cand} must be at least 1")
+            f"n_candidates = {n_cand} must be at least 2")
     if not 0.0 < test_fraction < 1.0:
         raise ConfigValidationError(
             f"test_fraction = {test_fraction} must lie strictly between 0 "

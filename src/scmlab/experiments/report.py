@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .._version import __version__
-from ..errors import IoError
+from ..errors import IoError, NonFiniteValueError
 
 
 def _plain(obj):
@@ -36,6 +36,22 @@ def _plain(obj):
     return obj
 
 
+def _non_finite_key(obj, key):
+    """The key path of the first NaN or infinity in a plain ``obj``, or
+    None."""
+    if isinstance(obj, dict):
+        items = [(f"{key}.{k}", v) for k, v in obj.items()]
+    elif isinstance(obj, list):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return key if isinstance(obj, float) and not np.isfinite(obj) else None
+    for k, v in items:
+        found = _non_finite_key(v, k)
+        if found is not None:
+            return found
+    return None
+
+
 def format_cell(x) -> str:
     """CSV cell text: shortest round-trip repr for floats, plain str else."""
     if isinstance(x, (bool, np.bool_)):
@@ -50,10 +66,21 @@ def format_cell(x) -> str:
 def write_run(out_dir: str, *, name: str, seed: int, n: int, params: dict,
               results: dict, tables: dict) -> list:
     """Write report.json, the CSV tables, and meta.json; returns the file
-    names written (sorted)."""
+    names written (sorted).
+
+    A NaN or infinity in ``params`` or ``results`` raises
+    NonFiniteValueError naming its key before any file is written, so
+    report.json is always strict JSON.
+    """
+    config_echo = {"seed": int(seed), "n": int(n), **_plain(params)}
+    results = _plain(results)
+    for key, obj in (("config", config_echo), ("results", results)):
+        bad = _non_finite_key(obj, key)
+        if bad is not None:
+            raise NonFiniteValueError(f"{bad} is not finite; report.json "
+                                      f"holds finite numbers only")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        config_echo = {"seed": int(seed), "n": int(n), **_plain(params)}
         table_files = []
         for stem in tables:
             columns, rows = tables[stem]
@@ -71,7 +98,7 @@ def write_run(out_dir: str, *, name: str, seed: int, n: int, params: dict,
             "seed": int(seed),
             "n": int(n),
             "config": config_echo,
-            "results": _plain(results),
+            "results": results,
             "tables": table_files,
         }
         with open(os.path.join(out_dir, "report.json"), "w",

@@ -49,6 +49,10 @@ def run_fig5_sweep(cfg):
     coefficients = tuple(float(c) for c in p["coefficients"])
     proxy_sd = float(p["proxy_sd"])
     n_noise_features = int(p["n_noise_features"])
+    if len(set(q_grid)) < 2:
+        raise ConfigValidationError(
+            f"q_grid = {p['q_grid']!r} must hold at least two distinct blend "
+            f"weights")
     for q in q_grid:
         if not 0.0 <= q <= 1.0:
             raise ConfigValidationError(
@@ -57,11 +61,21 @@ def run_fig5_sweep(cfg):
         raise ConfigValidationError(
             f"coefficients: expected six link coefficients, got "
             f"{len(coefficients)}")
+    if not proxy_sd >= 0.0:
+        raise ConfigValidationError(
+            f"proxy_sd = {proxy_sd} must be non-negative")
+    if n_noise_features < 0:
+        raise ConfigValidationError(
+            f"n_noise_features = {n_noise_features} must be non-negative")
     features = blended_logit_features(n_noise_features)
     for key in ("eval_rows", "background_rows"):
         if not 1 <= int(p[key]) <= cfg.n:
             raise ConfigValidationError(
                 f"{key} = {p[key]} must lie in 1..n (n = {cfg.n})")
+    gbt_cfg = GbtConfig(n_trees=int(p["gbt_trees"]), depth=int(p["gbt_depth"]),
+                        learning_rate=float(p["gbt_learning_rate"]),
+                        min_leaf=int(p["gbt_min_leaf"]),
+                        n_bins=int(p["gbt_bins"]), loss="logistic")
     train_seed = derive_seed(cfg.seed, 0)
     test_seed = derive_seed(cfg.seed, 1)
     # fixed evaluation/background row subsets, shared across the grid
@@ -70,9 +84,7 @@ def run_fig5_sweep(cfg):
     bg_rows = np.sort(substream(cfg.seed, 3).choice(
         cfg.n, size=int(p["background_rows"]), replace=False))
 
-    sweep_rows, mass_rows = [], []
-    series = {k: [] for k in ("logit_logloss", "gbt_logloss", "bayes_logloss",
-                              "logit_irr_mass", "gbt_irr_mass")}
+    points, mass_rows = [], []       # points: one sweep.csv row per q
     for q in q_grid:
         model = blended_logit_model(q, coefficients, proxy_sd,
                                     n_noise_features)
@@ -88,25 +100,10 @@ def run_fig5_sweep(cfg):
         def logit_prob(X, beta=beta):
             return expit(beta[0] + X @ beta[1:])
 
-        gbt = gbt_train(train, "y", features,
-                        GbtConfig(n_trees=int(p["gbt_trees"]),
-                                  depth=int(p["gbt_depth"]),
-                                  learning_rate=float(p["gbt_learning_rate"]),
-                                  min_leaf=int(p["gbt_min_leaf"]),
-                                  n_bins=int(p["gbt_bins"]),
-                                  loss="logistic"))
-
+        gbt = gbt_train(train, "y", features, gbt_cfg)
         X_test = test.matrix(features)
         logit_p = logit_prob(X_test)
         gbt_p = _gbt_predict(gbt, X_test)
-        point = {
-            "q": q,
-            "logit_logloss": _log_loss(y_test, logit_p),
-            "gbt_logloss": _log_loss(y_test, gbt_p),
-            "bayes_logloss": _log_loss(y_test, test.column("p")),
-            "logit_misclass": _misclass(y_test, logit_p),
-            "gbt_misclass": _misclass(y_test, gbt_p),
-        }
 
         eval_set = test.take(eval_rows)
         background = train.take(bg_rows)
@@ -114,48 +111,43 @@ def run_fig5_sweep(cfg):
                                         RELEVANT, features=features)
         gbt_att = attribution_summary(gbt, eval_set, background,
                                       RELEVANT, features=features)
-        point["logit_relevant_mass"] = logit_att.relevant_mass
-        point["logit_irrelevant_mass"] = logit_att.irrelevant_mass
-        point["gbt_relevant_mass"] = gbt_att.relevant_mass
-        point["gbt_irrelevant_mass"] = gbt_att.irrelevant_mass
-        sweep_rows.append([point[k] for k in (
-            "q", "logit_logloss", "gbt_logloss", "bayes_logloss",
-            "logit_misclass", "gbt_misclass", "logit_relevant_mass",
-            "logit_irrelevant_mass", "gbt_relevant_mass",
-            "gbt_irrelevant_mass")])
+        points.append({
+            "q": q,
+            "logit_logloss": _log_loss(y_test, logit_p),
+            "gbt_logloss": _log_loss(y_test, gbt_p),
+            "bayes_logloss": _log_loss(y_test, test.column("p")),
+            "logit_misclass": _misclass(y_test, logit_p),
+            "gbt_misclass": _misclass(y_test, gbt_p),
+            "logit_relevant_mass": logit_att.relevant_mass,
+            "logit_irrelevant_mass": logit_att.irrelevant_mass,
+            "gbt_relevant_mass": gbt_att.relevant_mass,
+            "gbt_irrelevant_mass": gbt_att.irrelevant_mass,
+        })
         for att, mname in ((logit_att, "logistic"), (gbt_att, "gbt")):
             mass_rows.append([q, mname]
                              + [float(v) for v in att.mean_abs_phi])
 
-        series["logit_logloss"].append(point["logit_logloss"])
-        series["gbt_logloss"].append(point["gbt_logloss"])
-        series["bayes_logloss"].append(point["bayes_logloss"])
-        series["logit_irr_mass"].append(point["logit_irrelevant_mass"])
-        series["gbt_irr_mass"].append(point["gbt_irrelevant_mass"])
-
-    loss_rho = float(spearmanr(q_grid, series["logit_logloss"]).statistic)
-    mass_rho = float(spearmanr(q_grid, series["logit_irr_mass"]).statistic)
-    ll = series["logit_logloss"]
+    ll = [pt["logit_logloss"] for pt in points]
+    irr = [pt["logit_irrelevant_mass"] for pt in points]
+    last = points[-1]
     results = {
         "q_grid": q_grid,
         "relevant_features": list(RELEVANT),
-        "logit_logloss_spearman": loss_rho,
-        "logit_irrelevant_mass_spearman": mass_rho,
+        "logit_logloss_spearman": float(spearmanr(q_grid, ll).statistic),
+        "logit_irrelevant_mass_spearman": float(
+            spearmanr(q_grid, irr).statistic),
         "logit_logloss_strictly_increasing": bool(
             all(b > a for a, b in zip(ll, ll[1:]))),
-        "gbt_to_logit_logloss_ratio_at_qmax": series["gbt_logloss"][-1]
-        / series["logit_logloss"][-1],
+        "gbt_to_logit_logloss_ratio_at_qmax": last["gbt_logloss"]
+        / last["logit_logloss"],
         "gbt_to_logit_irrelevant_mass_ratio_at_qmax":
-        series["gbt_irr_mass"][-1] / series["logit_irr_mass"][-1],
-        "bayes_logloss_at_qmax": series["bayes_logloss"][-1],
+        last["gbt_irrelevant_mass"] / last["logit_irrelevant_mass"],
+        "bayes_logloss_at_qmax": last["bayes_logloss"],
     }
-    header = ["q", "logit_logloss", "gbt_logloss", "bayes_logloss",
-              "logit_misclass", "gbt_misclass", "logit_relevant_mass",
-              "logit_irrelevant_mass", "gbt_relevant_mass",
-              "gbt_irrelevant_mass"]
     return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
                      params=cfg.params, results=results,
                      tables={
-                         "sweep": (header, sweep_rows),
+                         "sweep": (list(last),
+                                   [list(pt.values()) for pt in points]),
                          "masses": (["q", "model"] + features, mass_rows),
                      })

@@ -16,7 +16,9 @@ coalition S takes the pattern of S ∩ U (the interventional TreeSHAP
 observation of Lundberg et al., Nat. Mach. Intell. 2020). The leaves are
 summed in tree order, as the ensemble's own prediction sums them, so the
 outputs, and the Shapley values, are bit-identical to enumerating every
-coalition row; the result is still exact.
+coalition row; the result is still exact. For every model the prediction
+is the full-coalition output of that same call, so it equals a batch
+prediction, and the rows explained are checked as the background rows are.
 
 Exact enumeration is refused beyond 12 features; every experiment here
 uses at most 10.
@@ -72,26 +74,19 @@ class AttributionSummary:
         return float(self.mean_abs_phi[self.features.index(feature)])
 
 
-def _as_predictor(model):
-    if callable(model):
-        return model
-    return lambda X: predict_on_matrix(model, X)
-
-
 def _coalition_outputs(model):
     """The function ``(masks, Ec, B) -> outputs`` that explain uses for
     ``model``: the model output for every (coalition, evaluation row,
     background row), shape (n_coal, ec, n_bg)."""
     if isinstance(model, GbtModel):
         return lambda masks, Ec, B: _gbt_coalition_outputs(model, masks, Ec, B)
-    predict = _as_predictor(model)
 
     def grid_outputs(masks, Ec, B):
         # grid[c, e, b, j] = Ec[e, j] if j in coalition c else B[b, j]
         grid = np.where(masks[:, None, None, :], Ec[None, :, None, :],
-                        B[None, None, :, :])
-        return predict(grid.reshape(-1, masks.shape[1])).reshape(
-            masks.shape[0], Ec.shape[0], B.shape[0])
+                        B[None, None, :, :]).reshape(-1, masks.shape[1])
+        out = model(grid) if callable(model) else predict_on_matrix(model, grid)
+        return out.reshape(masks.shape[0], Ec.shape[0], B.shape[0])
     return grid_outputs
 
 
@@ -208,24 +203,38 @@ def _gbt_coalition_outputs(model, masks, Ec, B):
 
 
 def _feature_list(model, features):
-    if features is not None:
-        return list(features)
-    names = getattr(model, "feature_names", None)
-    if names is None:
-        raise ValueError("pass `features` explicitly for a bare callable")
-    return list(names)
+    if features is None:
+        features = getattr(model, "feature_names", None)
+        if features is None:
+            raise ValueError("pass `features` explicitly for a bare callable")
+    features = list(features)
+    if len(features) > _MAX_FEATURES:
+        raise TooManyFeaturesError(
+            f"{len(features)} features exceed the exact-enumeration cap "
+            f"of {_MAX_FEATURES}")
+    return features
 
 
-def _background_matrix(background, features):
-    if isinstance(background, Dataset):
-        B = background.matrix(features)
-    else:
-        B = np.asarray(background, dtype=np.float64)
-    if B.ndim != 2 or B.shape[1] != len(features):
-        raise ValueError("background must be rows over the feature columns")
+def _row_matrix(rows, features, what):
+    """``rows`` (a Dataset, or an (m, d) array in ``features`` order) as
+    an (m, d) float matrix."""
+    if isinstance(rows, Dataset):
+        return rows.matrix(features)
+    M = np.asarray(rows, dtype=np.float64)
+    if M.ndim != 2 or M.shape[1] != len(features):
+        raise ValueError(f"{what} must be rows over the {len(features)} "
+                         f"feature columns, got shape {M.shape}")
+    return M
+
+
+def _features_and_background(model, features, background):
+    """The checked feature list and background matrix, in that order; the
+    entry points check their rows to explain after these."""
+    features = _feature_list(model, features)
+    B = _row_matrix(background, features, "background")
     if B.shape[0] == 0:
         raise EmptyBackgroundError("background sample has no rows")
-    return B
+    return features, B
 
 
 def _coalition_tables(d):
@@ -285,27 +294,17 @@ def shapley_exact(model, instance, background, features=None) -> Attribution:
     background : Dataset (or (m, d) array) supplying the marginal
         expectation sample.
     features : explicit feature order; defaults to the model's stored names.
+
+    ``prediction`` is the full-coalition output, equal to the instance's
+    entry of a batch prediction.
     """
-    features = _feature_list(model, features)
-    if len(features) > _MAX_FEATURES:
-        raise TooManyFeaturesError(
-            f"{len(features)} features exceed the exact-enumeration cap "
-            f"of {_MAX_FEATURES}")
+    features, B = _features_and_background(model, features, background)
     if isinstance(instance, dict):
-        x = np.array([float(instance[f]) for f in features])
-    else:
-        x = np.asarray(instance, dtype=np.float64).ravel()
-        if x.size != len(features):
-            raise ValueError("instance length does not match features")
-    B = _background_matrix(background, features)
-    phi, base, full = _phi_matrix(_coalition_outputs(model), x[None, :], B)
+        instance = [float(instance[f]) for f in features]
+    x = _row_matrix(np.reshape(instance, (1, -1)), features, "instance")
+    phi, base, full = _phi_matrix(_coalition_outputs(model), x, B)
     phi = phi[0]
-    if isinstance(model, GbtModel):
-        # the full coalition is the instance itself: bit-identical to
-        # predict_on_matrix, and without a second pass over the trees
-        prediction = float(full[0])
-    else:
-        prediction = float(_as_predictor(model)(x[None, :])[0])
+    prediction = float(full[0])
     residual = prediction - base - float(phi.sum())
     return Attribution(features, phi, base, prediction, residual)
 
@@ -313,19 +312,13 @@ def shapley_exact(model, instance, background, features=None) -> Attribution:
 def attribution_summary(model, eval_set, background, relevant,
                         features=None) -> AttributionSummary:
     """Mean |phi| per feature over an evaluation set, plus the aggregate
-    attribution mass on the relevant / irrelevant feature partition."""
-    features = _feature_list(model, features)
-    if len(features) > _MAX_FEATURES:
-        raise TooManyFeaturesError(
-            f"{len(features)} features exceed the exact-enumeration cap "
-            f"of {_MAX_FEATURES}")
+    attribution mass on the relevant / irrelevant feature partition.
+    ``eval_set`` (a Dataset or an (m, d) array) is checked against the
+    features as the background is."""
+    features, B = _features_and_background(model, features, background)
+    E = _row_matrix(eval_set, features, "evaluation rows")
     relevant = [f for f in features if f in set(relevant)]
     irrelevant = [f for f in features if f not in set(relevant)]
-    if isinstance(eval_set, Dataset):
-        E = eval_set.matrix(features)
-    else:
-        E = np.asarray(eval_set, dtype=np.float64)
-    B = _background_matrix(background, features)
     phi, _, _ = _phi_matrix(_coalition_outputs(model), E, B)
     mean_abs = np.abs(phi).mean(axis=0)
     idx = {f: i for i, f in enumerate(features)}

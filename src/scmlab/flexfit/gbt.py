@@ -38,6 +38,23 @@ class GbtConfig:
     n_bins: int = 64
     loss: str = "squared"          # "squared" | "logistic"
 
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ConfigValidationError(
+                f"depth = {self.depth} must be at least 1")
+        if self.n_trees < 0:
+            raise ConfigValidationError(
+                f"n_trees = {self.n_trees} must be non-negative")
+        if not 1 <= self.n_bins <= _MAX_BINS:
+            raise ConfigValidationError(
+                f"n_bins = {self.n_bins} must lie in 1..{_MAX_BINS}")
+        if self.min_leaf < 1:
+            raise ConfigValidationError(
+                f"min_leaf = {self.min_leaf} must be at least 1")
+        if self.loss not in ("squared", "logistic"):
+            raise ConfigValidationError(
+                f"loss = {self.loss!r} must be 'squared' or 'logistic'")
+
 
 @dataclass
 class Tree:
@@ -201,19 +218,9 @@ def _grow_tree(bins, resid, depth, min_leaf, train_pred):
 
 
 def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtModel:
-    """Fit the boosted ensemble on a dataset."""
+    """Fit the boosted ensemble on a dataset.  The settings are checked
+    when the :class:`GbtConfig` is built."""
     cfg = config or GbtConfig()
-    if cfg.depth < 1:
-        raise ConfigValidationError(f"depth = {cfg.depth} must be at least 1")
-    if cfg.n_trees < 0:
-        raise ConfigValidationError(
-            f"n_trees = {cfg.n_trees} must be non-negative")
-    if not 1 <= cfg.n_bins <= _MAX_BINS:
-        raise ConfigValidationError(
-            f"n_bins = {cfg.n_bins} must lie in 1..{_MAX_BINS}")
-    if cfg.min_leaf < 1:
-        raise ConfigValidationError(
-            f"min_leaf = {cfg.min_leaf} must be at least 1")
     features = list(features)
     X = train.matrix(features)
     y = train.column(target).astype(np.float64)

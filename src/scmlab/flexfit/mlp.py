@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from ..errors import DivergenceError
+from ..errors import ConfigValidationError, DivergenceError
 from ..rng import substream
 
 _DIVERGENCE_FACTOR = 1e6
@@ -36,6 +36,21 @@ class MlpConfig:
     momentum: float = 0.0
     init_scale: float = 1.5        # spread of the first layer's weights and biases
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.hidden or min(self.hidden) < 1:
+            raise ConfigValidationError(
+                f"hidden = {self.hidden!r} must list one or more layer sizes, "
+                f"each at least 1")
+        if self.activation not in ("tanh", "relu"):
+            raise ConfigValidationError(
+                f"activation = {self.activation!r} must be 'tanh' or 'relu'")
+        if self.output not in ("identity", "logistic"):
+            raise ConfigValidationError(
+                f"output = {self.output!r} must be 'identity' or 'logistic'")
+        if self.epochs < 0:
+            raise ConfigValidationError(
+                f"epochs = {self.epochs} must be non-negative")
 
 
 @dataclass
@@ -128,11 +143,10 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
 
     Inputs, and the target under identity output, are standardized first;
     the model keeps the affine maps.  Raises DivergenceError as soon as the
-    loss is non-finite or exceeds 1e6 times its initial value.
+    loss is non-finite or exceeds 1e6 times its initial value.  The
+    settings are checked when the :class:`MlpConfig` is built.
     """
     cfg = config or MlpConfig()
-    if not cfg.hidden:
-        raise ValueError("at least one hidden layer is required")
     features = list(features)
     X = train.matrix(features)
     y = train.column(target).astype(np.float64)

@@ -89,11 +89,16 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     At each step the candidate that most improves the training R² joins the
     model if the improvement exceeds ``min_improvement``; the trace records
     in-sample and held-out R² after every accepted step. Held-out R² uses
-    the training-rows fit evaluated on the test rows and may be negative.
+    the training-rows fit evaluated on the test rows and may be negative;
+    it needs at least 2 test rows (else InsufficientDataError).
     """
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("need at least 2 candidates")
+    if plan.test_idx.size < 2:
+        raise InsufficientDataError(
+            f"held-out R^2 needs at least 2 test rows, got "
+            f"{plan.test_idx.size}")
     train = data.take(plan.train_idx)
     test = data.take(plan.test_idx)
     y_tr = train.column(target)

@@ -5,8 +5,8 @@ from scipy import stats
 from scmlab import (Dataset, logistic_fit, mutual_information, ols_fit,
                     pearson)
 from scmlab.errors import (DegenerateColumnError, InsufficientDataError,
-                           NonBinaryTargetError, RankDeficientError,
-                           SeparationError)
+                           NonBinaryTargetError, NonFiniteValueError,
+                           RankDeficientError, SeparationError)
 from scmlab.rng import normal_column, uniform_column
 
 
@@ -21,6 +21,17 @@ def linear_data(n=2000, seed=0, beta=(1.5, -2.0, 0.5), noise_sd=1.0):
     y = beta[0] + beta[1] * x1 + beta[2] * x2 \
         + noise_sd * normal_column(seed, (2,), n)
     return make_data(x1=x1, x2=x2, y=y)
+
+
+# --- data -----------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_values(bad):
+    # a NaN reached ols_fit as "LinAlgError: SVD did not converge"
+    with pytest.raises(NonFiniteValueError, match="'y'"):
+        make_data(x=[1.0, 2.0, 3.0], y=[1.0, bad, 3.0])
+    with pytest.raises(NonFiniteValueError, match="'z'"):
+        make_data(x=[1.0, 2.0, 3.0]).with_column("z", [bad, 0.0, 0.0])
 
 
 # --- OLS ------------------------------------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from scmlab.cli import main
+import scmlab.experiments.sweep as sweep
 from scmlab.errors import (ConfigValidationError, IoError,
-                           UnknownExperimentError)
+                           NonFiniteValueError, UnknownExperimentError)
 from scmlab.experiments import (ExperimentConfig, _coerce, build_config,
                                 list_experiments, parse_config_file, run)
 from scmlab.experiments.report import format_cell, write_run
@@ -157,6 +158,21 @@ def test_write_run_layout(tmp_path):
     assert csv_bytes == b"a,b\n1,2.5\n3,0.1\n"
 
 
+@pytest.mark.parametrize("params, results, key", [
+    ({"alpha": 0.5}, {"grid": [1.0, np.inf]}, "results.grid[1]"),
+    ({"alpha": 0.5}, {"a": {"b": np.float64("nan")}}, "results.a.b"),
+    ({"alpha": float("nan")}, {"score": 1.0}, "config.alpha"),
+])
+def test_write_run_rejects_non_finite_numbers(tmp_path, params, results,
+                                              key):
+    out = tmp_path / "run"
+    with pytest.raises(NonFiniteValueError) as err:
+        write_run(str(out), name="demo", seed=0, n=10, params=params,
+                  results=results, tables={"cells": (["a"], [[1.0]])})
+    assert str(err.value).startswith(key + " ")
+    assert not out.exists()
+
+
 def test_write_run_unwritable_path():
     with pytest.raises(IoError):
         write_run("/proc/nope/run", name="demo", seed=0, n=10, params={},
@@ -268,6 +284,19 @@ CLI_CONFIG_ERRORS = [
     ("overfit_demo", "test_fraction = 1.5\n", "test_fraction"),
     ("overfit_demo", "n_candidates = 0\n", "n_candidates"),
     ("table2", "theta = 1 2\n", "theta"),
+    ("table2", "seed = -1\n", "seed"),          # SeedSequence traceback
+    ("overfit_demo", "n_candidates = 1\n", "n_candidates"),
+    ("fig5_sweep", "eval_rows = 10\nbackground_rows = 10\nq_grid =\n",
+     "q_grid"),                                # IndexError
+    ("fig5_sweep", "eval_rows = 10\nbackground_rows = 10\nq_grid = 0.5\n",
+     "q_grid"),                                # NaN Spearman correlation
+    ("fig5_sweep", "eval_rows = 10\nbackground_rows = 10\nq_grid = 0 0\n",
+     "q_grid"),
+    ("fig5_sweep", "eval_rows = 10\nbackground_rows = 10\nproxy_sd = -1\n",
+     "proxy_sd"),
+    ("fig5_sweep",
+     "eval_rows = 10\nbackground_rows = 10\nn_noise_features = -1\n",
+     "n_noise_features"),                      # ran with the four features
 ]
 
 
@@ -289,6 +318,95 @@ def test_cli_fig5_rows_above_n_prints_json_error(tmp_path, capsys, experiment,
     assert payload["error"] == "ConfigValidationError"
     assert key in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+def run_cli(tmp_path, capsys, experiment, override, *flags):
+    """``scmlab run experiment --n 50`` with ``override`` as its config
+    file; returns (exit code, stdout lines, output directory)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(override, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", experiment, "--out", str(out), "--n", "50",
+                 "--config", str(cfg), *flags])
+    return code, capsys.readouterr().out.splitlines(), out
+
+
+def assert_one_json_error(code, lines, out, error):
+    assert code == 1
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert sorted(payload) == ["error", "message"]
+    assert payload["error"] == error
+    assert not out.exists()
+
+
+def test_cli_negative_seed_flag_prints_json_error(tmp_path, capsys):
+    assert_one_json_error(*run_cli(tmp_path, capsys, "table2", "",
+                                   "--seed", "-1"), "ConfigValidationError")
+
+
+def test_cli_one_held_out_row_prints_json_error(tmp_path, capsys):
+    # 0.02 of 50 rows holds out one row: ZeroDivisionError in its R^2
+    assert_one_json_error(*run_cli(tmp_path, capsys, "overfit_demo",
+                                   "test_fraction = 0.02\n"),
+                          "InsufficientDataError")
+
+
+def test_fig5_gbt_settings_checked_before_sampling(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        pytest.fail("fig5_sweep sampled before checking its GBT settings")
+    monkeypatch.setattr(sweep, "sample", no_sampling)
+    cfg = build_config("fig5_sweep", out_dir=str(tmp_path / "out"), n=50,
+                       overrides={"eval_rows": "10", "background_rows": "10",
+                                  "gbt_depth": "0"})
+    with pytest.raises(ConfigValidationError, match="depth"):
+        run("fig5_sweep", cfg)
+
+
+FIG5_ROWS = "eval_rows = 10\nbackground_rows = 10\n"
+
+# type-valid inputs at the edges of each experiment's range, at n = 50
+BOUNDARY_INPUTS = [
+    ("fig2_panels", "rho_grid = 1\n"),
+    ("fig2_panels", "rho_grid = -1 1\n"),
+    ("fig2_panels", "mi_k = 49\n"),
+    ("fig3_fit", "epochs = 0\n"),
+    ("fig3_fit", "hidden = 1\n"),
+    ("fig3_fit", "grid_step = 100\n"),
+    ("fig3_fit", "learning_rate = 1e9\n"),
+    ("overfit_demo", "test_fraction = 0.02\n"),
+    ("overfit_demo", "test_fraction = 0.98\n"),
+    ("overfit_demo", "min_improvement = 1e9\n"),
+    ("table2", "theta = nan 1 1 1\n"),
+    ("table2", "theta = 1e300 1 1 1\n"),
+    ("fig5_sweep", "eval_rows = 1\nbackground_rows = 1\ngbt_trees = 0\n"),
+    ("fig5_sweep", FIG5_ROWS + "gbt_bins = 1\n"),
+    ("fig5_sweep", FIG5_ROWS + "coefficients = 0 0 0 0 0 0\n"),
+    ("fig5_sweep", FIG5_ROWS + "n_noise_features = 8\n"),
+    ("table3", ""),
+    ("part2_regressions", ""),
+    ("backdoor_report", ""),
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@pytest.mark.parametrize("experiment, override", BOUNDARY_INPUTS, ids=[
+    f"{exp}-{override.splitlines()[-1] if override else 'defaults'}"
+    for exp, override in BOUNDARY_INPUTS])
+def test_cli_boundary_inputs_end_in_report_or_json_error(
+        tmp_path, capsys, experiment, override):
+    code, lines, out = run_cli(tmp_path, capsys, experiment, override)
+    if code == 0:
+        json.loads((out / "report.json").read_text(encoding="utf-8"),
+                   parse_constant=_reject_constant)
+    else:
+        assert len(lines) == 1
+        assert sorted(json.loads(lines[0])) == ["error", "message"]
+        assert code == 1
+        assert not out.exists()
 
 
 def test_cli_config_file_applies_overrides(tmp_path):

@@ -191,6 +191,40 @@ def test_bad_inputs_rejected():
                       features=["a", "b"])
 
 
+def pointwise_models(n=300, d=4):
+    """An MLP, a GBT and a callable on d features, with rows to explain
+    and background rows."""
+    names = [f"x{j}" for j in range(d)]
+    cols = {f: normal_column(12, (j,), n) for j, f in enumerate(names)}
+    y = np.tanh(cols["x0"]) + cols["x1"] * cols["x2"]
+    data = make_data(**cols, y=y)
+    mlp = mlp_train(data, "y", names,
+                    MlpConfig(hidden=(8,), learning_rate=0.05, momentum=0.9,
+                              epochs=300, seed=0))
+    gbt = gbt_train(data, "y", names, GbtConfig(n_trees=20, depth=3))
+    X = data.matrix(names)
+    return names, {"mlp": mlp, "gbt": gbt, "callable": lambda M: M.sum(axis=1)}, X
+
+
+@pytest.mark.parametrize("kind", ["gbt", "mlp", "callable"])
+@pytest.mark.parametrize("shape", [(5, 2), (4,)])
+def test_evaluation_rows_of_the_wrong_width_rejected(kind, shape):
+    names, models, X = pointwise_models()
+    with pytest.raises(ValueError, match="evaluation rows"):
+        attribution_summary(models[kind], np.zeros(shape), X[:8],
+                            relevant=["x0"], features=names)
+
+
+def test_mlp_prediction_equals_batch_prediction():
+    names, models, X = pointwise_models()
+    mlp, E, B = models["mlp"], X[-60:], X[:32]
+    batch = predict_on_matrix(mlp, E)
+    for i in range(E.shape[0]):
+        att = shapley_exact(mlp, E[i], B)
+        assert att.prediction == batch[i]
+        assert abs(att.efficiency_residual) < 1e-9
+
+
 def test_chunked_evaluation_matches_single_pass(monkeypatch):
     B = random_background(8, 15, 3)
     E = random_background(9, 12, 3)

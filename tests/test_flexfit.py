@@ -5,8 +5,9 @@ import pytest
 
 from scmlab import (Dataset, GbtConfig, MlpConfig, gbt_train, gradient_check,
                     mlp_train, predict, split, stepwise_forward)
-from scmlab.errors import (DegenerateTargetError, DivergenceError,
-                           InsufficientDataError, MissingFeatureError)
+from scmlab.errors import (ConfigValidationError, DegenerateTargetError,
+                           DivergenceError, InsufficientDataError,
+                           MissingFeatureError)
 from scmlab.experiments import build_config
 from scmlab.experiments.generators import (blended_logit_features,
                                            blended_logit_model)
@@ -127,6 +128,18 @@ def test_mlp_json_round_trip():
                           predict_on_matrix(model, X))
 
 
+@pytest.mark.parametrize("settings, field", [
+    (dict(activation="sigmoid"), "activation"),    # trained relu units
+    (dict(output="softmax"), "output"),            # trained an identity output
+    (dict(hidden=()), "hidden"),
+    (dict(hidden=(8, 0)), "hidden"),
+    (dict(epochs=-1), "epochs"),
+])
+def test_mlp_config_rejects_bad_settings(settings, field):
+    with pytest.raises(ConfigValidationError, match=field):
+        MlpConfig(**settings)
+
+
 # --- GBT ------------------------------------------------------------------
 
 def test_gbt_fits_step_function_exactly():
@@ -174,6 +187,18 @@ def test_gbt_degenerate_logistic_target():
     d = make_data(x=np.arange(20.0), y=np.zeros(20))
     with pytest.raises(DegenerateTargetError):
         gbt_train(d, "y", ["x"], GbtConfig(loss="logistic"))
+
+
+@pytest.mark.parametrize("settings, field", [
+    (dict(loss="huber"), "loss"),                  # fitted squared loss
+    (dict(depth=0), "depth"),
+    (dict(n_trees=-1), "n_trees"),
+    (dict(n_bins=65), "n_bins"),
+    (dict(min_leaf=0), "min_leaf"),
+])
+def test_gbt_config_rejects_bad_settings(settings, field):
+    with pytest.raises(ConfigValidationError, match=field):
+        GbtConfig(**settings)
 
 
 def test_gbt_min_leaf_respected():
@@ -404,6 +429,16 @@ def test_stepwise_in_sample_r2_monotone():
     assert all(b >= a for a, b in zip(in_r2, in_r2[1:]))
     assert trace[-1].in_r2 > 0.0
     assert trace[-1].out_r2 < trace[-1].in_r2
+
+
+def test_stepwise_needs_two_held_out_rows():
+    # one held-out row ended in ZeroDivisionError in the held-out R^2
+    d = sine_data(n=50)
+    plan = split(d, test_fraction=0.02, seed=0)
+    assert plan.test_idx.size == 1
+    d = d.with_column("c", normal_column(3, (0,), 50))
+    with pytest.raises(InsufficientDataError, match="test rows"):
+        stepwise_forward(d, "y", ["x", "c"], plan)
 
 
 def test_stepwise_min_improvement_stops_selection():
