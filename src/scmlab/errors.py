@@ -85,8 +85,10 @@ class SeparationError(ScmLabError):
     target."""
 
 
-class NonBinaryTargetError(ScmLabError):
-    """Logistic target contains values outside {0, 1}."""
+class NonBinaryTargetError(ScmLabError, ValueError):
+    """A logistic target (a logistic regression's, or a GBT's under
+    logistic loss) contains values outside {0, 1}.  Also a
+    ``ValueError``, as the GBT's check raised before."""
 
 
 # --- flexible-model layer -----------------------------------------------
@@ -111,6 +113,11 @@ class TooManyFeaturesError(ScmLabError):
 
 class EmptyBackgroundError(ScmLabError):
     """Shapley background sample has no rows."""
+
+
+class EmptyEvaluationError(ScmLabError, ValueError):
+    """An attribution summary was asked to explain zero evaluation rows.
+    Also a ``ValueError``, like the other checks on those rows."""
 
 
 # --- experiment runner --------------------------------------------------

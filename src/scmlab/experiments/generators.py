@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import expit
 
 from ..graph import Dag
-from ..scm import Assignment, NoiseSpec, StructuralModel, validate_model
+from ..scm import Assignment, NoiseSpec, StructuralModel
 
 
 def exogenous_predictor_model(theta, noise_sd=1.0):
@@ -28,7 +28,7 @@ def exogenous_predictor_model(theta, noise_sd=1.0):
     pairs.append(("y", Assignment.linear(
         ["x0", "x1", "x2", "x3"], list(theta),
         noise=NoiseSpec.gaussian(sd=noise_sd))))
-    return validate_model(StructuralModel(pairs))
+    return StructuralModel(pairs)
 
 
 def confounded_chain_model():
@@ -56,7 +56,7 @@ def confounded_chain_model():
                                  noise=NoiseSpec.gaussian(scale=0.1))),
     ]
     nodes = [f"x{k}" for k in range(8)] + ["y"]
-    return validate_model(StructuralModel(pairs, nodes=nodes))
+    return StructuralModel(pairs, nodes=nodes)
 
 
 def hidden_confounder_graph():
@@ -70,12 +70,12 @@ def sine_trend_model(trend, amplitude, frequency, x_lo, x_hi, noise_sd):
     """y := trend*x + amplitude*sin(frequency*x) + Gaussian noise,
     x uniform on [x_lo, x_hi] — linear-in-x fits are structurally unable
     to track the oscillation."""
-    return validate_model(StructuralModel([
+    return StructuralModel([
         ("x", Assignment.exogenous(NoiseSpec.uniform(x_lo, x_hi))),
         ("y", Assignment.custom(["x"],
                                 sine_trend_mean(trend, amplitude, frequency),
                                 noise=NoiseSpec.gaussian(sd=noise_sd))),
-    ]))
+    ])
 
 
 def sine_trend_mean(trend, amplitude, frequency):
@@ -117,7 +117,7 @@ def blended_logit_model(q, coefficients, proxy_sd, n_noise_features):
         ("y", Assignment.custom(["p", "u"],
                                 lambda p, u: (u < p).astype(np.float64))),
     ]
-    return validate_model(StructuralModel(pairs))
+    return StructuralModel(pairs)
 
 
 def blended_logit_features(n_noise_features):
@@ -127,11 +127,11 @@ def blended_logit_features(n_noise_features):
 def correlated_pair_model(rho):
     """Bivariate standard normal with correlation rho."""
     rho = float(rho)
-    return validate_model(StructuralModel([
+    return StructuralModel([
         ("x", Assignment.exogenous(NoiseSpec.gaussian())),
         ("y", Assignment.linear(["x"], [rho],
                                 noise=NoiseSpec.gaussian(sd=np.sqrt(1.0 - rho * rho)))),
-    ]))
+    ])
 
 
 def shape_pair_model(shape, noise_sd=0.1):
@@ -170,7 +170,7 @@ def shape_pair_model(shape, noise_sd=0.1):
         ]
     else:
         raise ValueError(f"unknown shape {shape!r}")
-    return validate_model(StructuralModel(pairs))
+    return StructuralModel(pairs)
 
 
 def noise_candidates_model(n_candidates):
@@ -179,4 +179,4 @@ def noise_candidates_model(n_candidates):
     pairs = [("y", Assignment.exogenous(NoiseSpec.gaussian()))]
     for i in range(1, n_candidates + 1):
         pairs.append((f"c{i}", Assignment.exogenous(NoiseSpec.gaussian())))
-    return validate_model(StructuralModel(pairs))
+    return StructuralModel(pairs)

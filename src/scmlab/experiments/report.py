@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -19,37 +20,27 @@ from .._version import __version__
 from ..errors import IoError, NonFiniteValueError
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json sees pure Python."""
+def _plain(obj, key):
+    """``obj`` with numpy scalars and arrays turned into plain Python, so
+    json sees pure Python.  The same walk raises NonFiniteValueError at
+    the first NaN or infinity, naming its key path below ``key`` (such as
+    ``results.grid[1]``)."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): _plain(v, f"{key}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [_plain(v, f"{key}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return _plain(obj.tolist(), key)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if not math.isfinite(obj):
+            raise NonFiniteValueError(f"{key} is not finite; report.json "
+                                      f"holds finite numbers only")
     return obj
-
-
-def _non_finite_key(obj, key):
-    """The key path of the first NaN or infinity in a plain ``obj``, or
-    None."""
-    if isinstance(obj, dict):
-        items = [(f"{key}.{k}", v) for k, v in obj.items()]
-    elif isinstance(obj, list):
-        items = [(f"{key}[{i}]", v) for i, v in enumerate(obj)]
-    else:
-        return key if isinstance(obj, float) and not np.isfinite(obj) else None
-    for k, v in items:
-        found = _non_finite_key(v, k)
-        if found is not None:
-            return found
-    return None
 
 
 def format_cell(x) -> str:
@@ -72,13 +63,8 @@ def write_run(out_dir: str, *, name: str, seed: int, n: int, params: dict,
     NonFiniteValueError naming its key before any file is written, so
     report.json is always strict JSON.
     """
-    config_echo = {"seed": int(seed), "n": int(n), **_plain(params)}
-    results = _plain(results)
-    for key, obj in (("config", config_echo), ("results", results)):
-        bad = _non_finite_key(obj, key)
-        if bad is not None:
-            raise NonFiniteValueError(f"{bad} is not finite; report.json "
-                                      f"holds finite numbers only")
+    config = _plain({"seed": int(seed), "n": int(n), **params}, "config")
+    results = _plain(results, "results")
     try:
         os.makedirs(out_dir, exist_ok=True)
         table_files = []
@@ -92,28 +78,15 @@ def write_run(out_dir: str, *, name: str, seed: int, n: int, params: dict,
                 w.writerow(columns)
                 for row in rows:
                     w.writerow([format_cell(c) for c in row])
-        report = {
-            "experiment": name,
-            "version": __version__,
-            "seed": int(seed),
-            "n": int(n),
-            "config": config_echo,
-            "results": results,
-            "tables": table_files,
-        }
+        header = {"experiment": name, "version": __version__,
+                  "seed": int(seed), "n": int(n), "config": config}
+        report = {**header, "results": results, "tables": table_files}
         with open(os.path.join(out_dir, "report.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         files = sorted(["report.json", *table_files, "meta.json"])
-        meta = {
-            "experiment": name,
-            "version": __version__,
-            "seed": int(seed),
-            "n": int(n),
-            "config": config_echo,
-            "files": files,
-        }
+        meta = {**header, "files": files}
         with open(os.path.join(out_dir, "meta.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, indent=2)

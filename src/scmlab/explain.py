@@ -33,7 +33,8 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import Dataset
-from .errors import EmptyBackgroundError, TooManyFeaturesError
+from .errors import (EmptyBackgroundError, EmptyEvaluationError,
+                     TooManyFeaturesError)
 from .flexfit import GbtModel, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -314,9 +315,11 @@ def attribution_summary(model, eval_set, background, relevant,
     """Mean |phi| per feature over an evaluation set, plus the aggregate
     attribution mass on the relevant / irrelevant feature partition.
     ``eval_set`` (a Dataset or an (m, d) array) is checked against the
-    features as the background is."""
+    features as the background is; zero rows raise EmptyEvaluationError."""
     features, B = _features_and_background(model, features, background)
     E = _row_matrix(eval_set, features, "evaluation rows")
+    if E.shape[0] == 0:
+        raise EmptyEvaluationError("evaluation rows: none to explain")
     relevant = [f for f in features if f in set(relevant)]
     irrelevant = [f for f in features if f not in set(relevant)]
     phi, _, _ = _phi_matrix(_coalition_outputs(model), E, B)

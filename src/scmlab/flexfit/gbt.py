@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ..errors import ConfigValidationError, DegenerateTargetError
+from ..errors import (ConfigValidationError, DegenerateTargetError,
+                      NonBinaryTargetError)
 
 _MAX_BINS = 64
 
@@ -42,6 +43,10 @@ class GbtConfig:
         if self.depth < 1:
             raise ConfigValidationError(
                 f"depth = {self.depth} must be at least 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigValidationError(
+                f"learning_rate = {self.learning_rate} must be a finite "
+                "number above 0")
         if self.n_trees < 0:
             raise ConfigValidationError(
                 f"n_trees = {self.n_trees} must be non-negative")
@@ -226,7 +231,7 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
     y = train.column(target).astype(np.float64)
     if cfg.loss == "logistic":
         if not np.all((y == 0.0) | (y == 1.0)):
-            raise ValueError("logistic loss needs a 0/1 target")
+            raise NonBinaryTargetError("logistic loss needs a 0/1 target")
         p0 = y.mean()
         if p0 in (0.0, 1.0):
             raise DegenerateTargetError("target is all one class")

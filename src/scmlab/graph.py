@@ -39,6 +39,11 @@ class Dag:
     observed : iterable of names, optional
         Defaults to all nodes. Unobserved nodes block/open paths as usual
         but are excluded from adjustment-set candidates.
+
+    Attributes
+    ----------
+    order : the :func:`topological_sort` of the graph, computed once at
+        construction as its cycle check (raises CycleError).
     """
 
     def __init__(self, nodes, edges, observed=None):
@@ -60,7 +65,7 @@ class Dag:
         for p, c in self.edges:
             self._parents[c].add(p)
             self._children[p].add(c)
-        topological_sort(self)  # raises CycleError on construction
+        self.order = topological_sort(self)
 
     @staticmethod
     def from_structural_model(model, observed=None) -> "Dag":
@@ -360,7 +365,7 @@ def load_graph(path: str) -> Dag:
     """Read a graph written by :func:`save_graph`.
 
     Raises GraphFileError, naming the path and line, for an edge line that
-    is not exactly two names.
+    is not exactly two names or a ``# nodes:`` line that repeats a name.
     """
     nodes, observed, edges = None, None, []
     with open(path, encoding="utf-8") as fh:
@@ -370,6 +375,10 @@ def load_graph(path: str) -> Dag:
                 continue
             if line.startswith("# nodes:"):
                 nodes = line.split(":", 1)[1].split()
+                if len(set(nodes)) != len(nodes):
+                    dup = next(n for i, n in enumerate(nodes) if n in nodes[:i])
+                    raise GraphFileError(
+                        f"{path}:{lineno}: node {dup!r} listed more than once")
             elif line.startswith("# observed:"):
                 observed = line.split(":", 1)[1].split()
             elif line.startswith("#"):

@@ -4,8 +4,9 @@ closed-form solutions for the linear-Gaussian family.
 A model is a set of nodes, each carrying exactly one assignment that
 computes the node from its parents plus independent noise. Assignments use
 assignment semantics (the value is *set* from the right-hand side, never
-solved for), so the induced parent graph must be acyclic; validation takes
-the evaluation order from :func:`graph.topological_sort`.
+solved for), so the induced parent graph must be acyclic. A model checks
+this when it is built and keeps the evaluation order its :class:`graph.Dag`
+computes with :func:`graph.topological_sort`.
 
 Two assignment kinds exist:
 
@@ -34,7 +35,7 @@ from .dataset import Dataset
 from .errors import (DuplicateAssignmentError, ModelFileError,
                      NonlinearModelError, SingularCovarianceError,
                      UnknownNodeError, UnknownParentError)
-from .graph import Dag, topological_sort
+from .graph import Dag
 from .rng import normal_column, uniform_column
 
 _COND_LIMIT = 1e12  # condition-number guard for covariance solves
@@ -143,37 +144,12 @@ class StructuralModel:
     """Nodes plus one assignment each; parent edges are implied.
 
     ``assignments`` may be a mapping or an iterable of (name, Assignment)
-    pairs; a name repeated in the iterable raises DuplicateAssignmentError
-    at validation. Node order is the assignment order and fixes column
-    order of samples and of the analytic covariance matrix.
-    """
-
-    def __init__(self, assignments, nodes=None):
-        if isinstance(assignments, dict):
-            pairs = list(assignments.items())
-        else:
-            pairs = list(assignments)
-        self._pairs = [(str(k), v) for k, v in pairs]
-        self.nodes = list(nodes) if nodes is not None else [k for k, _ in self._pairs]
-        self.assignments = {}
-        for k, v in self._pairs:
-            self.assignments.setdefault(k, v)
-        self._order = None  # cached topological order, set by validate_model
-        self._cov = None    # read-only moments, set on first use by
-        self._mu = None     # population_covariance / population_mean
-
-    def parents(self, node: str) -> tuple:
-        return self.assignments[node].parents
-
-    def __repr__(self):
-        return f"StructuralModel({len(self.nodes)} nodes)"
-
-
-def validate_model(model: StructuralModel) -> StructuralModel:
-    """Check well-formedness, cache the topological order, return the model.
-
-    The order is :func:`graph.topological_sort` of the model's ``Dag``:
-    parents before children, ties broken by declared node order.
+    pairs. Node order is the assignment order unless ``nodes`` gives it,
+    and fixes the column order of samples and of the analytic covariance
+    matrix. The model is checked when built and never changes afterwards
+    (:func:`intervene` builds a new one); ``_order`` holds its evaluation
+    order, the ``order`` of its :class:`graph.Dag`: parents before
+    children, ties broken by declared node order.
 
     Raises
     ------
@@ -184,33 +160,47 @@ def validate_model(model: StructuralModel) -> StructuralModel:
     CycleError
         The parent graph has a directed cycle (the message names one).
     """
-    seen = set()
-    for name, _ in model._pairs:
-        if name in seen:
-            raise DuplicateAssignmentError(f"node {name!r} assigned more than once")
-        seen.add(name)
-    declared = set(model.nodes)
-    missing = [n for n in model.nodes if n not in model.assignments]
-    if missing or len(declared) != len(model.nodes):
-        raise DuplicateAssignmentError(
-            "every declared node needs exactly one assignment; offending: "
-            f"{missing or 'duplicate node names'}")
-    for name, a in model.assignments.items():
-        if name not in declared:
-            raise UnknownParentError(f"assignment for undeclared node {name!r}")
-        for p in a.parents:
-            if p not in declared:
-                raise UnknownParentError(
-                    f"node {name!r} references unknown parent {p!r}")
 
-    model._order = topological_sort(Dag.from_structural_model(model))
+    def __init__(self, assignments, nodes=None):
+        if isinstance(assignments, dict):
+            assignments = assignments.items()
+        self.assignments = {}
+        for k, v in assignments:
+            k = str(k)
+            if k in self.assignments:
+                raise DuplicateAssignmentError(
+                    f"node {k!r} assigned more than once")
+            self.assignments[k] = v
+        self.nodes = list(nodes) if nodes is not None else list(self.assignments)
+        declared = set(self.nodes)
+        missing = [n for n in self.nodes if n not in self.assignments]
+        if missing or len(declared) != len(self.nodes):
+            raise DuplicateAssignmentError(
+                "every declared node needs exactly one assignment; offending: "
+                f"{missing or 'duplicate node names'}")
+        for name, a in self.assignments.items():
+            if name not in declared:
+                raise UnknownParentError(f"assignment for undeclared node {name!r}")
+            for p in a.parents:
+                if p not in declared:
+                    raise UnknownParentError(
+                        f"node {name!r} references unknown parent {p!r}")
+        self._order = Dag.from_structural_model(self).order
+        self._cov = None    # read-only moments, set on first use by
+        self._mu = None     # population_covariance / population_mean
+
+    def __repr__(self):
+        return f"StructuralModel({len(self.nodes)} nodes)"
+
+
+def validate_model(model: StructuralModel) -> StructuralModel:
+    """Return ``model`` unchanged.
+
+    A :class:`StructuralModel` checks itself and sets its evaluation order
+    when it is built, so every instance is already valid; this function
+    remains for callers that validate explicitly.
+    """
     return model
-
-
-def _ensure_validated(model: StructuralModel) -> list:
-    if model._order is None:
-        validate_model(model)
-    return model._order
 
 
 def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
@@ -222,7 +212,7 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    order = _ensure_validated(model)
+    order = model._order
     node_idx = {name: i for i, name in enumerate(model.nodes)}
     cols = {}
     for name in order:
@@ -253,8 +243,9 @@ def intervene(model: StructuralModel, node: str, value) -> StructuralModel:
         new = Assignment.exogenous(value)
     else:
         new = Assignment.exogenous(NoiseSpec.constant(float(value)))
-    pairs = [(k, new if k == node else a) for k, a in model._pairs]
-    return StructuralModel(pairs, nodes=model.nodes)
+    return StructuralModel({k: new if k == node else a
+                            for k, a in model.assignments.items()},
+                           nodes=model.nodes)
 
 
 def _require_linear_gaussian(model: StructuralModel) -> None:
@@ -279,13 +270,13 @@ def population_covariance(model: StructuralModel) -> np.ndarray:
 
     The matrix is computed once per model, stored on it and returned
     read-only (writing into it raises ``ValueError``); copy it to modify.
-    A model is never changed after validation (:func:`intervene` builds a
-    new one), so the stored matrix cannot go stale.
+    A model is never changed after it is built (:func:`intervene` builds
+    a new one), so the stored matrix cannot go stale.
     """
     if model._cov is not None:
         return model._cov
     _require_linear_gaussian(model)
-    order = _ensure_validated(model)
+    order = model._order
     idx = {name: i for i, name in enumerate(model.nodes)}
     k = len(model.nodes)
     cov = np.zeros((k, k))
@@ -315,7 +306,7 @@ def population_mean(model: StructuralModel) -> np.ndarray:
     if model._mu is not None:
         return model._mu
     _require_linear_gaussian(model)
-    order = _ensure_validated(model)
+    order = model._order
     idx = {name: i for i, name in enumerate(model.nodes)}
     mu = np.zeros(len(model.nodes))
     for name in order:
@@ -370,7 +361,7 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
             raise UnknownNodeError(f"no node named {name!r}")
     if cause == outcome:
         raise ValueError("cause and outcome must differ")
-    order = _ensure_validated(model)
+    order = model._order
     effect = {cause: 1.0}
     for name in order:
         if name == cause:
@@ -404,7 +395,6 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
 
 def save_model(model: StructuralModel, path: str) -> None:
     """Write a linear-additive model to the INI schema above."""
-    _ensure_validated(model)
     cp = configparser.ConfigParser()
     cp["model"] = {"nodes": " ".join(model.nodes)}
     for name in model.nodes:
@@ -432,7 +422,7 @@ _NOISE_KINDS = {"gaussian": NoiseSpec.gaussian, "uniform": NoiseSpec.uniform,
 
 
 def load_model(path: str) -> StructuralModel:
-    """Read a model written by :func:`save_model`; validates before return.
+    """Read a model written by :func:`save_model`.
 
     Raises ModelFileError, naming the path, for a file that is not INI, a
     missing section or key, a non-numeric value, an unknown noise kind, or
@@ -483,4 +473,4 @@ def load_model(path: str) -> StructuralModel:
                                                   noise)))
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: [{sec.name}] {exc}") from None
-    return validate_model(StructuralModel(pairs, nodes=nodes))
+    return StructuralModel(pairs, nodes=nodes)

@@ -162,6 +162,8 @@ def test_write_run_layout(tmp_path):
     ({"alpha": 0.5}, {"grid": [1.0, np.inf]}, "results.grid[1]"),
     ({"alpha": 0.5}, {"a": {"b": np.float64("nan")}}, "results.a.b"),
     ({"alpha": float("nan")}, {"score": 1.0}, "config.alpha"),
+    ({"alpha": 0.5}, {"s": np.float32("nan")}, "results.s"),
+    ({"alpha": 0.5}, {"t": (1.0, -np.inf)}, "results.t[1]"),
 ])
 def test_write_run_rejects_non_finite_numbers(tmp_path, params, results,
                                               key):
@@ -297,6 +299,9 @@ CLI_CONFIG_ERRORS = [
     ("fig5_sweep",
      "eval_rows = 10\nbackground_rows = 10\nn_noise_features = -1\n",
      "n_noise_features"),                      # ran with the four features
+    ("fig5_sweep",
+     "eval_rows = 10\nbackground_rows = 10\ngbt_learning_rate = nan\n",
+     "learning_rate"),                         # failed only in write_run
 ]
 
 

@@ -6,7 +6,8 @@ import pytest
 import scmlab.explain as explain
 from scmlab import (Dataset, GbtConfig, MlpConfig, attribution_summary,
                     gbt_train, mlp_train, shapley_exact)
-from scmlab.errors import EmptyBackgroundError, TooManyFeaturesError
+from scmlab.errors import (EmptyBackgroundError, EmptyEvaluationError,
+                           TooManyFeaturesError)
 from scmlab.flexfit import (model_from_json_dict, model_to_json_dict,
                             predict_on_matrix)
 from scmlab.rng import normal_column, uniform_column
@@ -177,6 +178,15 @@ def test_empty_background_rejected():
     with pytest.raises(EmptyBackgroundError):
         shapley_exact(lambda X: X[:, 0], [1.0], np.zeros((0, 1)),
                       features=["x"])
+
+
+def test_empty_evaluation_rows_rejected():
+    def f(X):
+        raise AssertionError("model called")
+    with pytest.raises(EmptyEvaluationError, match="evaluation rows") as err:
+        attribution_summary(f, np.zeros((0, 2)), np.zeros((3, 2)),
+                            relevant=["a"], features=["a", "b"])
+    assert isinstance(err.value, ValueError)
 
 
 def test_bad_inputs_rejected():

@@ -7,7 +7,7 @@ from scmlab import (Dataset, GbtConfig, MlpConfig, gbt_train, gradient_check,
                     mlp_train, predict, split, stepwise_forward)
 from scmlab.errors import (ConfigValidationError, DegenerateTargetError,
                            DivergenceError, InsufficientDataError,
-                           MissingFeatureError)
+                           MissingFeatureError, NonBinaryTargetError)
 from scmlab.experiments import build_config
 from scmlab.experiments.generators import (blended_logit_features,
                                            blended_logit_model)
@@ -183,6 +183,13 @@ def test_gbt_logistic_loss_probabilities():
     assert np.mean(np.abs(pred - p)) < 0.06
 
 
+def test_gbt_logistic_rejects_non_binary_target():
+    d = make_data(x=np.arange(20.0), y=np.arange(20.0) % 3)
+    with pytest.raises(NonBinaryTargetError) as err:
+        gbt_train(d, "y", ["x"], GbtConfig(loss="logistic"))
+    assert isinstance(err.value, ValueError)
+
+
 def test_gbt_degenerate_logistic_target():
     d = make_data(x=np.arange(20.0), y=np.zeros(20))
     with pytest.raises(DegenerateTargetError):
@@ -195,6 +202,9 @@ def test_gbt_degenerate_logistic_target():
     (dict(n_trees=-1), "n_trees"),
     (dict(n_bins=65), "n_bins"),
     (dict(min_leaf=0), "min_leaf"),
+    (dict(learning_rate=float("nan")), "learning_rate"),  # predicted NaN
+    (dict(learning_rate=float("inf")), "learning_rate"),
+    (dict(learning_rate=0.0), "learning_rate"),
 ])
 def test_gbt_config_rejects_bad_settings(settings, field):
     with pytest.raises(ConfigValidationError, match=field):

@@ -48,6 +48,16 @@ def test_topological_sort_respects_edges_and_declared_order():
     assert topological_sort(g2) == ["q", "p"]
 
 
+def test_dag_keeps_its_topological_order():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        g, _ = _random_dag(rng, int(rng.integers(2, 13)))
+        assert g.order == topological_sort(g)
+    for seed in range(3):
+        g = Dag.from_structural_model(random_linear_model(300, seed))
+        assert g.order == topological_sort(g)
+
+
 def test_from_structural_model_carries_edges():
     m = validate_model(StructuralModel({
         "a": Assignment.exogenous(NoiseSpec.gaussian()),
@@ -288,6 +298,13 @@ def test_load_graph_rejects_line_that_is_not_a_pair(tmp_path, bad):
     path = tmp_path / "g.edges"
     path.write_text(f"# nodes: x y z\nx y\n\n{bad}\n", encoding="utf-8")
     with pytest.raises(GraphFileError, match=rf"g\.edges:4: .*{bad!r}"):
+        load_graph(str(path))
+
+
+def test_load_graph_rejects_repeated_node_name(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("x y\n# nodes: x y x\n", encoding="utf-8")
+    with pytest.raises(GraphFileError, match=r"g\.edges:2: .*'x'"):
         load_graph(str(path))
 
 

@@ -78,6 +78,25 @@ def test_validate_returns_model_and_caches_order():
         assert m._order == order
 
 
+@pytest.mark.parametrize("pairs, error", [
+    ([("x", Assignment.exogenous(NoiseSpec.gaussian())),
+      ("x", Assignment.exogenous(NoiseSpec.gaussian()))],
+     DuplicateAssignmentError),
+    ([("y", Assignment.linear(["ghost"], [1.0]))], UnknownParentError),
+    ([("a", Assignment.linear(["b"], [1.0])),
+      ("b", Assignment.linear(["a"], [1.0]))], CycleError),
+])
+def test_constructor_checks_model_without_validate(pairs, error):
+    with pytest.raises(error):
+        StructuralModel(pairs)
+
+
+def test_intervened_model_is_ordered_when_built():
+    # b loses its parent a, so the declared-order tie-break puts b first
+    m = intervene(out_of_order_model(), "b", 1.0)
+    assert m._order == ["d", "b", "a", "c", "e"]
+
+
 # --- sampling -------------------------------------------------------------
 
 def test_sample_deterministic_and_seed_sensitive():
