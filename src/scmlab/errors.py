@@ -111,6 +111,12 @@ class TooManyFeaturesError(ScmLabError):
     """Exact coalition enumeration refused beyond 12 features."""
 
 
+class FeatureMismatchError(ScmLabError, ValueError):
+    """An explicit feature list given for a trained model differs from the
+    feature names it was trained on (in names or order).  Also a
+    ``ValueError``, like the other checks on explain's inputs."""
+
+
 class EmptyBackgroundError(ScmLabError):
     """Shapley background sample has no rows."""
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.spatial import cKDTree
-from scipy.special import digamma, expit
+from scipy.special import digamma, expit, ndtr, stdtr
 
 from .dataset import Dataset
 from .errors import (DegenerateColumnError, InsufficientDataError,
@@ -92,6 +90,16 @@ class MiResult:
                 "k_neighbors": int(self.k_neighbors), "n": int(self.n)}
 
 
+def _t_pvalue(t, dof):
+    """Two-sided p-value of Student t statistics: 2 P(T_dof > |t|)."""
+    return 2.0 * stdtr(dof, -np.abs(t))
+
+
+def _z_pvalue(z):
+    """Two-sided p-value of standard normal statistics: 2 P(Z > |z|)."""
+    return 2.0 * ndtr(-np.abs(z))
+
+
 def _design(data: Dataset, regressors) -> np.ndarray:
     X = np.column_stack([np.ones(data.n_rows),
                          *(data.column(r) for r in regressors)])
@@ -128,7 +136,7 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     t = np.where((se == 0) & (beta == 0), 0.0, t)
-    pvals = 2.0 * stats.t.sf(np.abs(t), dof)
+    pvals = _t_pvalue(t, dof)
     return FitResult(["intercept", *regressors], beta, se, pvals,
                      sigma2, n)
 
@@ -154,7 +162,7 @@ def pearson(data: Dataset, a: str, b: str) -> CorrResult:
         p = 0.0
     else:
         t = r * np.sqrt((n - 2) / (1.0 - r * r))
-        p = float(2.0 * stats.t.sf(abs(t), n - 2))
+        p = float(_t_pvalue(t, n - 2))
     return CorrResult(r, p, n)
 
 
@@ -229,7 +237,7 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     cov = np.linalg.inv(H)
     se = np.sqrt(np.diag(cov))
     z = beta / se
-    pvals = 2.0 * stats.norm.sf(np.abs(z))
+    pvals = _z_pvalue(z)
     return FitResult(["intercept", *regressors], beta, se, pvals,
                      2.0 * loss / n, n)
 
@@ -263,6 +271,7 @@ def mutual_information(data: Dataset, a: str, b: str, k: int = 3) -> MiResult:
     x = x + _MI_JITTER * jit.standard_normal(n)
     y = y + _MI_JITTER * jit.standard_normal(n)
     joint = np.column_stack([x, y])
+    from scipy.spatial import cKDTree  # only this estimator needs it
     dist, _ = cKDTree(joint).query(joint, k=k + 1, p=np.inf)
     eps = dist[:, -1]
 

@@ -34,13 +34,15 @@ from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
-                     TooManyFeaturesError)
+                     FeatureMismatchError, TooManyFeaturesError)
 from .flexfit import GbtModel, predict_on_matrix
 
 _MAX_FEATURES = 12
-# cap on coalition-expanded rows per step; for a block of GBT trees, on the
-# elements of the block's temporaries
-_CHUNK_ROWS = 4_000_000
+# cache budget, in elements, of one explain step: a chunk of evaluation rows
+# spans at most this many coalition-expanded rows, and a block of GBT trees
+# at most this many temporary elements (8 rows x 256 coalitions x 64
+# background rows)
+_CHUNK_ROWS = 131_072
 
 
 @dataclass
@@ -91,65 +93,18 @@ def _coalition_outputs(model):
     return grid_outputs
 
 
-def _pack_trees(trees):
-    """The trees as one padded stack of (n_trees, n_nodes) arrays: whether
-    a slot holds a node, then feature (-1 at leaves and padding),
-    threshold, left, right and value."""
-    sizes = np.array([t.feature.size for t in trees])
-    real = np.arange(sizes.max()) < sizes[:, None]
-    packed = [real]
-    for attr, fill in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                       ("right", -1), ("value", 0.0)):
-        a = np.full(real.shape, fill, dtype=type(fill))
-        a[real] = np.concatenate([getattr(t, attr) for t in trees])
-        packed.append(a)
-    return tuple(packed)
-
-
-def _leaf_misses(packed, local, Ec, B):
-    """Each tree's leaves and, for every leaf and row, the U-bits whose
-    split on the path to the leaf sends the row the other way.
-
-    ``local[t, j]`` is feature j's bit in tree t's feature set U (0 when
-    the tree does not read j). Returns (leaf_index, miss_e, miss_b):
-    leaf_index[t, l] is the flat index of tree t's leaf slot l into the
-    packed values (0 for a padding slot); miss_e[t, l, e] and
-    miss_b[t, l, b] are the bit masks for the evaluation and the
-    background rows. The split tests are those of ``Tree.predict``,
-    ``x < threshold``, taken once per row.
-    """
-    real, feature, threshold, left, right, _ = packed
-    n_trees, n_nodes = feature.shape
-    rows = np.arange(n_trees)[:, None]
-    split = feature >= 0
-    f = np.where(split, feature, 0)
-    node_bit = np.where(split, local[rows, f], 0)
-    t_split, i_split = np.nonzero(split)
-    parent = np.full(feature.shape, -1)
-    parent[t_split, left[t_split, i_split]] = i_split
-    parent[t_split, right[t_split, i_split]] = i_split
-    is_left = np.zeros(feature.shape, dtype=bool)
-    is_left[t_split, left[t_split, i_split]] = True
-    leaves = real & ~split
-    n_leaf = leaves.sum(axis=1).max()
-    leaf = np.argsort(~leaves, axis=1, kind="stable")[:, :n_leaf]
-    leaf_index = np.where(leaves[rows, leaf], rows * n_nodes + leaf, 0)
-    # (tree, node, row): does the row go left at the node?
-    goes_left_e = (Ec[:, f] < threshold).transpose(1, 2, 0)
-    goes_left_b = (B[:, f] < threshold).transpose(1, 2, 0)
-    miss_e = np.zeros((n_trees, n_leaf, Ec.shape[0]), dtype=local.dtype)
-    miss_b = np.zeros((n_trees, n_leaf, B.shape[0]), dtype=local.dtype)
-    node, up = leaf, parent[rows, leaf]
-    while (up >= 0).any():            # one level of ancestors per pass
-        has = up >= 0
-        above = np.where(has, up, 0)
-        turn = is_left[rows, node][:, :, None]
-        bits = np.where(has, node_bit[rows, above], 0)[:, :, None]
-        miss_e |= (goes_left_e[rows, above] != turn) * bits
-        miss_b |= (goes_left_b[rows, above] != turn) * bits
-        node = np.where(has, up, node)
-        up = np.where(has, parent[rows, above], -1)
-    return leaf_index, miss_e, miss_b
+def _leaf_misses(layout, X):
+    """For every tree, leaf and row of X, the U-bits whose split on the
+    path to the leaf sends the row the other way (n_trees, n_leaf, rows).
+    The split tests are those of ``Tree.predict``, ``x < threshold``,
+    taken once per node and row."""
+    n_trees, n_leaf = layout.leaf_index.shape
+    goes_left = X.T[layout.feature] < layout.threshold[:, :, None]
+    goes_left = goes_left.reshape(-1, X.shape[0])     # (tree * node, row)
+    miss = np.zeros((n_trees, n_leaf, X.shape[0]), dtype=layout.local.dtype)
+    for above, turn, bits in layout.levels:   # one level of ancestors each
+        miss |= (goes_left[above] != turn) * bits
+    return miss
 
 
 def _gbt_coalition_outputs(model, masks, Ec, B):
@@ -164,28 +119,26 @@ def _gbt_coalition_outputs(model, masks, Ec, B):
     its margin gains ``(learning_rate * leaf)[code]`` tree by tree, in the
     trees' order from ``base_score``. That is the element-wise arithmetic
     of ``decision_function`` on the expanded coalition grid, so the outputs
-    are bit-identical to it.
+    are bit-identical to it. The model's tables come from its
+    ``explain_layout``, built once per model; only the row work is done
+    here.
     """
-    n_coal, d = masks.shape
+    n_coal = masks.shape[0]
     ec, n_bg = Ec.shape[0], B.shape[0]
     F = np.full((n_coal, ec * n_bg), model.base_score)
     if model.trees:
-        packed = _pack_trees(model.trees)
-        _, feature, _, _, _, value = packed
-        n_trees = feature.shape[0]
-        # U_t as local bits (at most _MAX_FEATURES of them, so int16);
+        layout = model.explain_layout
+        leaf_index = layout.leaf_index
+        n_trees, n_leaf = leaf_index.shape
         # code[t, c] is the pattern of coalition c ∩ U_t
-        used = (feature[:, :, None] == np.arange(d)).any(axis=1)
-        local = np.where(used, 1 << (np.cumsum(used, axis=1) - 1), 0)
-        local = local.astype(np.int16)
-        code = local @ masks.T
-        leaf_index, miss_e, miss_b = _leaf_misses(packed, local, Ec, B)
-        n_pat = 1 << int(used.sum(axis=1).max())
+        code = layout.local @ masks.T
+        miss_e, miss_b = _leaf_misses(layout, Ec), _leaf_misses(layout, B)
+        n_pat = layout.n_patterns
         pats = np.arange(n_pat, dtype=np.int16)[:, None, None]
-        step = model.learning_rate * value.ravel()
-        # tree blocks within the row budget, counting the leaf ids and
-        # values and the two reach tables of every tree in the block
-        per_tree = n_pat * (2 * ec * n_bg + leaf_index.shape[1] * (ec + n_bg))
+        step = model.learning_rate * layout.value
+        # tree blocks within the budget, counting the leaf ids and values
+        # and the two reach tables of every tree in the block
+        per_tree = n_pat * (2 * ec * n_bg + n_leaf * (ec + n_bg))
         block = max(1, _CHUNK_ROWS // per_tree)
         for lo in range(0, n_trees, block):
             hi = min(lo + block, n_trees)
@@ -204,11 +157,19 @@ def _gbt_coalition_outputs(model, masks, Ec, B):
 
 
 def _feature_list(model, features):
+    """The features to explain: a trained model's own feature names, which
+    an explicit list must repeat in order; a bare callable needs the
+    list."""
+    trained = getattr(model, "feature_names", None)
     if features is None:
-        features = getattr(model, "feature_names", None)
-        if features is None:
+        if trained is None:
             raise ValueError("pass `features` explicitly for a bare callable")
+        features = trained
     features = list(features)
+    if trained is not None and features != list(trained):
+        raise FeatureMismatchError(
+            f"features {features} differ from the model's feature names "
+            f"{list(trained)}")
     if len(features) > _MAX_FEATURES:
         raise TooManyFeaturesError(
             f"{len(features)} features exceed the exact-enumeration cap "
@@ -294,7 +255,9 @@ def shapley_exact(model, instance, background, features=None) -> Attribution:
     instance : mapping name -> value, or sequence aligned with ``features``.
     background : Dataset (or (m, d) array) supplying the marginal
         expectation sample.
-    features : explicit feature order; defaults to the model's stored names.
+    features : explicit feature order; defaults to the model's stored names,
+        which an explicit list for a trained model must equal
+        (FeatureMismatchError otherwise).
 
     ``prediction`` is the full-coalition output, equal to the instance's
     entry of a batch prediction.

@@ -20,6 +20,7 @@ with ``compress``, in the grower and in the tree walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -95,13 +96,92 @@ class Tree:
         return out
 
 
+@dataclass(frozen=True)
+class ExplainLayout:
+    """The trees as the padded tables that exact Shapley explanation reads.
+
+    Node slots are padded to the largest tree. ``feature`` and
+    ``threshold`` (n_trees, n_nodes) give each slot's split test
+    ``x[feature] < threshold`` (feature 0 and threshold 0 at leaves and
+    padding, whose tests nothing reads). ``local[t, j]`` is feature j's
+    bit in tree t's feature set U (0 when the tree does not read j), at
+    most 12 bits, so int16; ``n_patterns`` is 2^(largest |U|).
+    ``leaf_index[t, l]`` is the flat index of tree t's leaf slot l into
+    ``value`` (0 for a padding slot). ``levels`` walks the leaves' ancestors
+    one level per entry: the ancestor's flat node index, whether the path
+    leaves it to the left, and its split's U-bit (0 once the path has
+    reached the root). ``value`` holds the padded leaf values, flat.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    local: np.ndarray
+    n_patterns: int
+    leaf_index: np.ndarray
+    levels: tuple
+    value: np.ndarray
+
+
+def _explain_layout(trees, n_features) -> ExplainLayout:
+    """The :class:`ExplainLayout` of a non-empty list of trees."""
+    sizes = np.array([t.feature.size for t in trees])
+    real = np.arange(sizes.max()) < sizes[:, None]
+
+    def padded(attr, fill):
+        a = np.full(real.shape, fill, dtype=type(fill))
+        a[real] = np.concatenate([getattr(t, attr) for t in trees])
+        return a
+
+    feature, left, right = (padded(a, -1) for a in ("feature", "left", "right"))
+    n_trees, n_nodes = feature.shape
+    rows = np.arange(n_trees)[:, None]
+    split = feature >= 0
+    f = np.where(split, feature, 0)
+    used = (feature[:, :, None] == np.arange(n_features)).any(axis=1)
+    local = np.where(used, 1 << (np.cumsum(used, axis=1) - 1), 0)
+    local = local.astype(np.int16)
+    node_bit = np.where(split, local[rows, f], 0)
+    t_split, i_split = np.nonzero(split)
+    parent = np.full(feature.shape, -1)
+    parent[t_split, left[t_split, i_split]] = i_split
+    parent[t_split, right[t_split, i_split]] = i_split
+    is_left = np.zeros(feature.shape, dtype=bool)
+    is_left[t_split, left[t_split, i_split]] = True
+    leaves = real & ~split
+    n_leaf = leaves.sum(axis=1).max()
+    leaf = np.argsort(~leaves, axis=1, kind="stable")[:, :n_leaf]
+    leaf_index = np.where(leaves[rows, leaf], rows * n_nodes + leaf, 0)
+    levels = []
+    node, up = leaf, parent[rows, leaf]
+    while (up >= 0).any():
+        has = up >= 0
+        above = np.where(has, up, 0)
+        levels.append((rows * n_nodes + above,
+                       is_left[rows, node][:, :, None],
+                       np.where(has, node_bit[rows, above], 0)[:, :, None]))
+        node = np.where(has, up, node)
+        up = np.where(has, parent[rows, above], -1)
+    return ExplainLayout(f, padded("threshold", 0.0), local,
+                         1 << int(used.sum(axis=1).max()), leaf_index,
+                         tuple(levels), padded("value", 0.0).ravel())
+
+
 @dataclass
 class GbtModel:
+    """A fitted ensemble. Its trees and feature names are not changed
+    after construction; :attr:`explain_layout` is built from them once."""
+
     trees: list
     learning_rate: float
     base_score: float
     loss: str
     feature_names: list
+
+    @cached_property
+    def explain_layout(self) -> ExplainLayout:
+        """The trees' :class:`ExplainLayout`, built on first use (the
+        ensemble must have a tree)."""
+        return _explain_layout(self.trees, len(self.feature_names))
 
 
 @dataclass(frozen=True)

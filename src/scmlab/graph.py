@@ -76,9 +76,6 @@ class Dag:
     def parents_of(self, node):
         return self._parents[node]
 
-    def children_of(self, node):
-        return self._children[node]
-
     def ancestors_of(self, seeds) -> set:
         """All ancestors of the seed set (not including the seeds
         themselves unless reachable)."""
@@ -365,9 +362,11 @@ def load_graph(path: str) -> Dag:
     """Read a graph written by :func:`save_graph`.
 
     Raises GraphFileError, naming the path and line, for an edge line that
-    is not exactly two names or a ``# nodes:`` line that repeats a name.
+    is not exactly two names, a ``# nodes:`` line that repeats a name, an
+    ``# observed:`` name or an edge end that ``# nodes:`` does not
+    declare; and, naming the path, for an edge list with a cycle.
     """
-    nodes, observed, edges = None, None, []
+    nodes, observed, observed_line, edges = None, None, 0, []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -381,6 +380,7 @@ def load_graph(path: str) -> Dag:
                         f"{path}:{lineno}: node {dup!r} listed more than once")
             elif line.startswith("# observed:"):
                 observed = line.split(":", 1)[1].split()
+                observed_line = lineno
             elif line.startswith("#"):
                 continue
             else:
@@ -389,10 +389,24 @@ def load_graph(path: str) -> Dag:
                     raise GraphFileError(
                         f"{path}:{lineno}: expected 'parent child', got "
                         f"{len(pair)} names in {line!r}")
-                edges.append(tuple(pair))
+                edges.append((tuple(pair), lineno))
     if nodes is None:
-        nodes = sorted({n for e in edges for n in e})
-    return Dag(nodes, edges, observed)
+        nodes = sorted({n for e, _ in edges for n in e})
+    declared = set(nodes)
+    for name in observed or ():
+        if name not in declared:
+            raise GraphFileError(
+                f"{path}:{observed_line}: observed list names undeclared "
+                f"node {name!r}")
+    for (p, c), lineno in edges:
+        if p not in declared or c not in declared:
+            raise GraphFileError(
+                f"{path}:{lineno}: edge ({p!r}, {c!r}) names an undeclared "
+                f"node")
+    try:
+        return Dag(nodes, [e for e, _ in edges], observed)
+    except CycleError as exc:
+        raise GraphFileError(f"{path}: {exc}") from exc
 
 
 def to_dot(g: Dag) -> str:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import scmlab.estimators as estimators
 from scmlab import (Dataset, logistic_fit, mutual_information, ols_fit,
                     pearson)
 from scmlab.errors import (DegenerateColumnError, InsufficientDataError,
@@ -89,6 +90,35 @@ def test_ols_rank_deficient_design():
     d = make_data(x=x, x_copy=x.copy(), y=x + 1.0)
     with pytest.raises(RankDeficientError):
         ols_fit(d, "y", ["x", "x_copy"])
+
+
+# --- p-values: scipy.special forms of the scipy.stats survival functions --
+
+def test_t_and_z_pvalues_equal_scipy_stats_bit_for_bit():
+    t = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1e300, -1e300],
+                        np.random.default_rng(0).standard_normal(30) * 4.0])
+    dof = np.arange(1, 20_001)[:, None]
+    assert np.array_equal(estimators._t_pvalue(t, dof),
+                          2.0 * stats.t.sf(np.abs(t), dof))
+    z = np.concatenate([t, np.random.default_rng(1).standard_normal(10_000)
+                        * 10.0])
+    assert np.array_equal(estimators._z_pvalue(z),
+                          2.0 * stats.norm.sf(np.abs(z)))
+
+
+def test_fitted_pvalues_equal_scipy_stats_forms():
+    d = linear_data(n=120, seed=9)
+    fit = ols_fit(d, "y", ["x1", "x2"])
+    t = fit.coefficients / fit.stderr
+    assert np.array_equal(fit.p_values, 2.0 * stats.t.sf(np.abs(t), 117))
+    res = pearson(d, "x2", "y")
+    t = res.r * np.sqrt((120 - 2) / (1.0 - res.r * res.r))
+    assert res.p == float(2.0 * stats.t.sf(abs(t), 118))
+    x = normal_column(4, (0,), 400)
+    y = (uniform_column(4, (1,), 400) < 1.0 / (1.0 + np.exp(-x))).astype(float)
+    logit = logistic_fit(make_data(x=x, y=y), "y", ["x"])
+    z = logit.coefficients / logit.stderr
+    assert np.array_equal(logit.p_values, 2.0 * stats.norm.sf(np.abs(z)))
 
 
 # --- Pearson --------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from scmlab.cli import main
 import scmlab.experiments.sweep as sweep
@@ -432,6 +434,14 @@ def test_cli_missing_required_out_exits_2():
     assert err.value.code == 2
 
 
+def test_import_loads_neither_scipy_stats_nor_spatial():
+    code = ("import sys, scmlab, scmlab.cli; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.spatial') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_module_entrypoint(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "scmlab.cli", "run", "backdoor_report",
@@ -440,3 +450,24 @@ def test_cli_module_entrypoint(tmp_path):
     assert proc.returncode == 0
     assert "report.json" in proc.stdout
     assert (tmp_path / "paths.csv").exists()
+
+
+def test_spearman_equals_scipy_bit_for_bit():
+    # tie-heavy integer draws, continuous draws, and constant inputs (NaN)
+    rng = np.random.default_rng(5)
+    constant = 0
+    for _ in range(2500):
+        n = int(rng.integers(2, 25))
+        x, y = (rng.integers(0, rng.integers(1, 6), n).astype(float)
+                if rng.random() < 0.8 else rng.standard_normal(n)
+                for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", stats.ConstantInputWarning)
+            expected = float(stats.spearmanr(x, y).statistic)
+        got = sweep._spearman(x, y)
+        if np.isnan(expected):
+            constant += 1
+            assert np.isnan(got)
+        else:
+            assert got == expected
+    assert constant > 100

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import scmlab.explain as explain
+import scmlab.flexfit.gbt as gbt_module
 from scmlab import (Dataset, GbtConfig, MlpConfig, attribution_summary,
                     gbt_train, mlp_train, shapley_exact)
 from scmlab.errors import (EmptyBackgroundError, EmptyEvaluationError,
-                           TooManyFeaturesError)
+                           FeatureMismatchError, TooManyFeaturesError)
 from scmlab.flexfit import (model_from_json_dict, model_to_json_dict,
                             predict_on_matrix)
 from scmlab.rng import normal_column, uniform_column
@@ -225,6 +226,26 @@ def test_evaluation_rows_of_the_wrong_width_rejected(kind, shape):
                             relevant=["x0"], features=names)
 
 
+@pytest.mark.parametrize("kind", ["gbt", "mlp"])
+@pytest.mark.parametrize("order", [[3, 2, 1, 0], [0, 1]])
+def test_feature_list_other_than_the_models_rejected(kind, order):
+    # a permuted list explained the columns under the wrong names, and a
+    # short one returned a shorter phi, both without an error
+    names, models, X = pointwise_models()
+    features = [names[j] for j in order]
+    with pytest.raises(FeatureMismatchError, match="feature names") as err:
+        shapley_exact(models[kind], X[0, order], X[:8, order],
+                      features=features)
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(FeatureMismatchError):
+        attribution_summary(models[kind], X[-3:, order], X[:8, order],
+                            relevant=["x0"], features=features)
+    # the model's own list, given explicitly, is the default
+    same = shapley_exact(models[kind], X[0], X[:8], features=names)
+    assert np.array_equal(same.phi, shapley_exact(models[kind], X[0],
+                                                  X[:8]).phi)
+
+
 def test_mlp_prediction_equals_batch_prediction():
     names, models, X = pointwise_models()
     mlp, E, B = models["mlp"], X[-60:], X[:32]
@@ -393,6 +414,27 @@ def test_gbt_path_after_json_round_trip():
     loaded = model_from_json_dict(model_to_json_dict(model))
     assert np.array_equal(assert_matches_grid(loaded, E, B),
                           assert_matches_grid(model, E, B))
+
+
+def test_gbt_layout_built_once_per_model(monkeypatch):
+    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
+    first = shapley_exact(model, E[0], B)
+    layout = model.explain_layout
+
+    def rebuilt(*args):
+        raise AssertionError("explain layout built again")
+    monkeypatch.setattr(gbt_module, "_explain_layout", rebuilt)
+    second = shapley_exact(model, E[1], B)
+    summary = attribution_summary(model, E, B, relevant=["x0"])
+    assert model.explain_layout is layout
+    monkeypatch.undo()
+    fresh = model_from_json_dict(model_to_json_dict(model))
+    assert "explain_layout" not in vars(fresh)
+    assert np.array_equal(first.phi, shapley_exact(fresh, E[0], B).phi)
+    assert np.array_equal(second.phi, shapley_exact(fresh, E[1], B).phi)
+    assert np.array_equal(
+        summary.mean_abs_phi,
+        attribution_summary(fresh, E, B, relevant=["x0"]).mean_abs_phi)
 
 
 @pytest.mark.parametrize("budget", [1, 16_000])

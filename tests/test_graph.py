@@ -308,9 +308,28 @@ def test_load_graph_rejects_repeated_node_name(tmp_path):
         load_graph(str(path))
 
 
+@pytest.mark.parametrize("text, where, what", [
+    # a name on the observed line that the nodes line does not declare
+    ("# nodes: x y\n# observed: x q\nx y\n", ":2: ", "'q'"),
+    # an edge to an undeclared node
+    ("# nodes: x y\nx y\n\nx z\n", ":4: ", r"\('x', 'z'\)"),
+    # a cycle belongs to no one line: the path alone
+    ("# nodes: x y\nx y\ny x\n", ": ", "cycle"),
+])
+def test_load_graph_names_path_and_line_of_undeclared_or_cyclic(
+        tmp_path, text, where, what):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(GraphFileError,
+                       match=rf"g\.edges{where}.*{what}") as err:
+        load_graph(str(path))
+    assert isinstance(err.value, ValueError)
+
+
 def test_to_dot_marks_unobserved_dashed():
     g = Dag(["z", "x"], [("z", "x")], observed={"x"})
     dot = to_dot(g)
     assert "digraph" in dot
     assert "dashed" in dot
     assert '"z" -> "x"' in dot
+
