@@ -15,7 +15,8 @@ from scipy.special import digamma, expit, ndtr, stdtr
 
 from .dataset import Dataset
 from .errors import (DegenerateColumnError, InsufficientDataError,
-                     NonBinaryTargetError, RankDeficientError, SeparationError)
+                     NonBinaryTargetError, NonFiniteValueError,
+                     RankDeficientError, SeparationError)
 from .rng import substream
 
 _RANK_TOL = 1e-10          # singular values below tol*s_max are rank loss
@@ -110,9 +111,10 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     """Ordinary least squares of ``target`` on ``regressors`` plus an
     intercept; classical standard errors and t-test p-values.
 
-    Raises InsufficientDataError unless n > #regressors + 1, and
+    Raises InsufficientDataError unless n > #regressors + 1,
     RankDeficientError when the design matrix loses rank (smallest singular
-    value below 1e-10 times the largest).
+    value below 1e-10 times the largest), and NonFiniteValueError when the
+    residual variance overflows the float range.
     """
     regressors = list(regressors)
     n, p = data.n_rows, len(regressors) + 1
@@ -129,7 +131,12 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     beta = Vt.T @ ((U.T @ y) / s)
     resid = y - X @ beta
     dof = n - p
-    sigma2 = float(resid @ resid) / dof
+    with np.errstate(over="ignore"):
+        sigma2 = float(resid @ resid) / dof
+    if not np.isfinite(sigma2):
+        raise NonFiniteValueError(
+            f"residual_variance of {target!r} on {regressors} is not finite: "
+            "the residual sum of squares overflows")
     # (X'X)^-1 = V diag(s^-2) V'
     xtx_inv_diag = np.einsum("ji,i,ji->j", Vt.T, 1.0 / s**2, Vt.T)
     se = np.sqrt(sigma2 * xtx_inv_diag)

@@ -282,6 +282,12 @@ CLI_CONFIG_ERRORS = [
     ("fig3_fit", "epochs = -1\n", "epochs"),
     ("fig3_fit", "x_lo = 5\n", "x_lo"),
     ("fig3_fit", "noise_sd = -1\n", "noise_sd"),
+    ("fig3_fit", "init_scale = -1\n", "init_scale"),   # numpy traceback
+    ("fig3_fit", "init_scale = nan\n", "init_scale"),  # DivergenceError
+    ("fig3_fit", "learning_rate = nan\n", "learning_rate"),
+    ("fig3_fit", "learning_rate = 0\n", "learning_rate"),
+    ("fig3_fit", "momentum = -0.1\n", "momentum"),
+    ("fig3_fit", "momentum = 1\n", "momentum"),
     ("fig2_panels", "mi_k = 0\n", "mi_k"),
     ("fig2_panels", "rho_grid = 1.5\n", "rho_grid"),
     ("fig2_panels", "shape_noise_sd = -1\n", "shape_noise_sd"),
@@ -357,6 +363,22 @@ def test_cli_one_held_out_row_prints_json_error(tmp_path, capsys):
     assert_one_json_error(*run_cli(tmp_path, capsys, "overfit_demo",
                                    "test_fraction = 0.02\n"),
                           "InsufficientDataError")
+
+
+def test_cli_ols_overflow_prints_json_error_and_no_warning(tmp_path):
+    # resid @ resid overflowed with a RuntimeWarning on stderr, and only
+    # write_run stopped the infinite residual variance
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 1e300 1 1 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scmlab.cli", "run", "table2", "--n", "50",
+         "--out", str(out), "--config", str(cfg)],
+        capture_output=True, text=True)
+    assert_one_json_error(proc.returncode, proc.stdout.splitlines(), out,
+                          "NonFiniteValueError")
+    assert "residual_variance" in json.loads(proc.stdout)["message"]
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_fig5_gbt_settings_checked_before_sampling(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scmlab.flexfit import gbt as gbt_module
 from scmlab.rng import normal_column, uniform_column
 from scmlab.scm import sample
 import gbt_helpers
+import mlp_helpers
 
 
 def make_data(**cols):
@@ -134,10 +136,50 @@ def test_mlp_json_round_trip():
     (dict(hidden=()), "hidden"),
     (dict(hidden=(8, 0)), "hidden"),
     (dict(epochs=-1), "epochs"),
+    (dict(init_scale=-1.0), "init_scale"),    # numpy "scale < 0" traceback
+    (dict(init_scale=float("nan")), "init_scale"),  # DivergenceError at epoch 0
+    (dict(learning_rate=float("nan")), "learning_rate"),
+    (dict(learning_rate=0.0), "learning_rate"),
+    (dict(momentum=-0.1), "momentum"),
+    (dict(momentum=1.0), "momentum"),
 ])
 def test_mlp_config_rejects_bad_settings(settings, field):
     with pytest.raises(ConfigValidationError, match=field):
         MlpConfig(**settings)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("output", ["identity", "logistic"])
+def test_mlp_matches_reference_bit_for_bit(activation, output):
+    rng = np.random.default_rng(8)
+    for n_in, hidden, momentum in itertools.product(
+            (1, 4), ((6,), (5, 7), (5, 7, 3)), (0.0, 0.9)):
+        X = rng.normal(size=(90, n_in))
+        y = np.sin(2.0 * X).sum(axis=1) + 0.1 * rng.normal(size=90)
+        if output == "logistic":
+            y = (y > 0).astype(float)
+        features = [f"x{j}" for j in range(n_in)]
+        data = make_data(y=y, **{f: X[:, j] for j, f in enumerate(features)})
+        cfg = MlpConfig(hidden=hidden, activation=activation, output=output,
+                        learning_rate=0.05, momentum=momentum, epochs=150,
+                        seed=n_in + len(hidden))
+        got = mlp_train(data, "y", features, cfg)
+        want = mlp_helpers.mlp_train(data, "y", features, cfg)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.loss_history, want.loss_history)
+        E = rng.normal(size=(40, n_in)) * 2.0
+        assert np.array_equal(predict_on_matrix(got, E),
+                              mlp_helpers.predict_matrix(want, E))
+    # the squared loss diverges; the clipped log-loss stays bounded
+    diverges = MlpConfig(hidden=(16,), activation=activation,
+                         learning_rate=50.0, momentum=0.9, epochs=500)
+    messages = []
+    for train in (mlp_train, mlp_helpers.mlp_train):
+        with pytest.raises(DivergenceError) as err:
+            train(sine_data(), "y", ["x"], diverges)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 # --- GBT ------------------------------------------------------------------
