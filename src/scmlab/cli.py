@@ -54,6 +54,9 @@ def main(argv=None) -> int:
     except ScmLabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
+    except MemoryError as exc:
+        print(json.dumps({"error": "MemoryError", "message": str(exc)}))
+        return 1
 
 
 if __name__ == "__main__":

@@ -59,11 +59,6 @@ class Dataset:
         """Columns stacked as an (n_rows, len(names)) array, in given order."""
         return np.column_stack([self.column(n) for n in names])
 
-    def with_column(self, name: str, values) -> "Dataset":
-        cols = dict(self._cols)
-        cols[name] = values
-        return Dataset(cols)
-
     def take(self, rows) -> "Dataset":
         """Row subset (by index array), keeping all columns."""
         rows = np.asarray(rows)

@@ -48,17 +48,6 @@ class FitResult:
     def se(self, term: str) -> float:
         return float(self.stderr[self.terms.index(term)])
 
-    def to_json_dict(self) -> dict:
-        """JSON record with fixed field order."""
-        return {
-            "terms": list(self.terms),
-            "coefficients": [float(c) for c in self.coefficients],
-            "stderr": [float(s) for s in self.stderr],
-            "p_values": [float(p) for p in self.p_values],
-            "residual_variance": float(self.residual_variance),
-            "n_used": int(self.n_used),
-        }
-
 
 @dataclass
 class CorrResult:
@@ -67,9 +56,6 @@ class CorrResult:
     r: float
     p: float
     n: int
-
-    def to_json_dict(self) -> dict:
-        return {"r": float(self.r), "p": float(self.p), "n": int(self.n)}
 
 
 @dataclass
@@ -85,10 +71,6 @@ class MiResult:
     raw: float
     k_neighbors: int
     n: int
-
-    def to_json_dict(self) -> dict:
-        return {"mi": float(self.mi), "raw": float(self.raw),
-                "k_neighbors": int(self.k_neighbors), "n": int(self.n)}
 
 
 def _t_pvalue(t, dof):

@@ -106,13 +106,6 @@ class ExperimentConfig:
 def _coerce(key, value, default):
     """Parse the string ``value`` to the type of ``default``."""
     try:
-        if isinstance(default, bool):
-            low = value.strip().lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
@@ -130,7 +123,7 @@ def _coerce(key, value, default):
 
 def parse_config_file(path: str) -> dict:
     """Read a ``key = value`` file (``#`` comments, blank lines allowed)
-    into a string-to-string dict."""
+    into a string-to-string dict; a key may appear once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -144,8 +137,11 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigValidationError(
                 f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-        key, value = line.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in overrides:
+            raise ConfigValidationError(
+                f"{path}:{lineno}: {key} is set a second time")
+        overrides[key] = value
     return overrides
 
 

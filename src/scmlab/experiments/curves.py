@@ -32,9 +32,16 @@ def run_fig3_fit(cfg):
     if not p["noise_sd"] >= 0.0:
         raise ConfigValidationError(
             f"noise_sd = {p['noise_sd']} must be non-negative")
-    if not p["grid_step"] > 0.0:
+    if not 0.0 < p["grid_step"] < np.inf:
         raise ConfigValidationError(
-            f"grid_step = {p['grid_step']} must be positive")
+            f"grid_step = {p['grid_step']} must be a finite number above 0")
+    try:
+        grid = np.arange(p["x_lo"], p["x_hi"] + p["grid_step"] / 2.0,
+                         p["grid_step"])
+    except ValueError as exc:   # too many points, or an infinite range
+        raise ConfigValidationError(
+            f"grid_step = {p['grid_step']} gives no curve grid over "
+            f"[{p['x_lo']}, {p['x_hi']}]: {exc}") from None
     model = sine_trend_model(trend=p["trend"], amplitude=p["amplitude"],
                              frequency=p["frequency"], x_lo=p["x_lo"],
                              x_hi=p["x_hi"], noise_sd=p["noise_sd"])
@@ -61,8 +68,6 @@ def run_fig3_fit(cfg):
     metrics["mse_ratio_test"] = metrics["mlp_test_mse"] / metrics["linear_test_mse"]
     metrics["noise_variance"] = float(p["noise_sd"]) ** 2
 
-    grid = np.arange(p["x_lo"], p["x_hi"] + p["grid_step"] / 2.0,
-                     p["grid_step"])
     curve_rows = [[float(x), float(mean_fn(x)), float(lin_pred(x)), float(m)]
                   for x, m in zip(grid, mlp_pred(grid))]
     fit_rows = [["linear", metrics["linear_train_mse"],

@@ -16,7 +16,7 @@ __all__ = [
     "MlpConfig", "MlpModel", "mlp_train", "gradient_check",
     "GbtConfig", "GbtModel", "gbt_train",
     "SplitPlan", "StepRecord", "split", "stepwise_forward",
-    "predict", "predict_on_matrix", "model_to_json_dict", "model_from_json_dict",
+    "predict", "predict_on_matrix",
 ]
 
 
@@ -40,20 +40,3 @@ def predict_on_matrix(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, GbtModel):
         return _gbt.predict_matrix(model, X)
     raise TypeError(f"not a trained model: {type(model).__name__}")
-
-
-def model_to_json_dict(model) -> dict:
-    if isinstance(model, MlpModel):
-        return _mlp.to_json_dict(model)
-    if isinstance(model, GbtModel):
-        return _gbt.to_json_dict(model)
-    raise TypeError(f"not a trained model: {type(model).__name__}")
-
-
-def model_from_json_dict(doc: dict):
-    kind = doc.get("kind")
-    if kind == "mlp":
-        return _mlp.from_json_dict(doc)
-    if kind == "gbt":
-        return _gbt.from_json_dict(doc)
-    raise ValueError(f"unknown serialized model kind {kind!r}")

@@ -349,33 +349,3 @@ def predict_matrix(model: GbtModel, X: np.ndarray) -> np.ndarray:
     loss, real values for squared loss."""
     F = decision_function(model, X)
     return expit(F) if model.loss == "logistic" else F
-
-
-def to_json_dict(model: GbtModel) -> dict:
-    return {
-        "kind": "gbt",
-        "loss": model.loss,
-        "learning_rate": model.learning_rate,
-        "base_score": model.base_score,
-        "feature_names": list(model.feature_names),
-        "trees": [{
-            "feature": t.feature.tolist(),
-            "threshold": t.threshold.tolist(),
-            "left": t.left.tolist(),
-            "right": t.right.tolist(),
-            "value": t.value.tolist(),
-        } for t in model.trees],
-    }
-
-
-def from_json_dict(doc: dict) -> GbtModel:
-    if doc.get("kind") != "gbt":
-        raise ValueError("not a serialized gbt model")
-    trees = [Tree(np.asarray(t["feature"], dtype=np.int32),
-                  np.asarray(t["threshold"]),
-                  np.asarray(t["left"], dtype=np.int32),
-                  np.asarray(t["right"], dtype=np.int32),
-                  np.asarray(t["value"]))
-             for t in doc["trees"]]
-    return GbtModel(trees, float(doc["learning_rate"]), float(doc["base_score"]),
-                    doc["loss"], list(doc["feature_names"]))

@@ -30,12 +30,6 @@ from ..rng import substream
 
 _DIVERGENCE_FACTOR = 1e6
 
-# Training-loss monotonicity is only guaranteed for plain gradient descent
-# with a small enough step; with momentum the loss may transiently rise.
-# The documented tolerance: no epoch may increase the loss by more than
-# 5% of the initial loss.
-LOSS_RISE_TOLERANCE = 0.05
-
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -276,32 +270,3 @@ def gradient_check(config: MlpConfig, X: np.ndarray, y: np.ndarray,
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
         worst = max(worst, float(rel.max()))
     return worst
-
-
-def to_json_dict(model: MlpModel) -> dict:
-    return {
-        "kind": "mlp",
-        "activation": model.activation,
-        "output": model.output,
-        "feature_names": list(model.feature_names),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "x_mean": model.x_mean.tolist(),
-        "x_scale": model.x_scale.tolist(),
-        "y_mean": model.y_mean,
-        "y_scale": model.y_scale,
-    }
-
-
-def from_json_dict(doc: dict) -> MlpModel:
-    if doc.get("kind") != "mlp":
-        raise ValueError("not a serialized mlp model")
-    return MlpModel(
-        [np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        doc["activation"], doc["output"],
-        list(doc["feature_names"]),
-        np.asarray(doc["x_mean"], dtype=np.float64),
-        np.asarray(doc["x_scale"], dtype=np.float64),
-        float(doc["y_mean"]), float(doc["y_scale"]),
-    )

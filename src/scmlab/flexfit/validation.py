@@ -1,5 +1,5 @@
-"""Train/test splitting, k-fold assignment, and the forward-selection
-overfitting demonstration."""
+"""Train/test holdout splitting and the forward-selection overfitting
+demonstration."""
 
 from __future__ import annotations
 
@@ -15,58 +15,31 @@ from ..rng import substream
 
 @dataclass
 class SplitPlan:
-    """Row partition: either one train/test holdout or k folds.
-
-    For a holdout plan ``folds`` is None; for a CV plan ``folds[i]`` is the
-    fold id of row i and train/test default to fold 0's complement/fold 0.
-    """
+    """A train/test holdout: sorted row indices of each side."""
 
     train_idx: np.ndarray
     test_idx: np.ndarray
-    folds: np.ndarray = None
-
-    @property
-    def k(self):
-        return 0 if self.folds is None else int(self.folds.max()) + 1
-
-    def fold_indices(self, i: int):
-        """(train, test) row indices for fold i of a CV plan."""
-        test = np.nonzero(self.folds == i)[0]
-        train = np.nonzero(self.folds != i)[0]
-        return train, test
 
 
-def split(data: Dataset, test_fraction: float = None, k_folds: int = None,
-          seed: int = 0) -> SplitPlan:
-    """Seeded shuffle then partition into train/test or k balanced folds.
+def split(data: Dataset, test_fraction: float, seed: int = 0) -> SplitPlan:
+    """Seeded shuffle, then the first round(n * test_fraction) shuffled rows
+    form the test side and the rest the train side.
 
-    Exactly one of ``test_fraction`` (0 < f < 1) and ``k_folds`` (k >= 2)
-    must be given; fold sizes differ by at most one row.
+    ``test_fraction`` must lie strictly between 0 and 1 and leave a row on
+    each side.
     """
     n = data.n_rows
-    if (test_fraction is None) == (k_folds is None):
-        raise ValueError("give exactly one of test_fraction or k_folds")
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie strictly between 0 and 1")
+    n_test = int(round(n * test_fraction))
+    if n_test < 1 or n_test >= n:
+        raise InsufficientDataError(
+            f"test fraction {test_fraction} leaves an empty side of a "
+            f"{n}-row split")
     perm = substream(seed, 0x53504C).permutation(n)
-    if test_fraction is not None:
-        if not 0.0 < test_fraction < 1.0:
-            raise ValueError("test_fraction must lie strictly between 0 and 1")
-        n_test = int(round(n * test_fraction))
-        if n_test < 1 or n_test >= n:
-            raise InsufficientDataError(
-                f"test fraction {test_fraction} leaves an empty side of a "
-                f"{n}-row split")
-        test = np.sort(perm[:n_test])
-        train = np.sort(perm[n_test:])
-        return SplitPlan(train, test)
-    if k_folds < 2:
-        raise ValueError("k_folds must be at least 2")
-    if n < k_folds:
-        raise InsufficientDataError(f"cannot cut {n} rows into {k_folds} folds")
-    folds = np.empty(n, dtype=np.int32)
-    for i, chunk in enumerate(np.array_split(perm, k_folds)):
-        folds[chunk] = i
-    train, test = np.nonzero(folds != 0)[0], np.nonzero(folds == 0)[0]
-    return SplitPlan(train, test, folds)
+    test = np.sort(perm[:n_test])
+    train = np.sort(perm[n_test:])
+    return SplitPlan(train, test)
 
 
 @dataclass

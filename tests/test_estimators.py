@@ -32,7 +32,7 @@ def test_dataset_rejects_non_finite_values(bad):
     with pytest.raises(NonFiniteValueError, match="'y'"):
         make_data(x=[1.0, 2.0, 3.0], y=[1.0, bad, 3.0])
     with pytest.raises(NonFiniteValueError, match="'z'"):
-        make_data(x=[1.0, 2.0, 3.0]).with_column("z", [bad, 0.0, 0.0])
+        make_data(x=[1.0, 2.0, 3.0], z=[bad, 0.0, 0.0])
 
 
 # --- OLS ------------------------------------------------------------------
@@ -74,9 +74,6 @@ def test_ols_coef_and_se_accessors():
     fit = ols_fit(linear_data(), "y", ["x1", "x2"])
     assert fit.coef("x1") == pytest.approx(fit.coefficients[1])
     assert fit.se("intercept") == pytest.approx(fit.stderr[0])
-    doc = fit.to_json_dict()
-    assert doc["terms"] == ["intercept", "x1", "x2"]
-    assert len(doc["coefficients"]) == 3
 
 
 def test_ols_insufficient_rows():

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scmlab.cli import main
+import scmlab.cli
+import scmlab.experiments
 import scmlab.experiments.sweep as sweep
+import scmlab.flexfit
+from scmlab.cli import main
 from scmlab.errors import (ConfigValidationError, IoError,
                            NonFiniteValueError, UnknownExperimentError)
-from scmlab.experiments import (ExperimentConfig, _coerce, build_config,
+from scmlab.experiments import (ExperimentConfig, build_config,
                                 list_experiments, parse_config_file, run)
 from scmlab.experiments.report import format_cell, write_run
 
@@ -25,6 +28,15 @@ def read_json(path):
 
 
 # --- registry and configuration -------------------------------------------
+
+@pytest.mark.parametrize("module", [scmlab, scmlab.flexfit,
+                                    scmlab.experiments],
+                         ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    # a stale __all__ entry breaks ``from module import *``
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
 
 def test_registry_lists_all_experiments():
     listed = list_experiments()
@@ -77,15 +89,6 @@ def test_override_coercion_follows_default_types():
     assert cfg.params["hidden"] == (4, 4)
 
 
-def test_coerce_bool_spellings():
-    for text in ["true", "True", "1", "yes"]:
-        assert _coerce("flag", text, False) is True
-    for text in ["false", "0", "no"]:
-        assert _coerce("flag", text, True) is False
-    with pytest.raises(ConfigValidationError):
-        _coerce("flag", "maybe", True)
-
-
 def test_seed_and_n_precedence():
     # explicit argument > config-file override > registry default
     over = {"seed": "99", "n": "1200"}
@@ -114,6 +117,16 @@ def test_parse_config_file_malformed_line(tmp_path):
     with pytest.raises(ConfigValidationError) as err:
         parse_config_file(str(path))
     assert "bad.cfg:1" in str(err.value)
+
+
+def test_parse_config_file_repeated_key(tmp_path):
+    # the second value used to win silently
+    path = tmp_path / "twice.cfg"
+    path.write_text("epochs = 10\nmi_k = 3\nepochs = 20\n", encoding="utf-8")
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config_file(str(path))
+    assert "twice.cfg:3" in str(err.value)
+    assert "epochs" in str(err.value)
 
 
 def test_parse_config_file_missing():
@@ -278,6 +291,8 @@ CLI_CONFIG_ERRORS = [
     ("fig3_fit", "hidden =\n", "hidden"),
     # rejected before the fit, not after its 20 000 epochs
     ("fig3_fit", "grid_step = 0\n", "grid_step"),
+    ("fig3_fit", "grid_step = 1e-300\n", "grid_step"),  # numpy traceback
+    ("fig3_fit", "grid_step = inf\n", "grid_step"),     # numpy traceback
     ("fig3_fit", "activation = sigmoid\n", "activation"),  # ran as relu
     ("fig3_fit", "epochs = -1\n", "epochs"),
     ("fig3_fit", "x_lo = 5\n", "x_lo"),
@@ -379,6 +394,17 @@ def test_cli_ols_overflow_prints_json_error_and_no_warning(tmp_path):
                           "NonFiniteValueError")
     assert "residual_variance" in json.loads(proc.stdout)["message"]
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_allocation_failure_prints_json_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # a huge --n ended in numpy's _ArrayMemoryError traceback
+    def run(name, config):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+    monkeypatch.setattr(scmlab.cli, "run", run)
+    code, lines, out = run_cli(tmp_path, capsys, "table3", "")
+    assert_one_json_error(code, lines, out, "MemoryError")
+    assert "7.28 TiB" in json.loads(lines[0])["message"]
 
 
 def test_fig5_gbt_settings_checked_before_sampling(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -12,8 +11,7 @@ from scmlab.errors import (ConfigValidationError, DegenerateTargetError,
 from scmlab.experiments import build_config
 from scmlab.experiments.generators import (blended_logit_features,
                                            blended_logit_model)
-from scmlab.flexfit import (model_from_json_dict, model_to_json_dict,
-                            predict_on_matrix)
+from scmlab.flexfit import predict_on_matrix
 from scmlab.flexfit import gbt as gbt_module
 from scmlab.rng import normal_column, uniform_column
 from scmlab.scm import sample
@@ -114,20 +112,6 @@ def test_mlp_predict_requires_features():
                       MlpConfig(hidden=(4,), epochs=50, seed=0))
     with pytest.raises(MissingFeatureError):
         predict(model, make_data(z=np.zeros(5)))
-
-
-def test_mlp_json_round_trip():
-    model = mlp_train(sine_data(), "y", ["x"],
-                      MlpConfig(hidden=(6,), epochs=300, seed=2))
-    doc = model_to_json_dict(model)
-    clone = model_from_json_dict(doc)
-    X = np.linspace(-3, 3, 50)[:, None]
-    assert np.allclose(predict_on_matrix(model, X),
-                       predict_on_matrix(clone, X))
-    # documents written while the model carried its target's name
-    old = model_from_json_dict({**doc, "target_name": "y"})
-    assert np.array_equal(predict_on_matrix(old, X),
-                          predict_on_matrix(model, X))
 
 
 @pytest.mark.parametrize("settings, field", [
@@ -276,28 +260,6 @@ def test_gbt_ignores_pure_noise_feature_mostly():
     assert np.mean(np.abs(base - wiggled)) < 0.1 * np.std(y)
 
 
-def test_gbt_json_round_trip():
-    d = sine_data(n=150, seed=13)
-    model = gbt_train(d, "y", ["x"],
-                      GbtConfig(n_trees=25, depth=2, learning_rate=0.3,
-                                min_leaf=10))
-    clone = model_from_json_dict(model_to_json_dict(model))
-    X = np.linspace(-3, 3, 77)[:, None]
-    assert np.allclose(predict_on_matrix(model, X),
-                       predict_on_matrix(clone, X))
-
-    # the clone carries every field the fitted model carries
-    def carried(obj):
-        return [f.name for f in dataclasses.fields(obj)
-                if getattr(obj, f.name) is not None]
-
-    assert carried(clone) == carried(model)
-    for tree, copy in zip(model.trees, clone.trees, strict=True):
-        for name in carried(tree):
-            a, b = getattr(tree, name), getattr(copy, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
 # --- GBT against the plain reference grower -------------------------------
 
 def mixed_columns(n, seed):
@@ -427,28 +389,8 @@ def test_split_holdout_partitions():
         plan.test_idx, split(d, test_fraction=0.25, seed=5).test_idx)
 
 
-def test_split_kfold_balanced_cover():
-    d = sine_data(n=103)
-    plan = split(d, k_folds=5, seed=0)
-    assert plan.k == 5
-    sizes = []
-    all_test = []
-    for i in range(plan.k):
-        train_idx, test_idx = plan.fold_indices(i)
-        assert np.intersect1d(train_idx, test_idx).size == 0
-        assert train_idx.size + test_idx.size == 103
-        sizes.append(test_idx.size)
-        all_test.append(test_idx)
-    assert max(sizes) - min(sizes) <= 1
-    assert np.array_equal(np.sort(np.concatenate(all_test)), np.arange(103))
-
-
 def test_split_argument_guards():
     d = sine_data(n=20)
-    with pytest.raises(ValueError):
-        split(d)
-    with pytest.raises(ValueError):
-        split(d, test_fraction=0.5, k_folds=3)
     with pytest.raises(ValueError):
         split(d, test_fraction=1.5)
     with pytest.raises(InsufficientDataError):
@@ -488,7 +430,8 @@ def test_stepwise_needs_two_held_out_rows():
     d = sine_data(n=50)
     plan = split(d, test_fraction=0.02, seed=0)
     assert plan.test_idx.size == 1
-    d = d.with_column("c", normal_column(3, (0,), 50))
+    d = make_data(x=d.column("x"), y=d.column("y"),
+                  c=normal_column(3, (0,), 50))
     with pytest.raises(InsufficientDataError, match="test rows"):
         stepwise_forward(d, "y", ["x", "c"], plan)
 
