@@ -4,16 +4,20 @@ Each experiment owns a default seed, sample size, and parameter set; a run
 writes ``report.json``, one CSV per table, and ``meta.json`` into its output
 directory, and rerunning with the same configuration reproduces the files
 byte for byte.  Parameters may be overridden from a plain ``key = value``
-config file; keys are validated against the experiment's defaults and
-values are coerced to the default's type.
+config file; each value takes its default's type, and ``run`` checks it
+against the range registered next to the default before the run starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigValidationError, IoError, UnknownExperimentError
+from ..explain import _MAX_FEATURES
 from .curves import run_fig3_fit
+from .generators import blended_logit_features
 from .identify import run_backdoor_report
 from .overfit import run_overfit_demo
 from .panels import run_fig2_panels
@@ -23,52 +27,68 @@ from .tables import run_part2_regressions, run_table2, run_table3
 __all__ = ["ExperimentConfig", "build_config", "list_experiments",
            "parse_config_file", "run"]
 
+# explain's feature cap, less fig5's four features that are not noise
+_MAX_NOISE_FEATURES = _MAX_FEATURES - len(blended_logit_features(0))
+
+# Each parameter maps to (default, accepts): "" for any value, "length K"
+# for K values, or an interval that the value, or each element of a grid,
+# lies in ("(" and ")" exclude a bound; n is the run's sample size).  Every
+# float must be finite.  Rules on the parameters jointly follow as
+# (key, requirement, predicate).
 _REGISTRY = {
     "table2": (
         run_table2, 7, 5000,
-        {"theta": (3.3, 0.1, 0.3, 0.5)},
+        {"theta": ((3.3, 0.1, 0.3, 0.5), "length 4")}, (),
         "OLS coefficient recovery on the exogenous-predictor model"),
     "table3": (
         run_table3, 7, 5000,
-        {},
+        {}, (),
         "pairwise correlations vs. analytic values on the confounded chain"),
     "part2_regressions": (
         run_part2_regressions, 7, 5000,
-        {},
+        {}, (),
         "four adjustment strategies for the x0->y effect, with population "
         "oracles"),
     "backdoor_report": (
         run_backdoor_report, 7, 10,
-        {},
+        {}, (),
         "backdoor paths and minimal adjustment sets for x0->y"),
     "fig2_panels": (
         run_fig2_panels, 7, 2000,
-        {"rho_grid": (0.0, 0.2, 0.4, 0.6, 0.8, 0.95),
-         "shape_noise_sd": 0.1,
-         "mi_k": 3},
+        {"rho_grid": ((0.0, 0.2, 0.4, 0.6, 0.8, 0.95), "[-1, 1]"),
+         "shape_noise_sd": (0.1, "[0, inf)"),
+         "mi_k": (3, "[1, n)")}, (),
         "Pearson correlation vs. mutual information on linear and shaped "
         "panels"),
     "fig3_fit": (
         run_fig3_fit, 7, 400,
-        {"trend": 0.5, "amplitude": 2.0, "frequency": 3.0,
-         "x_lo": -4.0, "x_hi": 4.0, "noise_sd": 0.3,
-         "hidden": (32,), "activation": "tanh", "learning_rate": 0.05,
-         "epochs": 20000, "momentum": 0.9, "init_scale": 1.5,
-         "grid_step": 0.02},
+        {"trend": (0.5, ""), "amplitude": (2.0, ""), "frequency": (3.0, ""),
+         "x_lo": (-4.0, ""), "x_hi": (4.0, ""), "noise_sd": (0.3, "[0, inf)"),
+         "hidden": ((32,), ""), "activation": ("tanh", ""),
+         "learning_rate": (0.05, ""), "epochs": (20000, ""),
+         "momentum": (0.9, ""), "init_scale": (1.5, ""),
+         "grid_step": (0.02, "(0, inf)")},
+        (("x_lo", "be below x_hi", lambda p: p["x_lo"] < p["x_hi"]),),
         "linear regression vs. MLP on a sinusoid-over-trend target"),
     "fig5_sweep": (
         run_fig5_sweep, 7, 20000,
-        {"q_grid": tuple(i / 10.0 for i in range(11)),
-         "coefficients": (0.388, -0.325, 1.714, -1.0, 1.265, 0.0233),
-         "proxy_sd": 3.5, "n_noise_features": 4,
-         "gbt_trees": 500, "gbt_depth": 2, "gbt_learning_rate": 0.08,
-         "gbt_min_leaf": 80, "gbt_bins": 64,
-         "eval_rows": 100, "background_rows": 64},
+        {"q_grid": (tuple(i / 10.0 for i in range(11)), "[0, 1]"),
+         "coefficients": ((0.388, -0.325, 1.714, -1.0, 1.265, 0.0233),
+                          "length 6"),
+         "proxy_sd": (3.5, "[0, inf)"),
+         "n_noise_features": (4, f"[0, {_MAX_NOISE_FEATURES}]"),
+         "gbt_trees": (500, ""), "gbt_depth": (2, ""),
+         "gbt_learning_rate": (0.08, ""), "gbt_min_leaf": (80, ""),
+         "gbt_bins": (64, ""),
+         "eval_rows": (100, "[1, n]"), "background_rows": (64, "[1, n]")},
+        (("q_grid", "hold two distinct values",
+          lambda p: len(set(p["q_grid"])) >= 2),),
         "logistic vs. boosted-tree loss and Shapley attribution mass over a "
         "nonlinearity blend"),
     "overfit_demo": (
         run_overfit_demo, 7, 200,
-        {"n_candidates": 20, "test_fraction": 0.5, "min_improvement": 0.0},
+        {"n_candidates": (20, "[2, inf)"), "test_fraction": (0.5, "(0, 1)"),
+         "min_improvement": (0.0, "")}, (),
         "forward selection on pure noise: in-sample vs. held-out R^2"),
 }
 
@@ -103,22 +123,22 @@ class ExperimentConfig:
                 f"seed = {self.seed} must be non-negative")
 
 
-def _coerce(key, value, default):
-    """Parse the string ``value`` to the type of ``default``."""
+def _convert(key, value, default):
+    """``value`` as the type of ``default``: a string is parsed, and any
+    other value must convert exactly (3.0 to an int does, 3.7 does not)."""
+    kind = type(default)
     try:
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
-        if isinstance(default, (tuple, list)):
-            elem = type(default[0]) if len(default) else float
-            parts = [s for s in value.replace(",", " ").split() if s]
-            return tuple(elem(s) for s in parts)
-        return value.strip()
-    except (TypeError, ValueError):
-        raise ConfigValidationError(
-            f"could not parse {key} = {value!r} as "
-            f"{type(default).__name__}") from None
+        if kind is tuple:
+            items = (value.replace(",", " ").split()
+                     if isinstance(value, str) else value)
+            return tuple(_convert(key, v, default[0]) for v in items)
+        out = kind(value.strip() if isinstance(value, str) else value)
+        if isinstance(value, str) or out == value or out != out:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigValidationError(
+        f"could not parse {key} = {value!r} as {kind.__name__}")
 
 
 def parse_config_file(path: str) -> dict:
@@ -150,43 +170,86 @@ def build_config(name: str, out_dir: str, seed: int = None, n: int = None,
     """Resolve CLI arguments and config-file overrides against the
     experiment's defaults.
 
-    ``overrides`` maps parameter names (strings) to replacement values;
-    string values are coerced to the default's type, non-strings are taken
-    as-is.  ``seed`` and ``n`` may also appear as override keys; explicit
-    arguments win over overrides, which win over defaults.
+    ``overrides`` maps parameter names (strings) to replacement values,
+    each given the default's type by ``_convert``.  ``seed`` and ``n`` may
+    also appear as override keys; explicit arguments win over overrides,
+    which win over defaults.  Ranges are checked by ``run``, not here.
     """
-    _, def_seed, def_n, def_params, _ = _lookup(name)
-    params = dict(def_params)
+    _, def_seed, def_n, def_params, _, _ = _lookup(name)
+    params = {key: default for key, (default, _) in def_params.items()}
     overrides = dict(overrides or {})
-    if "seed" in overrides and seed is None:
-        seed = _coerce("seed", str(overrides["seed"]), 0)
-    overrides.pop("seed", None)
-    if "n" in overrides and n is None:
-        n = _coerce("n", str(overrides["n"]), 0)
-    overrides.pop("n", None)
+    file_seed = overrides.pop("seed", def_seed)
+    file_n = overrides.pop("n", def_n)
     for key, value in overrides.items():
         if key not in params:
             raise ConfigValidationError(
                 f"unknown parameter {key!r} for experiment {name!r}; "
                 f"valid keys: {', '.join(sorted(params)) or '(none)'}")
-        params[key] = (_coerce(key, value, params[key])
-                       if isinstance(value, str) else value)
-    return ExperimentConfig(name=name,
-                            seed=def_seed if seed is None else int(seed),
-                            n=def_n if n is None else int(n),
-                            out_dir=out_dir, params=params)
+        params[key] = _convert(key, value, params[key])
+    return ExperimentConfig(
+        name=name, out_dir=out_dir, params=params,
+        seed=_convert("seed", file_seed if seed is None else seed, 0),
+        n=_convert("n", file_n if n is None else n, 0))
+
+
+_INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
+
+
+def _bounds(accepts: str, n: int):
+    """(lo, lo_open, hi, hi_open) of an interval ``accepts`` at sample size
+    ``n``, or None when ``accepts`` is not an interval."""
+    match = _INTERVAL.fullmatch(accepts)
+    if match is None:
+        return None
+    lo_bracket, lo, hi, hi_bracket = match.groups()
+    return (n if lo == "n" else float(lo), lo_bracket == "(",
+            n if hi == "n" else float(hi), hi_bracket == ")")
+
+
+def _reject(label, value, requirement):
+    raise ConfigValidationError(f"{label} = {value!r} must {requirement}")
+
+
+def _checked(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` with its parameters in their defaults' types; raises
+    ``ConfigValidationError`` naming the first out of type or range."""
+    _, _, _, registered, rules, _ = _lookup(config.name)
+    params = {}
+    for key, (default, accepts) in registered.items():
+        value = params[key] = _convert(key, config.params[key], default)
+        _, _, length = accepts.partition("length ")
+        if length and len(value) != int(length):
+            _reject(key, value, f"hold {length} values")
+        bounds = _bounds(accepts, config.n)
+        named = (((f"{key}[{i}]", v) for i, v in enumerate(value))
+                 if isinstance(value, tuple) else [(key, value)])
+        for label, v in named:
+            if isinstance(v, float) and not math.isfinite(v):
+                _reject(label, v, "be finite")
+            if bounds is None:
+                continue
+            lo, lo_open, hi, hi_open = bounds
+            if not ((lo < v if lo_open else lo <= v)
+                    and (v < hi if hi_open else v <= hi)):
+                _reject(label, v, "lie in "
+                        + re.sub(r"\bn\b", str(config.n), accepts))
+    for key, requirement, holds in rules:
+        if not holds(params):
+            _reject(key, params[key], requirement)
+    return replace(config, params=params)
 
 
 def run(name: str, config: ExperimentConfig) -> list:
-    """Execute a registered experiment; returns the report file names
-    written into ``config.out_dir``."""
+    """Check ``config`` against the registered ranges, then execute the
+    experiment; returns the report file names written into
+    ``config.out_dir``."""
     runner = _lookup(name)[0]
     if config.name != name:
         raise ConfigValidationError(
             f"config is for {config.name!r}, not {name!r}")
-    return runner(config)
+    return runner(_checked(config))
 
 
 def list_experiments() -> list:
     """(name, description) pairs for every registered experiment."""
-    return [(name, _REGISTRY[name][4]) for name in sorted(_REGISTRY)]
+    return [(name, _REGISTRY[name][5]) for name in sorted(_REGISTRY)]

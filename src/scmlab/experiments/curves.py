@@ -20,21 +20,11 @@ def _mse(y, pred):
 
 def run_fig3_fit(cfg):
     p = cfg.params
-    mlp_cfg = MlpConfig(hidden=tuple(int(h) for h in p["hidden"]),
-                        activation=p["activation"], output="identity",
-                        learning_rate=p["learning_rate"],
-                        epochs=int(p["epochs"]), momentum=p["momentum"],
+    mlp_cfg = MlpConfig(hidden=p["hidden"], activation=p["activation"],
+                        output="identity", learning_rate=p["learning_rate"],
+                        epochs=p["epochs"], momentum=p["momentum"],
                         init_scale=p["init_scale"],
                         seed=derive_seed(cfg.seed, 2))
-    if not p["x_lo"] < p["x_hi"]:
-        raise ConfigValidationError(
-            f"x_lo = {p['x_lo']} must be below x_hi = {p['x_hi']}")
-    if not p["noise_sd"] >= 0.0:
-        raise ConfigValidationError(
-            f"noise_sd = {p['noise_sd']} must be non-negative")
-    if not 0.0 < p["grid_step"] < np.inf:
-        raise ConfigValidationError(
-            f"grid_step = {p['grid_step']} must be a finite number above 0")
     try:
         grid = np.arange(p["x_lo"], p["x_hi"] + p["grid_step"] / 2.0,
                          p["grid_step"])
@@ -66,7 +56,7 @@ def run_fig3_fit(cfg):
         metrics[f"linear_{split_name}_mse"] = _mse(y, lin_pred(x))
         metrics[f"mlp_{split_name}_mse"] = _mse(y, mlp_pred(x))
     metrics["mse_ratio_test"] = metrics["mlp_test_mse"] / metrics["linear_test_mse"]
-    metrics["noise_variance"] = float(p["noise_sd"]) ** 2
+    metrics["noise_variance"] = p["noise_sd"] ** 2
 
     curve_rows = [[float(x), float(mean_fn(x)), float(lin_pred(x)), float(m)]
                   for x, m in zip(grid, mlp_pred(grid))]

@@ -3,7 +3,6 @@ every accepted variable while held-out fit goes nowhere or negative."""
 
 from __future__ import annotations
 
-from ..errors import ConfigValidationError
 from ..flexfit import split, stepwise_forward
 from ..rng import derive_seed
 from ..scm import sample
@@ -13,22 +12,14 @@ from .report import write_run
 
 def run_overfit_demo(cfg):
     p = cfg.params
-    n_cand = int(p["n_candidates"])
-    test_fraction = float(p["test_fraction"])
-    if n_cand < 2:
-        raise ConfigValidationError(
-            f"n_candidates = {n_cand} must be at least 2")
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigValidationError(
-            f"test_fraction = {test_fraction} must lie strictly between 0 "
-            f"and 1")
+    n_cand = p["n_candidates"]
     model = noise_candidates_model(n_cand)
     data = sample(model, cfg.n, cfg.seed)
-    plan = split(data, test_fraction=test_fraction,
+    plan = split(data, test_fraction=p["test_fraction"],
                  seed=derive_seed(cfg.seed, 1))
     candidates = [f"c{i}" for i in range(1, n_cand + 1)]
     trace = stepwise_forward(data, "y", candidates, plan,
-                             min_improvement=float(p["min_improvement"]))
+                             min_improvement=p["min_improvement"])
 
     rows = [[step + 1, rec.feature, rec.in_r2, rec.out_r2]
             for step, rec in enumerate(trace)]

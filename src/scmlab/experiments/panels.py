@@ -9,7 +9,6 @@ for both.  MI is reported in nats.
 
 from __future__ import annotations
 
-from ..errors import ConfigValidationError
 from ..estimators import mutual_information, pearson
 from ..rng import derive_seed
 from ..scm import sample
@@ -20,30 +19,18 @@ _SHAPES = ("quadratic", "sinusoid", "circle", "cross")
 
 
 def run_fig2_panels(cfg):
-    rho_grid = [float(r) for r in cfg.params["rho_grid"]]
-    noise_sd = float(cfg.params["shape_noise_sd"])
-    mi_k = int(cfg.params["mi_k"])
-    for rho in rho_grid:
-        if not -1.0 <= rho <= 1.0:
-            raise ConfigValidationError(
-                f"rho_grid: correlation {rho!r} outside [-1, 1]")
-    if not noise_sd >= 0.0:
-        raise ConfigValidationError(
-            f"shape_noise_sd = {noise_sd} must be non-negative")
-    if not 1 <= mi_k < cfg.n:
-        raise ConfigValidationError(
-            f"mi_k = {mi_k} must lie in 1..n-1 (n = {cfg.n})")
+    p = cfg.params
     panels = [("rho_%g" % rho, correlated_pair_model(rho), rho)
-              for rho in rho_grid]
-    panels += [(shape, shape_pair_model(shape, noise_sd=noise_sd), None)
-               for shape in _SHAPES]
+              for rho in p["rho_grid"]]
+    panels += [(shape, shape_pair_model(shape, noise_sd=p["shape_noise_sd"]),
+                None) for shape in _SHAPES]
 
     rows = []
     summary = {}
     for idx, (label, model, rho) in enumerate(panels):
         data = sample(model, cfg.n, derive_seed(cfg.seed, idx))
         corr = pearson(data, "x", "y")
-        mi = mutual_information(data, "x", "y", k=mi_k)
+        mi = mutual_information(data, "x", "y", k=p["mi_k"])
         rows.append([label, "" if rho is None else rho, corr.r, corr.p,
                      mi.mi, cfg.n])
         summary[label] = {"r": corr.r, "p": corr.p, "mi_nats": mi.mi}

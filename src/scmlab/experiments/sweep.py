@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from ..errors import ConfigValidationError
 from ..estimators import logistic_fit
 from ..explain import attribution_summary
 from ..flexfit import GbtConfig, gbt_train
@@ -68,49 +67,24 @@ def _misclass(y, p):
 
 def run_fig5_sweep(cfg):
     p = cfg.params
-    q_grid = [float(q) for q in p["q_grid"]]
-    coefficients = tuple(float(c) for c in p["coefficients"])
-    proxy_sd = float(p["proxy_sd"])
-    n_noise_features = int(p["n_noise_features"])
-    if len(set(q_grid)) < 2:
-        raise ConfigValidationError(
-            f"q_grid = {p['q_grid']!r} must hold at least two distinct blend "
-            f"weights")
-    for q in q_grid:
-        if not 0.0 <= q <= 1.0:
-            raise ConfigValidationError(
-                f"q_grid: blend weight {q!r} outside [0, 1]")
-    if len(coefficients) != 6:
-        raise ConfigValidationError(
-            f"coefficients: expected six link coefficients, got "
-            f"{len(coefficients)}")
-    if not proxy_sd >= 0.0:
-        raise ConfigValidationError(
-            f"proxy_sd = {proxy_sd} must be non-negative")
-    if n_noise_features < 0:
-        raise ConfigValidationError(
-            f"n_noise_features = {n_noise_features} must be non-negative")
-    features = blended_logit_features(n_noise_features)
-    for key in ("eval_rows", "background_rows"):
-        if not 1 <= int(p[key]) <= cfg.n:
-            raise ConfigValidationError(
-                f"{key} = {p[key]} must lie in 1..n (n = {cfg.n})")
-    gbt_cfg = GbtConfig(n_trees=int(p["gbt_trees"]), depth=int(p["gbt_depth"]),
-                        learning_rate=float(p["gbt_learning_rate"]),
-                        min_leaf=int(p["gbt_min_leaf"]),
-                        n_bins=int(p["gbt_bins"]), loss="logistic")
+    q_grid = p["q_grid"]
+    features = blended_logit_features(p["n_noise_features"])
+    gbt_cfg = GbtConfig(n_trees=p["gbt_trees"], depth=p["gbt_depth"],
+                        learning_rate=p["gbt_learning_rate"],
+                        min_leaf=p["gbt_min_leaf"], n_bins=p["gbt_bins"],
+                        loss="logistic")
     train_seed = derive_seed(cfg.seed, 0)
     test_seed = derive_seed(cfg.seed, 1)
     # fixed evaluation/background row subsets, shared across the grid
     eval_rows = np.sort(substream(cfg.seed, 2).choice(
-        cfg.n, size=int(p["eval_rows"]), replace=False))
+        cfg.n, size=p["eval_rows"], replace=False))
     bg_rows = np.sort(substream(cfg.seed, 3).choice(
-        cfg.n, size=int(p["background_rows"]), replace=False))
+        cfg.n, size=p["background_rows"], replace=False))
 
     points, mass_rows = [], []       # points: one sweep.csv row per q
     for q in q_grid:
-        model = blended_logit_model(q, coefficients, proxy_sd,
-                                    n_noise_features)
+        model = blended_logit_model(q, p["coefficients"], p["proxy_sd"],
+                                    p["n_noise_features"])
         # same seeds for every q: q enters only the link, so the base draws
         # are identical across the grid and the comparison is paired
         train = sample(model, cfg.n, train_seed)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigValidationError
 from ..estimators import ols_fit, pearson
 from ..scm import (population_covariance, population_regression, sample,
                    total_effect_linear)
@@ -16,11 +15,7 @@ from .report import write_run
 def run_table2(cfg):
     """OLS on the exogenous-predictor model: the benign case where the
     estimated coefficients match the generating ones."""
-    theta = list(cfg.params["theta"])
-    if len(theta) != 4:
-        raise ConfigValidationError(
-            f"theta: expected four weights (x0 = 1, x1..x3), got "
-            f"{len(theta)}")
+    theta = cfg.params["theta"]
     model = exogenous_predictor_model(theta=theta)
     data = sample(model, cfg.n, cfg.seed)
     fit = ols_fit(data, "y", ["x1", "x2", "x3"])

@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ import scmlab.flexfit
 from scmlab.cli import main
 from scmlab.errors import (ConfigValidationError, IoError,
                            NonFiniteValueError, UnknownExperimentError)
-from scmlab.experiments import (ExperimentConfig, build_config,
-                                list_experiments, parse_config_file, run)
+from scmlab.experiments import (_REGISTRY, ExperimentConfig, _bounds,
+                                _checked, build_config, list_experiments,
+                                parse_config_file, run)
 from scmlab.experiments.report import format_cell, write_run
 
 ALL_EXPERIMENTS = ["backdoor_report", "fig2_panels", "fig3_fit", "fig5_sweep",
@@ -84,9 +87,26 @@ def test_override_coercion_follows_default_types():
     assert cfg.params["epochs"] == 100
     assert cfg.params["noise_sd"] == 0.5
     assert cfg.params["activation"] == "relu"
-    # non-string overrides pass through untouched
+    # a Python tuple resolves element by element
     cfg = build_config("fig3_fit", out_dir="x", overrides={"hidden": (4, 4)})
     assert cfg.params["hidden"] == (4, 4)
+
+
+def test_python_values_must_convert_exactly(tmp_path):
+    # 3.7 ran as int(3.7) = 3 while report.json echoed 3.7
+    for name, key, value in [("fig2_panels", "mi_k", 3.7),
+                             ("overfit_demo", "n_candidates", 4.9)]:
+        with pytest.raises(ConfigValidationError, match=key):
+            build_config(name, out_dir="x", overrides={key: value})
+    cfg = build_config("fig3_fit", out_dir="x", overrides={"hidden": (4, 4)})
+    assert cfg.params["hidden"] == (4, 4)
+    # a config built without build_config is checked by run
+    params = dict(build_config("fig2_panels", out_dir="x").params, mi_k=3.7)
+    cfg = ExperimentConfig(name="fig2_panels", seed=7, n=300,
+                           out_dir=str(tmp_path / "out"), params=params)
+    with pytest.raises(ConfigValidationError, match="mi_k"):
+        run("fig2_panels", cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_and_n_precedence():
@@ -325,6 +345,12 @@ CLI_CONFIG_ERRORS = [
     ("fig5_sweep",
      "eval_rows = 10\nbackground_rows = 10\ngbt_learning_rate = nan\n",
      "learning_rate"),                         # failed only in write_run
+    ("fig5_sweep",
+     "eval_rows = 10\nbackground_rows = 10\nn_noise_features = 9\n",
+     "n_noise_features"),          # TooManyFeaturesError after the fits
+    ("fig3_fit", "trend = nan\n", "trend"),        # NonFiniteValueError 'y'
+    ("fig3_fit", "frequency = inf\n", "frequency"),  # and a RuntimeWarning
+    ("overfit_demo", "min_improvement = nan\n", "min_improvement"),
 ]
 
 
@@ -462,6 +488,88 @@ def test_cli_boundary_inputs_end_in_report_or_json_error(
         assert sorted(json.loads(lines[0])) == ["error", "message"]
         assert code == 1
         assert not out.exists()
+
+
+def _first(default, value):
+    """``value`` in place of a scalar ``default``, or of a grid's first
+    element."""
+    return (value,) + default[1:] if isinstance(default, tuple) else value
+
+
+def _range_edges():
+    """(experiment, key, value at a bound or None, value one step past it)
+    for every bound in the registry, and NaN for every float."""
+    for name, (_, _, n, params, _, _) in sorted(_REGISTRY.items()):
+        for key, (default, accepts) in params.items():
+            elem = default[0] if isinstance(default, tuple) else default
+            if accepts.startswith("length "):
+                yield name, key, default, default[:-1]
+            lo, lo_open, hi, hi_open = _bounds(accepts, n) or (
+                -math.inf, False, math.inf, False)
+            for bound, is_open, out in ((lo, lo_open, -1), (hi, hi_open, 1)):
+                if not math.isfinite(bound):
+                    continue
+                if isinstance(elem, int):
+                    bound = int(bound)
+                    inside, beyond = bound - out, bound + out
+                else:
+                    inside = float(np.nextafter(bound, -out * math.inf))
+                    beyond = float(np.nextafter(bound, out * math.inf))
+                at, past = (inside, bound) if is_open else (bound, beyond)
+                yield name, key, _first(default, at), _first(default, past)
+            if isinstance(elem, float):
+                yield name, key, None, _first(default, math.nan)
+
+
+def _config_text(value):
+    if isinstance(value, tuple):
+        return " ".join(map(repr, value))
+    return repr(value)
+
+
+RANGE_EDGES = list(_range_edges())
+
+
+@pytest.mark.parametrize("experiment, key, at, past", RANGE_EDGES, ids=[
+    f"{exp}-{key}={_config_text(past)}" for exp, key, _, past in RANGE_EDGES])
+def test_registered_ranges_hold_at_each_bound_and_fail_one_step_past(
+        tmp_path, capsys, monkeypatch, experiment, key, at, past):
+    entry = _REGISTRY[experiment]
+
+    def no_run(config):
+        pytest.fail(f"{key} = {past!r} passed the range check")
+    monkeypatch.setitem(_REGISTRY, experiment, (no_run,) + entry[1:])
+    if at is not None:
+        _checked(build_config(experiment, out_dir="x", overrides={key: at}))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {_config_text(past)}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", experiment, "--out", str(out), "--config", str(cfg)])
+    lines = capsys.readouterr().out.splitlines()
+    assert_one_json_error(code, lines, out, "ConfigValidationError")
+    assert key in json.loads(lines[0])["message"]
+
+
+def parameter_table():
+    """The README's parameter table, rendered from the registry."""
+    rows = ["| experiment | parameter | default | range |",
+            "| --- | --- | --- | --- |"]
+    for name, (_, _, _, params, rules, _) in sorted(_REGISTRY.items()):
+        for key, (default, accepts) in params.items():
+            grid = isinstance(default, tuple)
+            ranges = [("each in " if grid and _bounds(accepts, 0) else "")
+                      + accepts] if accepts else []
+            ranges += [f"must {requirement}" for rule_key, requirement, _
+                       in rules if rule_key == key]
+            shown = " ".join(map(str, default)) if grid else default
+            rows.append(f"| `{name}` | `{key}` | `{shown}` | "
+                        f"{'; '.join(ranges) or '—'} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_parameter_table_matches_registry():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert parameter_table() in readme.read_text(encoding="utf-8")
 
 
 def test_cli_config_file_applies_overrides(tmp_path):
