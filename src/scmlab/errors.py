@@ -117,8 +117,22 @@ class FeatureMismatchError(ScmLabError, ValueError):
     ``ValueError``, like the other checks on explain's inputs."""
 
 
-class EmptyBackgroundError(ScmLabError):
-    """Shapley background sample has no rows."""
+class FeatureListRequiredError(ScmLabError, ValueError):
+    """A bare callable was explained without a ``features`` list; only a
+    trained model carries its own feature names.  Also a ``ValueError``,
+    as this check raised before."""
+
+
+class RowShapeError(ScmLabError, ValueError):
+    """Rows handed to explain (the instance, the evaluation rows or the
+    background) are not rows over the feature columns; the message names
+    them and gives their shape.  Also a ``ValueError``, as this check
+    raised before."""
+
+
+class EmptyBackgroundError(ScmLabError, ValueError):
+    """Shapley background sample has no rows.  Also a ``ValueError``, like
+    the other checks on explain's inputs."""
 
 
 class EmptyEvaluationError(ScmLabError, ValueError):

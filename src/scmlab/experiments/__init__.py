@@ -14,6 +14,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from ..errors import ConfigValidationError, IoError, UnknownExperimentError
 from ..explain import _MAX_FEATURES
 from .curves import run_fig3_fit
@@ -125,7 +127,8 @@ class ExperimentConfig:
 
 def _convert(key, value, default):
     """``value`` as the type of ``default``: a string is parsed, and any
-    other value must convert exactly (3.0 to an int does, 3.7 does not)."""
+    other value must convert exactly (3.0 to an int does, 3.7 does not).
+    No parameter is a bool, so a bool is refused, though ``True == 1``."""
     kind = type(default)
     try:
         if kind is tuple:
@@ -133,7 +136,8 @@ def _convert(key, value, default):
                      if isinstance(value, str) else value)
             return tuple(_convert(key, v, default[0]) for v in items)
         out = kind(value.strip() if isinstance(value, str) else value)
-        if isinstance(value, str) or out == value or out != out:
+        if not isinstance(value, (bool, np.bool_)) and (
+                isinstance(value, str) or out == value or out != out):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -165,6 +169,12 @@ def parse_config_file(path: str) -> dict:
     return overrides
 
 
+def _refuse_key(what, key, name, registered):
+    raise ConfigValidationError(
+        f"{what} parameter {key!r} for experiment {name!r}; "
+        f"valid keys: {', '.join(sorted(registered)) or '(none)'}")
+
+
 def build_config(name: str, out_dir: str, seed: int = None, n: int = None,
                  overrides: dict = None) -> ExperimentConfig:
     """Resolve CLI arguments and config-file overrides against the
@@ -182,9 +192,7 @@ def build_config(name: str, out_dir: str, seed: int = None, n: int = None,
     file_n = overrides.pop("n", def_n)
     for key, value in overrides.items():
         if key not in params:
-            raise ConfigValidationError(
-                f"unknown parameter {key!r} for experiment {name!r}; "
-                f"valid keys: {', '.join(sorted(params)) or '(none)'}")
+            _refuse_key("unknown", key, name, params)
         params[key] = _convert(key, value, params[key])
     return ExperimentConfig(
         name=name, out_dir=out_dir, params=params,
@@ -212,8 +220,15 @@ def _reject(label, value, requirement):
 
 def _checked(config: ExperimentConfig) -> ExperimentConfig:
     """``config`` with its parameters in their defaults' types; raises
-    ``ConfigValidationError`` naming the first out of type or range."""
+    ``ConfigValidationError`` naming the first key that is unknown,
+    missing, out of type or out of range."""
     _, _, _, registered, rules, _ = _lookup(config.name)
+    for key in config.params:
+        if key not in registered:
+            _refuse_key("unknown", key, config.name, registered)
+    for key in registered:
+        if key not in config.params:
+            _refuse_key("missing", key, config.name, registered)
     params = {}
     for key, (default, accepts) in registered.items():
         value = params[key] = _convert(key, config.params[key], default)

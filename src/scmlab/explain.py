@@ -16,9 +16,14 @@ coalition S takes the pattern of S ∩ U (the interventional TreeSHAP
 observation of Lundberg et al., Nat. Mach. Intell. 2020). The leaves are
 summed in tree order, as the ensemble's own prediction sums them, so the
 outputs, and the Shapley values, are bit-identical to enumerating every
-coalition row; the result is still exact. For every model the prediction
-is the full-coalition output of that same call, so it equals a batch
-prediction, and the rows explained are checked as the background rows are.
+coalition row; the result is still exact. What depends on the model alone
+(its padded tree tables) is built once per model, and what depends on the
+model and the background (which leaves each background row reaches under
+each pattern) once per model and background, held on the model until
+another background comes; a call pays only for the rows it explains. For
+every model the prediction is the full-coalition output of that same call,
+so it equals a batch prediction, and the rows explained are checked as the
+background rows are.
 
 Exact enumeration is refused beyond 12 features; every experiment here
 uses at most 10.
@@ -27,6 +32,7 @@ uses at most 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -34,7 +40,8 @@ from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
-                     FeatureMismatchError, TooManyFeaturesError)
+                     FeatureListRequiredError, FeatureMismatchError,
+                     RowShapeError, TooManyFeaturesError)
 from .flexfit import GbtModel, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -43,6 +50,9 @@ _MAX_FEATURES = 12
 # at most this many temporary elements (8 rows x 256 coalitions x 64
 # background rows)
 _CHUNK_ROWS = 131_072
+# a float32 holds every integer up to 2^24 exactly, so the leaf ids of an
+# ensemble with at most this many node slots are contracted in float32
+_FLOAT32_IDS = 1 << 24
 
 
 @dataclass
@@ -107,6 +117,38 @@ def _leaf_misses(layout, X):
     return miss
 
 
+def _background_reach(model, B):
+    """Which leaf slots the background rows reach under each pattern:
+    (pattern row, leaf slot, background row), over the layout's flat
+    pattern rows, 1 where no split above the slot on one of the tree's
+    features outside the pattern misses on the row, else 0.
+
+    It depends on the model and the background alone, so it is built once
+    and held in the model's ``explain_background`` slot, keyed by the
+    background's shape and bytes: another background, or this one changed
+    in place, replaces it. It is held as float32, the type the leaves are
+    contracted in, which holds every leaf id exactly while the ensemble has
+    at most 2^24 node slots; a larger one is held as float64. It is built
+    in blocks of pattern rows within the step budget.
+    """
+    key = (B.shape, B.tobytes())
+    held = model.explain_background
+    if held is None or held[0] != key:
+        layout = model.explain_layout
+        miss = _leaf_misses(layout, B)                   # (tree, leaf, row)
+        _, n_leaf, n_bg = miss.shape
+        n_rows = layout.pattern.size
+        dtype = np.float32 if layout.value.size <= _FLOAT32_IDS else np.float64
+        reach = np.empty((n_rows, n_leaf, n_bg), dtype=dtype)
+        block = max(1, _CHUNK_ROWS // (n_leaf * n_bg))
+        for lo in range(0, n_rows, block):
+            rows = slice(lo, lo + block)
+            np.equal(miss[layout.pattern_tree[rows]]
+                     & ~layout.pattern[rows, None, None], 0, out=reach[rows])
+        held = model.explain_background = (key, reach)
+    return held[1]
+
+
 def _gbt_coalition_outputs(model, masks, Ec, B):
     """A GBT's outputs for every (coalition, evaluation row, background
     row), with each tree evaluated only on the 2^|U| patterns over its
@@ -115,43 +157,53 @@ def _gbt_coalition_outputs(model, masks, Ec, B):
     Pattern p says which U-features come from the evaluation row. Under p
     a leaf is reached when no split above it on a p-feature misses on the
     evaluation row and none on another U-feature misses on the background
-    row; exactly one leaf is. Coalition S takes the pattern of S ∩ U, and
-    its margin gains ``(learning_rate * leaf)[code]`` tree by tree, in the
-    trees' order from ``base_score``. That is the element-wise arithmetic
-    of ``decision_function`` on the expanded coalition grid, so the outputs
-    are bit-identical to it. The model's tables come from its
-    ``explain_layout``, built once per model; only the row work is done
-    here.
+    row; exactly one leaf is. The background side is
+    :func:`_background_reach`, held on the model; here only the evaluation
+    rows' misses are found. Weighting the evaluation side's reached slots
+    by their leaf ids and contracting over the slots with the background
+    side, in one batched float matmul, gives each (pattern, row pair) the
+    id of its one leaf: the other terms are exact zeros and the ids are
+    integers the float type holds exactly. Coalition S takes the pattern
+    of S ∩ U, and its margin gains ``(learning_rate * leaf)[code]`` tree
+    by tree, in the trees' order from ``base_score``: a block of trees is
+    added up by one reduce over its leading tree axis, which adds the
+    trees in order, after the running margin is added to its first tree.
+    That is the element-wise arithmetic of ``decision_function`` on the
+    expanded coalition grid, so the outputs are bit-identical to it.
     """
     n_coal = masks.shape[0]
     ec, n_bg = Ec.shape[0], B.shape[0]
     F = np.full((n_coal, ec * n_bg), model.base_score)
     if model.trees:
         layout = model.explain_layout
-        leaf_index = layout.leaf_index
-        n_trees, n_leaf = leaf_index.shape
-        # code[t, c] is the pattern of coalition c ∩ U_t
-        code = layout.local @ masks.T
-        miss_e, miss_b = _leaf_misses(layout, Ec), _leaf_misses(layout, B)
-        n_pat = layout.n_patterns
-        pats = np.arange(n_pat, dtype=np.int16)[:, None, None]
+        reach_b = _background_reach(model, B)
+        n_leaf = reach_b.shape[1]
+        start = layout.pattern_start
+        pattern = layout.pattern[:, None, None]
+        # code[t, c] is the pattern row of coalition c ∩ U_t
+        code = start[:-1, None] + layout.local @ masks.T
+        miss_e = _leaf_misses(layout, Ec).transpose(0, 2, 1)
+        ids = layout.leaf_index.astype(reach_b.dtype)[:, None, :]
         step = model.learning_rate * layout.value
-        # tree blocks within the budget, counting the leaf ids and values
-        # and the two reach tables of every tree in the block
-        per_tree = n_pat * (2 * ec * n_bg + n_leaf * (ec + n_bg))
+        # tree blocks within the budget: a tree's coalition outputs, and
+        # its leaf values, ids and evaluation-side reach table, counting
+        # its patterns as at most its coalitions
+        per_tree = n_coal * ec * (3 * n_bg + n_leaf)
         block = max(1, _CHUNK_ROWS // per_tree)
-        for lo in range(0, n_trees, block):
-            hi = min(lo + block, n_trees)
-            reach_e = (miss_e[lo:hi, None] & pats) == 0
-            reach_b = (miss_b[lo:hi, None] & ~pats) == 0
-            # the one leaf reached on both sides gives the only nonzero term
-            ids = np.einsum("tpel,tplb->tpeb", reach_e.transpose(0, 1, 3, 2)
-                            * leaf_index[lo:hi, None, None, :], reach_b)
-            vals = step.take(ids).reshape(hi - lo, n_pat, ec * n_bg)
-            del ids
-            for t in range(lo, hi):
-                F += vals[t - lo][code[t]]
-            del vals      # before the next block's temporaries exist
+        for lo in range(0, len(model.trees), block):
+            hi = min(lo + block, len(model.trees))
+            rows = slice(start[lo], start[hi])
+            tree = layout.pattern_tree[rows]
+            reach_e = (miss_e[tree] & pattern[rows]) == 0   # (row, e, leaf)
+            leaf = (reach_e * ids[tree]) @ reach_b[rows]
+            vals = step.take(leaf.astype(np.intp)).reshape(-1, ec * n_bg)
+            G = vals[code[lo:hi] - start[lo]]    # (tree, coalition, e*b)
+            G[0] += F
+            # with two or more coalitions the tree axis is not the fast
+            # one, so reduce adds along it in order, never pairwise; a
+            # single tree's sum is its own row, without reduce's copy
+            F = G[0] if hi - lo == 1 else np.add.reduce(G, axis=0)
+            del reach_e, leaf, vals, G   # before the next block's exist
     F = F.reshape(n_coal, ec, n_bg)
     return expit(F) if model.loss == "logistic" else F
 
@@ -163,7 +215,8 @@ def _feature_list(model, features):
     trained = getattr(model, "feature_names", None)
     if features is None:
         if trained is None:
-            raise ValueError("pass `features` explicitly for a bare callable")
+            raise FeatureListRequiredError(
+                "pass `features` explicitly for a bare callable")
         features = trained
     features = list(features)
     if trained is not None and features != list(trained):
@@ -184,8 +237,8 @@ def _row_matrix(rows, features, what):
         return rows.matrix(features)
     M = np.asarray(rows, dtype=np.float64)
     if M.ndim != 2 or M.shape[1] != len(features):
-        raise ValueError(f"{what} must be rows over the {len(features)} "
-                         f"feature columns, got shape {M.shape}")
+        raise RowShapeError(f"{what} must be rows over the {len(features)} "
+                            f"feature columns, got shape {M.shape}")
     return M
 
 
@@ -199,16 +252,25 @@ def _features_and_background(model, features, background):
     return features, B
 
 
+@cache
 def _coalition_tables(d):
-    """Boolean coalition masks (2^d, d), the with-j pairing index, and the
-    Shapley weight of each coalition size."""
+    """Boolean coalition masks (2^d, d); the Shapley pairing, whose
+    ``[0][:, j]`` lists the coalitions without feature j in ascending order
+    and ``[1][:, j]`` the same coalitions with j; and the Shapley weight of
+    each pair. Built once per d and read-only, as every caller shares
+    them."""
     codes = np.arange(2 ** d, dtype=np.uint32)
     masks = (codes[:, None] >> np.arange(d, dtype=np.uint32)) & 1
     masks = masks.astype(bool)
-    sizes = masks.sum(axis=1)
+    without = np.stack([np.flatnonzero(~masks[:, j]) for j in range(d)],
+                       axis=1).reshape(-1, d)
+    pairs = np.stack([without, without | (1 << np.arange(d))])
+    sizes = masks.sum(axis=1)[without]
     weights = np.array([factorial(s) * factorial(d - 1 - s) / factorial(d)
-                        for s in range(d)])
-    return masks, sizes, weights
+                        for s in range(d)])[sizes]
+    for table in (masks, pairs, weights):
+        table.flags.writeable = False
+    return masks, pairs, weights
 
 
 def _phi_matrix(coalition_outputs, E: np.ndarray, B: np.ndarray) -> tuple:
@@ -221,7 +283,7 @@ def _phi_matrix(coalition_outputs, E: np.ndarray, B: np.ndarray) -> tuple:
     """
     n_eval, d = E.shape
     n_bg = B.shape[0]
-    masks, sizes, weights = _coalition_tables(d)
+    masks, (without, with_j), weights = _coalition_tables(d)
     n_coal = masks.shape[0]
     phi = np.empty((n_eval, d))
     full = np.empty(n_eval)
@@ -234,14 +296,10 @@ def _phi_matrix(coalition_outputs, E: np.ndarray, B: np.ndarray) -> tuple:
         v = out.mean(axis=2)                     # (n_coal, ec)
         if base is None:
             base = float(v[0, 0])                # empty coalition: same for all rows
-        for j in range(d):
-            without = np.nonzero(~masks[:, j])[0]
-            with_j = without | (1 << j)
-            w = weights[sizes[without]]
-            # sequential over coalitions, so a row's phi does not depend on
-            # how many rows share its chunk
-            phi[lo:lo + chunk, j] = (
-                w[:, None] * (v[with_j] - v[without])).cumsum(axis=0)[-1]
+        # sequential over coalitions, so a row's phi does not depend on
+        # how many rows share its chunk
+        terms = weights[:, :, None] * (v[with_j] - v[without])
+        phi[lo:lo + chunk] = terms.cumsum(axis=0)[-1].T
     return phi, base, full
 
 

@@ -19,7 +19,7 @@ with ``compress``, in the grower and in the tree walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -105,7 +105,10 @@ class ExplainLayout:
     ``x[feature] < threshold`` (feature 0 and threshold 0 at leaves and
     padding, whose tests nothing reads). ``local[t, j]`` is feature j's
     bit in tree t's feature set U (0 when the tree does not read j), at
-    most 12 bits, so int16; ``n_patterns`` is 2^(largest |U|).
+    most 12 bits, so int16. A pattern is a set of U-bits; tree t has the
+    2^|U_t| patterns over its own set, as rows ``pattern_start[t]`` up to
+    ``pattern_start[t + 1]`` of one flat list, in which ``pattern_tree``
+    names each row's tree and ``pattern`` (int16) its bits.
     ``leaf_index[t, l]`` is the flat index of tree t's leaf slot l into
     ``value`` (0 for a padding slot). ``levels`` walks the leaves' ancestors
     one level per entry: the ancestor's flat node index, whether the path
@@ -116,7 +119,9 @@ class ExplainLayout:
     feature: np.ndarray
     threshold: np.ndarray
     local: np.ndarray
-    n_patterns: int
+    pattern_start: np.ndarray
+    pattern_tree: np.ndarray
+    pattern: np.ndarray
     leaf_index: np.ndarray
     levels: tuple
     value: np.ndarray
@@ -140,6 +145,10 @@ def _explain_layout(trees, n_features) -> ExplainLayout:
     used = (feature[:, :, None] == np.arange(n_features)).any(axis=1)
     local = np.where(used, 1 << (np.cumsum(used, axis=1) - 1), 0)
     local = local.astype(np.int16)
+    n_patterns = 1 << used.sum(axis=1)
+    pattern_start = np.concatenate([[0], np.cumsum(n_patterns)])
+    pattern_tree = np.repeat(np.arange(n_trees), n_patterns)
+    pattern = np.arange(pattern_start[-1]) - pattern_start[pattern_tree]
     node_bit = np.where(split, local[rows, f], 0)
     t_split, i_split = np.nonzero(split)
     parent = np.full(feature.shape, -1)
@@ -161,21 +170,27 @@ def _explain_layout(trees, n_features) -> ExplainLayout:
                        np.where(has, node_bit[rows, above], 0)[:, :, None]))
         node = np.where(has, up, node)
         up = np.where(has, parent[rows, above], -1)
-    return ExplainLayout(f, padded("threshold", 0.0), local,
-                         1 << int(used.sum(axis=1).max()), leaf_index,
+    return ExplainLayout(f, padded("threshold", 0.0), local, pattern_start,
+                         pattern_tree, pattern.astype(np.int16), leaf_index,
                          tuple(levels), padded("value", 0.0).ravel())
 
 
 @dataclass
 class GbtModel:
     """A fitted ensemble. Its trees and feature names are not changed
-    after construction; :attr:`explain_layout` is built from them once."""
+    after construction; :attr:`explain_layout` is built from them once.
+    ``explain_background`` is the one slot where ``scmlab.explain`` holds
+    its tables for the last background explained against, with that
+    background's key; it is not part of the fit, so it is not compared,
+    shown, or carried over by ``dataclasses.replace``."""
 
     trees: list
     learning_rate: float
     base_score: float
     loss: str
     feature_names: list
+    explain_background: tuple = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @cached_property
     def explain_layout(self) -> ExplainLayout:

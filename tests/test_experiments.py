@@ -95,7 +95,9 @@ def test_override_coercion_follows_default_types():
 def test_python_values_must_convert_exactly(tmp_path):
     # 3.7 ran as int(3.7) = 3 while report.json echoed 3.7
     for name, key, value in [("fig2_panels", "mi_k", 3.7),
-                             ("overfit_demo", "n_candidates", 4.9)]:
+                             ("overfit_demo", "n_candidates", 4.9),
+                             ("fig2_panels", "mi_k", True),
+                             ("fig5_sweep", "q_grid", (0.0, True))]:
         with pytest.raises(ConfigValidationError, match=key):
             build_config(name, out_dir="x", overrides={key: value})
     cfg = build_config("fig3_fit", out_dir="x", overrides={"hidden": (4, 4)})
@@ -106,6 +108,23 @@ def test_python_values_must_convert_exactly(tmp_path):
                            out_dir=str(tmp_path / "out"), params=params)
     with pytest.raises(ConfigValidationError, match="mi_k"):
         run("fig2_panels", cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("fig2_panels", {"mi_k": None}, "missing parameter 'mi_k'"),
+    ("table2", {"bogus": 1}, "unknown parameter 'bogus'"),
+])
+def test_run_rejects_a_hand_built_config_with_a_missing_or_unknown_key(
+        tmp_path, name, change, message):
+    # a missing key ended in a bare KeyError, and an unknown one was
+    # dropped from the run and from the config echo
+    params = {**build_config(name, out_dir="x").params, **change}
+    params = {k: v for k, v in params.items() if v is not None}
+    cfg = ExperimentConfig(name=name, seed=7, n=300,
+                           out_dir=str(tmp_path / "out"), params=params)
+    with pytest.raises(ConfigValidationError, match=message):
+        run(name, cfg)
     assert not (tmp_path / "out").exists()
 
 

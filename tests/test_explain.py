@@ -9,7 +9,8 @@ import scmlab.flexfit.gbt as gbt_module
 from scmlab import (Dataset, GbtConfig, MlpConfig, attribution_summary,
                     gbt_train, mlp_train, shapley_exact)
 from scmlab.errors import (EmptyBackgroundError, EmptyEvaluationError,
-                           FeatureMismatchError, TooManyFeaturesError)
+                           FeatureListRequiredError, FeatureMismatchError,
+                           RowShapeError, ScmLabError, TooManyFeaturesError)
 from scmlab.flexfit import predict_on_matrix
 from scmlab.rng import normal_column, uniform_column
 from shapley_helpers import grid_coalition_outputs
@@ -200,6 +201,26 @@ def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         shapley_exact(lambda X: X[:, 0], [1.0, 2.0], np.zeros((3, 5)),
                       features=["a", "b"])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, 2.0], B),
+     FeatureListRequiredError),
+    (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, 2.0, 3.0], B,
+                             features=["a", "b"]), RowShapeError),
+    (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, 2.0], np.zeros((3, 5)),
+                             features=["a", "b"]), RowShapeError),
+    (lambda B: attribution_summary(lambda X: X[:, 0], np.zeros((2, 3)), B,
+                                   relevant=["a"], features=["a", "b"]),
+     RowShapeError),
+    (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, 2.0], B[:0],
+                             features=["a", "b"]), EmptyBackgroundError),
+])
+def test_bad_inputs_raise_named_errors(call, error):
+    with pytest.raises(error) as err:
+        call(np.zeros((3, 2)))
+    assert isinstance(err.value, ScmLabError)
+    assert isinstance(err.value, ValueError)
 
 
 def pointwise_models(n=300, d=4):
@@ -440,3 +461,109 @@ def test_gbt_path_with_small_row_budgets(monkeypatch, budget):
     assert_matches_grid(model, E, B)
     tiny = attribution_summary(model, E, B, relevant=["x0"])
     assert np.array_equal(full.mean_abs_phi, tiny.mean_abs_phi)
+
+
+# --- background tables held on the model ----------------------------------
+
+def count_background_builds(monkeypatch, B):
+    """Calls of ``_leaf_misses`` on the background rows ``B``."""
+    calls = []
+
+    def counted(layout, X):
+        if X.shape == B.shape and np.array_equal(X, B):
+            calls.append(1)
+        return leaf_misses(layout, X)
+    leaf_misses = explain._leaf_misses
+    monkeypatch.setattr(explain, "_leaf_misses", counted)
+    return calls
+
+
+def assert_same_attribution(a, b):
+    assert np.array_equal(a.phi, b.phi)
+    assert a.base == b.base and a.prediction == b.prediction
+
+
+def test_gbt_background_tables_repeat_bit_for_bit(monkeypatch):
+    model, E, B = gbt_fixture(4, loss="logistic", depth=3, n_trees=30)
+    X = random_background(30, 100, 4)
+    builds = count_background_builds(monkeypatch, B)
+    held = [shapley_exact(model, x, B) for x in X]
+    assert len(builds) == 1
+    # one row per pattern a tree can take: 2^|U| for its feature set U
+    reach = model.explain_background[1]
+    assert reach.shape[0] == sum(2 ** np.unique(t.feature[t.feature >= 0]).size
+                                 for t in model.trees)
+    assert reach.dtype == np.float32
+    for x, att in zip(X, held):
+        assert_same_attribution(att, shapley_exact(dataclasses.replace(model),
+                                                   x, B))
+
+
+def test_gbt_background_changed_in_place_is_rebuilt(monkeypatch):
+    # a table keyed on the array's identity would explain against the old
+    # rows here
+    model, E, B = gbt_fixture(4, depth=3)
+    other = random_background(31, B.shape[0], 4)
+    builds = count_background_builds(monkeypatch, other)
+    rows = B.copy()
+    before = shapley_exact(model, E[0], rows)
+    rows[:] = other
+    after = shapley_exact(model, E[0], rows)
+    assert len(builds) == 1
+    assert not np.array_equal(before.phi, after.phi)
+    assert_same_attribution(after, shapley_exact(dataclasses.replace(model),
+                                                 E[0], other))
+    assert np.array_equal(after.phi,
+                          explain._phi_matrix(partial(grid_coalition_outputs,
+                                                      model),
+                                              E[:1], other)[0][0])
+
+
+def test_gbt_two_backgrounds_used_alternately():
+    model, E, B = gbt_fixture(4, depth=3)
+    backgrounds = [B, random_background(32, 9, 4)]
+    fresh = [[shapley_exact(dataclasses.replace(model), x, bg) for x in E]
+             for bg in backgrounds]
+    for _ in range(3):
+        for bg, expected in zip(backgrounds, fresh):
+            for x, att in zip(E, expected):
+                assert_same_attribution(shapley_exact(model, x, bg), att)
+
+
+def test_gbt_background_built_once_per_model_and_background(monkeypatch):
+    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
+    builds = count_background_builds(monkeypatch, B)
+    for i in range(50):
+        shapley_exact(model, E[i % E.shape[0]], B)
+    assert len(builds) == 1
+    # one attribution summary over many row chunks builds it once, and a
+    # fresh model builds its own
+    monkeypatch.setattr(explain, "_CHUNK_ROWS", 1)
+    fresh = dataclasses.replace(model)
+    tiny = attribution_summary(fresh, E, B, relevant=["x0"])
+    assert len(builds) == 2
+    monkeypatch.undo()
+    assert np.array_equal(
+        tiny.mean_abs_phi,
+        attribution_summary(model, E, B, relevant=["x0"]).mean_abs_phi)
+
+
+def test_gbt_leaf_ids_contracted_in_float64_past_the_float32_range(
+        monkeypatch):
+    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
+    monkeypatch.setattr(explain, "_FLOAT32_IDS", 0)
+    assert_matches_grid(model, E, B)
+    assert model.explain_background[1].dtype == np.float64
+
+
+@pytest.mark.parametrize("d", [1, 4, 12])
+def test_coalition_tables_built_once_and_read_only(d):
+    tables = explain._coalition_tables(d)
+    assert explain._coalition_tables(d) is tables
+    masks, (without, with_j), weights = tables
+    for table in (masks, without, with_j, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+    assert not masks[without, np.arange(d)].any()
+    assert masks[with_j, np.arange(d)].all()
+    assert abs(weights.sum(axis=0) - 1.0).max() < 1e-12
