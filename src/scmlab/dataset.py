@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteValueError
+from .errors import EmptyFeatureListError, NonFiniteValueError
 
 
 class Dataset:
@@ -56,7 +56,11 @@ class Dataset:
             raise KeyError(f"no column named {name!r}") from None
 
     def matrix(self, names) -> np.ndarray:
-        """Columns stacked as an (n_rows, len(names)) array, in given order."""
+        """Columns stacked as an (n_rows, len(names)) array, in given
+        order; at least one name is needed."""
+        names = list(names)
+        if not names:
+            raise EmptyFeatureListError("no columns named for the matrix")
         return np.column_stack([self.column(n) for n in names])
 
     def take(self, rows) -> "Dataset":

@@ -76,6 +76,12 @@ class NonFiniteValueError(ScmLabError, ValueError):
     message names the column or the result key."""
 
 
+class EmptyFeatureListError(ScmLabError, ValueError):
+    """A design matrix, a model fit or an explanation was asked for with
+    no feature columns.  Also a ``ValueError``, as numpy raised one
+    before."""
+
+
 class DegenerateColumnError(ScmLabError):
     """A column required to vary has zero variance."""
 

@@ -40,8 +40,9 @@ from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
-                     FeatureListRequiredError, FeatureMismatchError,
-                     RowShapeError, TooManyFeaturesError)
+                     EmptyFeatureListError, FeatureListRequiredError,
+                     FeatureMismatchError, RowShapeError,
+                     TooManyFeaturesError)
 from .flexfit import GbtModel, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -219,6 +220,8 @@ def _feature_list(model, features):
                 "pass `features` explicitly for a bare callable")
         features = trained
     features = list(features)
+    if not features:
+        raise EmptyFeatureListError("the feature list is empty")
     if trained is not None and features != list(trained):
         raise FeatureMismatchError(
             f"features {features} differ from the model's feature names "

@@ -10,11 +10,18 @@ column or row subsampling — small-scale fidelity over system parity.
 
 The training matrix is binned once per fit. A node scores every feature's
 candidates in one pass over padded (feature, bin) sum and count tables.
-Count tables are integers and are reused exactly: the root's is counted
-once per fit and a right child's is its parent's minus its sibling's. Sum
-tables are counted per node from the node's residuals in row order, so
-the trees are those of a plain per-feature search. Rows are partitioned
-with ``compress``, in the grower and in the tree walk.
+The root's count table is counted once per fit and its sum table once per
+tree, from the residuals in row order. Below the root the tables come
+down from the parent (histogram subtraction, as in LightGBM): a split
+counts only its smaller child's tables from that child's rows (the left
+child's on a tie) and takes the larger child's as the parent's minus the
+smaller's. Count tables stay exact integers; a derived sum table can
+differ from a row-order count in its last digits, and so can the gains
+and node values read from it. A child's residual sum and row count are
+read off its parent's cumulative tables, and a split whose children are
+leaves gives them those sums over counts and writes their training
+predictions with one ``where``, without partitioning rows. Other splits
+partition rows with ``compress``, as the tree walk does.
 """
 
 from __future__ import annotations
@@ -241,45 +248,48 @@ def _grow_tree(bins, resid, depth, min_leaf, train_pred):
     """Grow one tree on the binned columns; fills ``train_pred`` with the
     tree's prediction for every training row as leaves are finalized.
 
-    A node fills one (feature, bin) sum table and, unless its parent
-    derived it, one count table with a ``bincount`` per feature, then runs
-    one cumulative sum, gain and flat ``argmax`` over the tables.  Among
-    equal gains the flat argmax takes the earliest feature, then the
-    earliest bin.
+    A node searches its (feature, bin) sum and count tables with one
+    cumulative sum, gain and flat ``argmax``.  Among equal gains the flat
+    argmax takes the earliest feature, then the earliest bin.  A child's
+    residual sum and row count are read off its parent's cumulative
+    tables.  Only the smaller child of a split (the left one on a tie)
+    counts its tables from its rows; the larger child's are its parent's
+    minus the smaller's.  A split whose children are leaves partitions no
+    rows.
     """
     columns, edges = bins.columns, bins.edges
     d, width = bins.counts.shape
     all_rows = np.arange(resid.size)
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def new_node():
+    def new_node(v):
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
+        value.append(v)
         return len(feature) - 1
 
-    def build(rows, r, counts, remaining):
-        """Grow the subtree on ``rows`` (residuals ``r``); ``counts`` is
-        the node's count table when already known.  Returns the node and
-        its count table, or None when it did not search."""
-        node = new_node()
-        s = float(r.sum())
+    def tables(rows):
+        """The sum and count tables of ``rows``, counted in row order."""
+        r = resid.take(rows)
+        sums = np.empty((d, width))
+        counts = np.empty((d, width), dtype=np.intp)
+        for j, column in enumerate(columns):
+            c = column.take(rows)
+            sums[j] = np.bincount(c, weights=r, minlength=width)
+            counts[j] = np.bincount(c, minlength=width)
+        return sums, counts
+
+    def build(rows, s, sums, counts, remaining):
+        """Grow the subtree on ``rows``, whose residuals sum to ``s`` and
+        whose tables are ``sums`` and ``counts`` (unread when the node
+        cannot split)."""
         cnt = rows.size
-        value[node] = s / cnt
+        node = new_node(s / cnt)
         if remaining == 0 or cnt < 2 * min_leaf:
             train_pred[rows] = value[node]
-            return node, None
-        codes = (columns if rows is all_rows
-                 else [column.take(rows) for column in columns])
-        sums = np.empty((d, width))
-        for j, c in enumerate(codes):
-            sums[j] = np.bincount(c, weights=r, minlength=width)
-        if counts is None:
-            counts = np.empty((d, width), dtype=np.intp)
-            for j, c in enumerate(codes):
-                counts[j] = np.bincount(c, minlength=width)
+            return node
         sums_l = sums.cumsum(axis=1)[:, :-1]
         cnts = counts.cumsum(axis=1)[:, :-1]
         rcnts = cnt - cnts
@@ -292,24 +302,41 @@ def _grow_tree(bins, resid, depth, min_leaf, train_pred):
         j, i = divmod(int(gain.argmax()), width - 1)
         if float(gain[j, i]) - s * s / cnt <= 1e-12:
             train_pred[rows] = value[node]
-            return node, counts
-        go_left = codes[j] <= i
-        go_right = ~go_left
+            return node
+        go_left = (columns[j] if rows is all_rows
+                   else columns[j].take(rows)) <= i
+        s_l, n_l = float(sums_l[j, i]), int(cnts[j, i])
+        s_r, n_r = s - s_l, cnt - n_l
         feature[node] = j
         threshold[node] = float(edges[j][i])
-        left[node], left_counts = build(rows.compress(go_left),
-                                        r.compress(go_left), None,
-                                        remaining - 1)
-        right[node], _ = build(
-            rows.compress(go_right), r.compress(go_right),
-            None if left_counts is None else counts - left_counts,
-            remaining - 1)
-        return node, counts
+        if remaining == 1:
+            left[node] = new_node(s_l / n_l)
+            right[node] = new_node(s_r / n_r)
+            train_pred[rows] = np.where(go_left, value[left[node]],
+                                        value[right[node]])
+            return node
+        rows_l, rows_r = rows.compress(go_left), rows.compress(~go_left)
+        if n_l <= n_r:
+            left_tables = tables(rows_l)
+            right_tables = sums - left_tables[0], counts - left_tables[1]
+        else:
+            right_tables = tables(rows_r)
+            left_tables = sums - right_tables[0], counts - right_tables[1]
+        left[node] = build(rows_l, s_l, *left_tables, remaining - 1)
+        right[node] = build(rows_r, s_r, *right_tables, remaining - 1)
+        return node
 
+    root_sums = np.empty((d, width))
+    for j, column in enumerate(columns):
+        root_sums[j] = np.bincount(column, weights=resid, minlength=width)
     # with no candidate at all (every column constant, or n_bins = 1) the
     # tree is one leaf
-    build(all_rows, resid, bins.counts,
+    build(all_rows, float(resid.sum()), root_sums, bins.counts,
           depth if bins.splittable.any() else 0)
+    # build reaches itself through its closure; dropping the name breaks
+    # that cycle, so the tree's row and residual arrays are freed now, not
+    # at the next garbage collection
+    del build
     return Tree(np.asarray(feature, dtype=np.int32),
                 np.asarray(threshold),
                 np.asarray(left, dtype=np.int32),

@@ -3,9 +3,9 @@
 The package answers one (graph, X, Y, Z) query at a time; sweeping every
 labeled DAG on up to five nodes that way would take minutes of Python
 overhead. These helpers restate both algorithms over a *stack* of adjacency
-matrices so the full sweep is a handful of batched boolean matmuls, and the
-package implementations are cross-checked against the stack on a random
-subsample.
+matrices so the full sweep is a handful of bitwise operations over packed
+rows per query, and the package implementations are cross-checked against
+the stack on a random subsample.
 
 Adjacency convention: ``A[d, i, j]`` is True iff DAG d has the edge i -> j.
 """
@@ -42,32 +42,61 @@ def all_dags(m: int) -> np.ndarray:
     return A[np.sort(keep)]
 
 
-# The products below take float32 operands (0.0/1.0) that the callers cast
-# once per operand, not once per product.
+# Each row of a DAG's (m, m) matrix is packed into one byte (m <= 8): bit
+# j is set iff the row has column j, and a set of nodes is one such byte
+# per DAG. The products take the packed rows node-major, P[i] being row i
+# of every DAG as one contiguous (D,) array, so a reach step or a squaring
+# is a few bitwise ops per node over contiguous arrays.
 
-def _bmm(Xf: np.ndarray, Yf: np.ndarray) -> np.ndarray:
-    """Boolean batched matrix product over the DAG axis."""
-    return (Xf @ Yf) > 0.5
+def pack_rows(B: np.ndarray) -> np.ndarray:
+    """The last axis of a boolean array (at most 8 long) as one uint8
+    bitmask per row."""
+    assert B.shape[-1] <= 8
+    bits = B.view(np.uint8)
+    P = np.zeros(B.shape[:-1], dtype=np.uint8)
+    for j in range(B.shape[-1]):
+        P |= bits[..., j] << j
+    return P
 
 
-def _bvm(v: np.ndarray, Af: np.ndarray) -> np.ndarray:
-    """Boolean batched vector-matrix product: reach one step along A."""
-    return (v.astype(np.float32)[:, None, :] @ Af)[:, 0] > 0.5
+def unpack_rows(P: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`pack_rows` for m columns."""
+    return (P[..., None] & (1 << np.arange(m)).astype(np.uint8)) != 0
 
 
-def _square_closure(C: np.ndarray) -> np.ndarray:
-    """Transitive closure of a reflexive boolean stack by repeated squaring."""
+def node_major(B: np.ndarray) -> np.ndarray:
+    """A (D, m, m) stack's packed rows as an (m, D) array."""
+    return np.ascontiguousarray(pack_rows(B).T)
+
+
+def step(v: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Mask of the nodes one row of P (m, D) away from the set v (D,): the
+    union of P[i, d] over the nodes i in v[d]."""
+    out = np.zeros_like(v)
+    for i, row in enumerate(P):
+        out |= row * ((v >> i) & 1)
+    return out
+
+
+def square_closure(C: np.ndarray) -> np.ndarray:
+    """Transitive closure of a reflexive boolean stack by repeated squaring
+    on its packed rows: row i of C^2 is the union of the rows in row i."""
     m = C.shape[1]
-    steps = max(1, int(np.ceil(np.log2(max(m, 2)))))
-    for _ in range(steps):
-        Cf = C.astype(np.float32)
-        C = _bmm(Cf, Cf)
-    return C
+    P = node_major(C)
+    for _ in range(max(1, int(np.ceil(np.log2(max(m, 2)))))):
+        P = np.stack([step(row, P) for row in P])
+    return unpack_rows(P.T, m)
+
+
+def shared_child(A: np.ndarray) -> np.ndarray:
+    """S[d, i, j] True iff i and j have a common child in DAG d."""
+    P = pack_rows(A)
+    return (P[:, :, None] & P[:, None, :]) != 0
 
 
 def reflexive_closure(A: np.ndarray) -> np.ndarray:
     """R[d, i, j] True iff j is reachable from i (including i itself)."""
-    return _square_closure(A | np.eye(A.shape[1], dtype=bool))
+    return square_closure(A | np.eye(A.shape[1], dtype=bool))
 
 
 def moral_separated_batch(A, R, x: int, y: int, Z) -> np.ndarray:
@@ -77,12 +106,11 @@ def moral_separated_batch(A, R, x: int, y: int, Z) -> np.ndarray:
     targets[[x, y, *Z]] = True
     anc = (R & targets).any(axis=2)                       # (D, m)
     Ap = A & anc[:, :, None] & anc[:, None, :]
-    Apf = Ap.astype(np.float32)
-    M = Ap | Ap.transpose(0, 2, 1) | _bmm(Apf, Apf.transpose(0, 2, 1))
+    M = Ap | Ap.transpose(0, 2, 1) | shared_child(Ap)
     live = anc.copy()
     live[:, list(Z)] = False
     M = M & live[:, :, None] & live[:, None, :]
-    C = _square_closure(M | np.eye(m, dtype=bool))
+    C = square_closure(M | np.eye(m, dtype=bool))
     return ~C[:, x, y]
 
 
@@ -90,28 +118,27 @@ def reachable_separated_batch(A, R, x: int, y: int, Z) -> np.ndarray:
     """Direction-tagged reachability d-separation for every DAG.
 
     States are (node, arrived-with-edge?) pairs exactly as in the scalar
-    algorithm; colliders pass when the node can reach Z.
+    algorithm, held as two node masks per DAG; colliders pass when the
+    node can reach Z.
     """
     D, m, _ = A.shape
     z = np.zeros(m, dtype=bool)
     z[list(Z)] = True
-    not_z = ~z
-    anc_z = (R & z).any(axis=2)                           # includes Z itself
-    Af = A.astype(np.float32)
-    ATf = np.ascontiguousarray(Af.transpose(0, 2, 1))
-    up = np.zeros((D, m), dtype=bool)
-    down = np.zeros((D, m), dtype=bool)
-    up[:, x] = True
+    not_z = int(pack_rows(~z))
+    anc_z = pack_rows((R & z).any(axis=2))                # includes Z itself
+    children, parents = node_major(A), node_major(A.transpose(0, 2, 1))
+    up = np.full(D, 1 << x, dtype=np.uint8)
+    down = np.zeros(D, dtype=np.uint8)
     while True:
-        # one step along AT from every state that may move to its parents
-        # (up and not in Z, or a collider opened by Z), one along A from
-        # every state that may move to its children (up or down, not in Z)
-        new_up = up | _bvm((up & not_z) | (down & anc_z), ATf)
-        new_down = down | _bvm((up | down) & not_z, Af)
+        # one step to the parents from every state that may move up (up
+        # and not in Z, or a collider opened by Z), one to the children
+        # from every state that may move down (up or down, not in Z)
+        new_up = up | step((up & not_z) | (down & anc_z), parents)
+        new_down = down | step((up | down) & not_z, children)
         if (new_up == up).all() and (new_down == down).all():
             break
         up, down = new_up, new_down
-    return ~(up[:, y] | down[:, y])
+    return ((up | down) >> y) & 1 == 0
 
 
 def all_queries(m: int) -> list:

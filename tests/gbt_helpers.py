@@ -1,13 +1,16 @@
 """Plain twin of the boosted-tree fit and prediction.
 
 The package grows each tree with one split search per node over padded
-per-feature tables, reuses integer count tables (a right child's counts
-are its parent's minus its sibling's) and partitions rows with
-``compress``. This module keeps the straightforward route that replaced:
-``int32`` column-major codes, one ``bincount`` pair and one ``argmax`` per
-feature per node, and boolean-mask row partitions in both the grower and
-the tree walk. The package must match it bit for bit, so the tests
-compare the two with ``np.array_equal``.
+per-feature tables, partitions rows with ``compress`` and takes most
+tables by subtraction: a split counts only its smaller child's sum and
+count tables and derives the larger child's as parent minus smaller, and a
+split of two leaves gives them the parent's cumulative sums over counts.
+This module restates that arithmetic in the plain style: ``int32``
+column-major codes, per-feature table lists, one ``argmax`` per feature
+per node, and boolean-mask row partitions in both the grower and the tree
+walk. The package must match it bit for bit, so the tests compare the two
+with ``np.array_equal``; a separate test checks every leaf against the
+exact mean of its rows' residuals, which neither twin computes.
 
 The package keeps no training-loss trajectory; the reference loop records
 one, and :func:`replay_loss` rebuilds it from a fitted model's trees.
@@ -57,36 +60,47 @@ def bin_columns(X, n_bins):
 def grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
     """Grow one tree on the binned columns; fills ``train_pred`` with the
     tree's prediction for every training row as leaves are finalized.
-    Returns the five flat arrays (feature, threshold, left, right, value)."""
+    Returns the five flat arrays (feature, threshold, left, right, value).
+
+    Tables are lists of per-feature arrays. The root counts its own; a
+    split counts its smaller child's (the left one on a tie) and takes the
+    larger child's as parent minus smaller; a split of two leaves gives
+    them the parent's left and right sums over counts."""
     columns = codes.T
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def new_node():
+    def new_node(v):
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
+        value.append(v)
         return len(feature) - 1
 
-    def build(rows, remaining):
-        node = new_node()
+    def count(rows):
         r = resid[rows]
-        s = float(r.sum())
+        sums, cnts = [], []
+        for j, column in enumerate(columns):
+            nb = edges[j].size + 1
+            c = column[rows]
+            sums.append(np.bincount(c, weights=r, minlength=nb))
+            cnts.append(np.bincount(c, minlength=nb))
+        return sums, cnts
+
+    def build(rows, s, sums_by_bin, cnts_by_bin, remaining):
         cnt = rows.size
-        value[node] = s / cnt
+        node = new_node(s / cnt)
         if remaining == 0 or cnt < 2 * min_leaf:
             train_pred[rows] = value[node]
             return node
-        best = None  # (gain, feature, bin index)
+        best = None  # (gain, feature, bin index, left sum, left count)
         base = s * s / cnt
-        for j, column in enumerate(columns):
+        for j in range(len(columns)):
             nb = edges[j].size + 1
             if nb < 2:
                 continue
-            c = column.take(rows)
-            sums = np.bincount(c, weights=r, minlength=nb).cumsum()[:-1]
-            cnts = np.bincount(c, minlength=nb).cumsum()[:-1]
+            sums = sums_by_bin[j].cumsum()[:-1]
+            cnts = cnts_by_bin[j].cumsum()[:-1]
             rcnts = cnt - cnts
             ok = (cnts >= min_leaf) & (rcnts >= min_leaf)
             if not ok.any():
@@ -98,19 +112,32 @@ def grow_tree(codes, edges, resid, depth, min_leaf, train_pred):
                 -np.inf)
             i = int(np.argmax(gain))
             if best is None or gain[i] > best[0]:
-                best = (float(gain[i]), j, i)
+                best = (float(gain[i]), j, i, float(sums[i]), int(cnts[i]))
         if best is None or best[0] - base <= 1e-12:
             train_pred[rows] = value[node]
             return node
-        _, j, i = best
-        go_left = columns[j].take(rows) <= i
+        _, j, i, s_l, n_l = best
+        go_left = columns[j][rows] <= i
         feature[node] = j
         threshold[node] = float(edges[j][i])
-        left[node] = build(rows[go_left], remaining - 1)
-        right[node] = build(rows[~go_left], remaining - 1)
+        if remaining == 1:
+            left[node] = new_node(s_l / n_l)
+            right[node] = new_node((s - s_l) / (cnt - n_l))
+            train_pred[rows] = np.where(go_left, value[left[node]],
+                                        value[right[node]])
+            return node
+        rows_l, rows_r = rows[go_left], rows[~go_left]
+        small = count(rows_l if n_l <= cnt - n_l else rows_r)
+        large = ([a - b for a, b in zip(sums_by_bin, small[0])],
+                 [a - b for a, b in zip(cnts_by_bin, small[1])])
+        tables_l, tables_r = ((small, large) if n_l <= cnt - n_l
+                              else (large, small))
+        left[node] = build(rows_l, s_l, *tables_l, remaining - 1)
+        right[node] = build(rows_r, s - s_l, *tables_r, remaining - 1)
         return node
 
-    build(np.arange(codes.shape[0]), depth)
+    rows = np.arange(codes.shape[0])
+    build(rows, float(resid.sum()), *count(rows), depth)
     return (np.asarray(feature, dtype=np.int32), np.asarray(threshold),
             np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32),
             np.asarray(value))

@@ -41,16 +41,6 @@ def read_table(path):
         return list(csv.DictReader(fh))
 
 
-@pytest.fixture(scope="session")
-def fig5_report(tmp_path_factory):
-    """The full nonlinearity sweep at its registered defaults (the long
-    run: ~4 minutes); shared by every test that reads it."""
-    out = tmp_path_factory.mktemp("fig5_full")
-    cfg = build_config("fig5_sweep", out_dir=str(out))
-    run("fig5_sweep", cfg)
-    return out
-
-
 def test_criterion_01_ols_recovers_coefficients_across_seeds():
     # n = 5000; each component within +-0.05 of truth on >= 19 of 20 seeds;
     # the reference estimates (3.31, 0.11, 0.31, 0.50) fall inside the

@@ -9,8 +9,9 @@ import scmlab.flexfit.gbt as gbt_module
 from scmlab import (Dataset, GbtConfig, MlpConfig, attribution_summary,
                     gbt_train, mlp_train, shapley_exact)
 from scmlab.errors import (EmptyBackgroundError, EmptyEvaluationError,
-                           FeatureListRequiredError, FeatureMismatchError,
-                           RowShapeError, ScmLabError, TooManyFeaturesError)
+                           EmptyFeatureListError, FeatureListRequiredError,
+                           FeatureMismatchError, RowShapeError, ScmLabError,
+                           TooManyFeaturesError)
 from scmlab.flexfit import predict_on_matrix
 from scmlab.rng import normal_column, uniform_column
 from shapley_helpers import grid_coalition_outputs
@@ -215,6 +216,8 @@ def test_bad_inputs_rejected():
      RowShapeError),
     (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, 2.0], B[:0],
                              features=["a", "b"]), EmptyBackgroundError),
+    (lambda B: shapley_exact(lambda X: X.sum(axis=1), [], B[:, :0],
+                             features=[]), EmptyFeatureListError),
 ])
 def test_bad_inputs_raise_named_errors(call, error):
     with pytest.raises(error) as err:

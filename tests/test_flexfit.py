@@ -1,13 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from scmlab import (Dataset, GbtConfig, MlpConfig, gbt_train, gradient_check,
                     mlp_train, predict, split, stepwise_forward)
 from scmlab.errors import (ConfigValidationError, DegenerateTargetError,
-                           DivergenceError, InsufficientDataError,
-                           MissingFeatureError, NonBinaryTargetError)
+                           DivergenceError, EmptyFeatureListError,
+                           InsufficientDataError, MissingFeatureError,
+                           NonBinaryTargetError, ScmLabError)
 from scmlab.experiments import build_config
 from scmlab.experiments.generators import (blended_logit_features,
                                            blended_logit_model)
@@ -209,6 +212,13 @@ def test_gbt_logistic_loss_probabilities():
     assert np.mean(np.abs(pred - p)) < 0.06
 
 
+def test_gbt_rejects_an_empty_feature_list():
+    with pytest.raises(EmptyFeatureListError) as err:
+        gbt_train(make_data(y=np.arange(5.0)), "y", [])
+    assert isinstance(err.value, ScmLabError)
+    assert isinstance(err.value, ValueError)
+
+
 def test_gbt_logistic_rejects_non_binary_target():
     d = make_data(x=np.arange(20.0), y=np.arange(20.0) % 3)
     with pytest.raises(NonBinaryTargetError) as err:
@@ -321,8 +331,8 @@ GBT_REFERENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GBT_REFERENCE_CASES))
-def test_gbt_matches_reference_bit_for_bit(case):
+def reference_case(case):
+    """A reference case's training data, feature names and settings."""
     data, config = GBT_REFERENCE_CASES[case]
     if data == "fig5":
         # the registered fig5 model and GBT at q = 1, on 2000 rows and 25
@@ -341,6 +351,13 @@ def test_gbt_matches_reference_bit_for_bit(case):
         cols = mixed_columns(400, 31)
         names = list(cols)
         train = Dataset({**cols, "y": mixed_target(cols, config.loss, 32)})
+    return train, names, config
+
+
+@pytest.mark.parametrize("case", sorted(GBT_REFERENCE_CASES))
+def test_gbt_matches_reference_bit_for_bit(case):
+    data = GBT_REFERENCE_CASES[case][0]
+    train, names, config = reference_case(case)
     model = gbt_train(train, "y", names, config)
     X, y = train.matrix(names), train.column("y")
     trees, history = gbt_helpers.fit(X, y, config, model.base_score)
@@ -373,6 +390,33 @@ def test_gbt_matches_reference_bit_for_bit(case):
                 assert np.array_equal(
                     counts[node] - counts[tree.left[node]],
                     counts[tree.right[node]])
+
+
+@pytest.mark.parametrize("case", ["fig5-sized", "logistic-depth3"])
+def test_gbt_leaves_hold_the_mean_residual_of_their_rows(case):
+    # independent of both growers: replay the boosting from the fitted
+    # trees, route the training rows by the thresholds, and compare each
+    # leaf's value with the exact mean of the residuals that reached it
+    train, names, config = reference_case(case)
+    model = gbt_train(train, "y", names, config)
+    X, y = train.matrix(names), train.column("y")
+    rows = np.arange(y.size)
+    F = np.full(y.size, model.base_score)
+    for tree in model.trees:
+        resid = y - expit(F) if config.loss == "logistic" else y - F
+        node = np.zeros(y.size, dtype=np.intp)
+        for _ in range(config.depth):
+            f = tree.feature[node]
+            x = X[rows, np.maximum(f, 0)]
+            node = np.where(f < 0, node,
+                            np.where(x < tree.threshold[node],
+                                     tree.left[node], tree.right[node]))
+        assert set(node) == set(np.flatnonzero(tree.feature < 0))
+        tol = 1e-12 * (1.0 + np.abs(resid).max())
+        for leaf in set(node):
+            r = resid[node == leaf]
+            assert abs(tree.value[leaf] - math.fsum(r) / r.size) <= tol
+        F += config.learning_rate * tree.value[node]
 
 
 # --- split / stepwise -----------------------------------------------------

@@ -11,7 +11,8 @@ from scmlab.errors import (CycleError, GraphFileError, OverlappingSetsError,
                            TooManyCandidatesError, UnknownNodeError)
 
 from dsep_helpers import (all_dags, all_queries, moral_separated_batch,
-                          reflexive_closure)
+                          node_major, pack_rows, reflexive_closure,
+                          shared_child, square_closure, step, unpack_rows)
 from sem_helpers import random_linear_model
 
 
@@ -133,6 +134,35 @@ def test_methods_agree_on_random_graphs():
         a = d_separated(g, {names[x]}, {names[y]}, Z, method="reachable")
         b = d_separated(g, {names[x]}, {names[y]}, Z, method="moral")
         assert a == b
+
+
+def test_packed_twin_products_match_float32_products():
+    # the bit-packed products of the d-separation twins against the
+    # float32 batched products they replaced: closure by squaring (of the
+    # DAGs and of random symmetric graphs, as moralization gives), one
+    # reach step, and the shared-child product
+    rng = np.random.default_rng(5)
+
+    def float32_closure(C):
+        for _ in range(max(1, int(np.ceil(np.log2(C.shape[1]))))):
+            Cf = C.astype(np.float32)
+            C = (Cf @ Cf) > 0.5
+        return C
+
+    for m in range(2, 6):
+        A = all_dags(m)
+        D, eye = A.shape[0], np.eye(m, dtype=bool)
+        Af = A.astype(np.float32)
+        assert np.array_equal(reflexive_closure(A), float32_closure(A | eye))
+        M = rng.random((D, m, m)) < 0.3
+        M = M | M.transpose(0, 2, 1) | eye
+        assert np.array_equal(square_closure(M), float32_closure(M))
+        assert np.array_equal(shared_child(A),
+                              (Af @ Af.transpose(0, 2, 1)) > 0.5)
+        v = rng.random((D, m)) < 0.5
+        assert np.array_equal(
+            unpack_rows(step(pack_rows(v), node_major(A)), m),
+            (v.astype(np.float32)[:, None, :] @ Af)[:, 0] > 0.5)
 
 
 def test_scalar_methods_match_exhaustive_batch_on_subsample():

@@ -1,0 +1,84 @@
+"""The registered experiments' reports, byte for byte, against the sha256
+digests committed in ``report_digests.json``.
+
+Criterion 10 checks that two runs of one commit write the same bytes; this
+check notices when a change moves a report's digits across commits. A
+change that moves them on purpose rewrites the manifest in the same diff:
+
+    PYTHONPATH=src python tests/test_report_digests.py
+
+runs the eight experiments at their registered defaults and writes the
+manifest, with the numpy, scipy and BLAS versions it was made with. Float
+results can differ in their last digits on another build of those, so
+there the comparison is skipped, with the versions named.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from scmlab.experiments import build_config, list_experiments, run
+
+MANIFEST = Path(__file__).with_name("report_digests.json")
+
+
+def build_versions() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": blas}
+
+
+def file_digests(out_dir: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir())}
+
+
+def run_registered(name: str, out_dir: Path) -> dict:
+    run(name, build_config(name, out_dir=str(out_dir)))
+    return file_digests(out_dir)
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    with open(MANIFEST, "r", encoding="utf-8") as fh:
+        committed = json.load(fh)
+    if committed["made_with"] != build_versions():
+        pytest.skip(f"digests were made with {committed['made_with']}, "
+                    f"this build is {build_versions()}")
+    return committed["reports"]
+
+
+def test_manifest_covers_every_registered_experiment():
+    with open(MANIFEST, "r", encoding="utf-8") as fh:
+        reports = json.load(fh)["reports"]
+    assert sorted(reports) == [name for name, _ in list_experiments()]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, _ in list_experiments() if name != "fig5_sweep"])
+def test_registered_report_matches_committed_digests(name, manifest,
+                                                     tmp_path):
+    assert run_registered(name, tmp_path) == manifest[name]
+
+
+def test_fig5_report_matches_committed_digests(manifest, fig5_report):
+    assert file_digests(fig5_report) == manifest["fig5_sweep"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = {name: run_registered(name, Path(tmp) / name)
+                   for name, _ in list_experiments()}
+    with open(MANIFEST, "w", encoding="utf-8") as fh:
+        json.dump({"made_with": build_versions(), "reports": reports}, fh,
+                  indent=1, sort_keys=True)
+        fh.write("\n")
