@@ -111,6 +111,11 @@ class MissingFeatureError(ScmLabError):
     """Prediction input lacks a feature column the model was trained on."""
 
 
+class NotAModelError(ScmLabError, TypeError):
+    """Prediction was asked of an object that is not a trained MLP or GBT.
+    Also a ``TypeError``, as this check raised before."""
+
+
 # --- explanation layer --------------------------------------------------
 
 class TooManyFeaturesError(ScmLabError):

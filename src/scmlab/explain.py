@@ -13,17 +13,20 @@ in one batched model call. A boosted-tree ensemble is evaluated tree by
 tree instead: a tree reads only its own feature set U, so it needs its
 leaf for just the 2^|U| patterns of which U-features come from x, and
 coalition S takes the pattern of S ∩ U (the interventional TreeSHAP
-observation of Lundberg et al., Nat. Mach. Intell. 2020). The leaves are
-summed in tree order, as the ensemble's own prediction sums them, so the
-outputs, and the Shapley values, are bit-identical to enumerating every
-coalition row; the result is still exact. What depends on the model alone
-(its padded tree tables) is built once per model, and what depends on the
-model and the background (which leaves each background row reaches under
-each pattern) once per model and background, held on the model until
-another background comes; a call pays only for the rows it explains. For
-every model the prediction is the full-coalition output of that same call,
-so it equals a batch prediction, and the rows explained are checked as the
-background rows are.
+observation of Lundberg et al., Nat. Mach. Intell. 2020). The trees of
+one U share their patterns, so their leaves are summed into one table per
+U, and a coalition adds one row per table. Tables and trees are added in
+the ensemble's one summation order (``GbtModel.tree_groups``), which its
+own prediction follows too, so the outputs, and the Shapley values, are
+bit-identical to enumerating every coalition row; the result is still
+exact. What depends on the model alone (its padded tree tables, and
+which table row each coalition takes) is built once per model, and what
+depends on the model and the background (which leaves each background row
+reaches under each pattern) once per model and background, held on the
+model until another background comes; a call pays only for the rows it
+explains. For every model the prediction is the full-coalition output of
+that same call, so it equals a batch prediction, and the rows explained
+are checked as the background rows are.
 
 Exact enumeration is refused beyond 12 features; every experiment here
 uses at most 10.
@@ -112,7 +115,7 @@ def _leaf_misses(layout, X):
     n_trees, n_leaf = layout.leaf_index.shape
     goes_left = X.T[layout.feature] < layout.threshold[:, :, None]
     goes_left = goes_left.reshape(-1, X.shape[0])     # (tree * node, row)
-    miss = np.zeros((n_trees, n_leaf, X.shape[0]), dtype=layout.local.dtype)
+    miss = np.zeros((n_trees, n_leaf, X.shape[0]), dtype=layout.pattern.dtype)
     for above, turn, bits in layout.levels:   # one level of ancestors each
         miss |= (goes_left[above] != turn) * bits
     return miss
@@ -139,7 +142,7 @@ def _background_reach(model, B):
         miss = _leaf_misses(layout, B)                   # (tree, leaf, row)
         _, n_leaf, n_bg = miss.shape
         n_rows = layout.pattern.size
-        dtype = np.float32 if layout.value.size <= _FLOAT32_IDS else np.float64
+        dtype = np.float32 if layout.step.size <= _FLOAT32_IDS else np.float64
         reach = np.empty((n_rows, n_leaf, n_bg), dtype=dtype)
         block = max(1, _CHUNK_ROWS // (n_leaf * n_bg))
         for lo in range(0, n_rows, block):
@@ -153,7 +156,8 @@ def _background_reach(model, B):
 def _gbt_coalition_outputs(model, masks, Ec, B):
     """A GBT's outputs for every (coalition, evaluation row, background
     row), with each tree evaluated only on the 2^|U| patterns over its
-    own feature set U.
+    own feature set U. ``masks`` must be every coalition, in the order of
+    :func:`_coalition_tables`, which the layout's ``codes`` follow.
 
     Pattern p says which U-features come from the evaluation row. Under p
     a leaf is reached when no split above it on a p-feature misses on the
@@ -164,47 +168,70 @@ def _gbt_coalition_outputs(model, masks, Ec, B):
     by their leaf ids and contracting over the slots with the background
     side, in one batched float matmul, gives each (pattern, row pair) the
     id of its one leaf: the other terms are exact zeros and the ids are
-    integers the float type holds exactly. Coalition S takes the pattern
-    of S ∩ U, and its margin gains ``(learning_rate * leaf)[code]`` tree
-    by tree, in the trees' order from ``base_score``: a block of trees is
-    added up by one reduce over its leading tree axis, which adds the
-    trees in order, after the running margin is added to its first tree.
-    That is the element-wise arithmetic of ``decision_function`` on the
-    expanded coalition grid, so the outputs are bit-identical to it.
+    integers the float type holds exactly.
+
+    The margin is added up in the model's one summation order
+    (:attr:`GbtModel.tree_groups`). The trees of a group share U, so the
+    group's sum under a pattern is one table row per (row pair): the rank
+    blocks of the layout are gathered onto the group tables' slots, with
+    an exact ``-0.0`` where a group has no tree of that rank, and reduced
+    over their leading rank axis, which adds in order, after the tables so
+    far are added to the block's first rank. Coalition S then takes, per
+    group, the slot of the pattern S ∩ U, and the groups' rows are added
+    from ``base_score`` in group order the same way. That is the
+    element-wise arithmetic of ``decision_function`` on the expanded
+    coalition grid, so the outputs are bit-identical to it.
     """
     n_coal = masks.shape[0]
     ec, n_bg = Ec.shape[0], B.shape[0]
-    F = np.full((n_coal, ec * n_bg), model.base_score)
+    pairs = ec * n_bg
+    F = np.full((n_coal, pairs), model.base_score)
     if model.trees:
         layout = model.explain_layout
         reach_b = _background_reach(model, B)
         n_leaf = reach_b.shape[1]
-        start = layout.pattern_start
         pattern = layout.pattern[:, None, None]
-        # code[t, c] is the pattern row of coalition c ∩ U_t
-        code = start[:-1, None] + layout.local @ masks.T
         miss_e = _leaf_misses(layout, Ec).transpose(0, 2, 1)
         ids = layout.leaf_index.astype(reach_b.dtype)[:, None, :]
-        step = model.learning_rate * layout.value
-        # tree blocks within the budget: a tree's coalition outputs, and
-        # its leaf values, ids and evaluation-side reach table, counting
-        # its patterns as at most its coalitions
-        per_tree = n_coal * ec * (3 * n_bg + n_leaf)
-        block = max(1, _CHUNK_ROWS // per_tree)
-        for lo in range(0, len(model.trees), block):
-            hi = min(lo + block, len(model.trees))
+        start, width = layout.row_start, layout.width
+        tables = np.empty((layout.slot.shape[1], pairs))
+        lo = 0
+        while lo < width.size:
+            # rank blocks within the budget: a slot's gathered row, and a
+            # pattern row's leaf values, ids and evaluation-side reach
+            # table, counting every slot as a pattern row
+            w = width[lo]
+            hi = min(width.size, lo + max(1, _CHUNK_ROWS
+                                          // (w * ec * (2 * n_bg + n_leaf))))
             rows = slice(start[lo], start[hi])
             tree = layout.pattern_tree[rows]
             reach_e = (miss_e[tree] & pattern[rows]) == 0   # (row, e, leaf)
             leaf = (reach_e * ids[tree]) @ reach_b[rows]
-            vals = step.take(leaf.astype(np.intp)).reshape(-1, ec * n_bg)
-            G = vals[code[lo:hi] - start[lo]]    # (tree, coalition, e*b)
-            G[0] += F
-            # with two or more coalitions the tree axis is not the fast
-            # one, so reduce adds along it in order, never pairwise; a
-            # single tree's sum is its own row, without reduce's copy
-            F = G[0] if hi - lo == 1 else np.add.reduce(G, axis=0)
+            # the block's leaf values, then one -0.0 row: x + -0.0 is x
+            vals = np.empty((leaf.shape[0] + 1, pairs))
+            vals[-1] = -0.0
+            # (mode "clip" takes into ``out`` unbuffered; no id is clipped)
+            layout.step.take(leaf.astype(np.intp), mode="clip",
+                             out=vals[:-1].reshape(leaf.shape))
+            # (rank, slot, e*b); a slot with no tree clips to the -0.0 row
+            G = vals.take(layout.slot[lo:hi, :w] - start[lo], axis=0,
+                          mode="clip")
+            if lo:
+                G[0] += tables[:w]
+            # w >= 2, so the rank axis is not the fast one, and reduce adds
+            # along it in order, never pairwise
+            np.add.reduce(G, axis=0, out=tables[:w])
             del reach_e, leaf, vals, G   # before the next block's exist
+            lo = hi
+        block = max(1, _CHUNK_ROWS // (n_coal * pairs))
+        for lo in range(0, layout.codes.shape[0], block):
+            G = tables[layout.codes[lo:lo + block]]   # (group, coalition, e*b)
+            G[0] += F
+            # with two or more coalitions the same holds for the group
+            # axis; a single group's sum is its own row, without reduce's
+            # copy
+            F = G[0] if G.shape[0] == 1 else np.add.reduce(G, axis=0)
+            del G
     F = F.reshape(n_coal, ec, n_bg)
     return expit(F) if model.loss == "logistic" else F
 

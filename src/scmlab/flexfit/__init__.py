@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import MissingFeatureError
+from ..errors import MissingFeatureError, NotAModelError
 from . import gbt as _gbt
 from . import mlp as _mlp
 from .gbt import GbtConfig, GbtModel, gbt_train
@@ -39,4 +39,4 @@ def predict_on_matrix(model, X: np.ndarray) -> np.ndarray:
         return _mlp.predict_matrix(model, X)
     if isinstance(model, GbtModel):
         return _gbt.predict_matrix(model, X)
-    raise TypeError(f"not a trained model: {type(model).__name__}")
+    raise NotAModelError(f"not a trained model: {type(model).__name__}")

@@ -107,35 +107,57 @@ class Tree:
 class ExplainLayout:
     """The trees as the padded tables that exact Shapley explanation reads.
 
-    Node slots are padded to the largest tree. ``feature`` and
-    ``threshold`` (n_trees, n_nodes) give each slot's split test
-    ``x[feature] < threshold`` (feature 0 and threshold 0 at leaves and
-    padding, whose tests nothing reads). ``local[t, j]`` is feature j's
-    bit in tree t's feature set U (0 when the tree does not read j), at
-    most 12 bits, so int16. A pattern is a set of U-bits; tree t has the
-    2^|U_t| patterns over its own set, as rows ``pattern_start[t]`` up to
-    ``pattern_start[t + 1]`` of one flat list, in which ``pattern_tree``
-    names each row's tree and ``pattern`` (int16) its bits.
-    ``leaf_index[t, l]`` is the flat index of tree t's leaf slot l into
-    ``value`` (0 for a padding slot). ``levels`` walks the leaves' ancestors
-    one level per entry: the ancestor's flat node index, whether the path
-    leaves it to the left, and its split's U-bit (0 once the path has
-    reached the root). ``value`` holds the padded leaf values, flat.
+    The trees are laid out rank-major over their summation groups (see
+    :attr:`GbtModel.tree_groups`): rank k holds the k-th tree of every
+    group that has more than k trees, the groups taken largest first
+    (stably), so the groups still open at rank k come first. Node slots are
+    padded to the largest tree. ``feature`` and ``threshold`` (n_trees,
+    n_nodes) give each slot's split test ``x[feature] < threshold``
+    (feature 0 and threshold 0 at leaves and padding, whose tests nothing
+    reads). A tree's feature set U gets one bit per feature, in feature
+    order; a pattern is a set of U-bits, at most 12, so int16. Tree t has
+    the 2^|U_t| patterns over its own set, as consecutive rows of one flat
+    list, in which ``pattern_tree`` names each row's tree and ``pattern``
+    its bits. ``leaf_index[t, l]`` is the flat index of tree t's leaf slot
+    l into ``step`` (0 for a padding slot). ``levels`` walks the leaves'
+    ancestors one level per entry: the ancestor's flat node index, whether
+    the path leaves it to the left, and its split's U-bit (0 once the path
+    has reached the root). ``step`` holds the padded leaf values times the
+    learning rate, flat.
+
+    The group tables are the per-(group, pattern) sums the margin is added
+    up from, as rows ("slots") of one table, the groups largest first, at
+    least two rows (the second then unused), so that a reduce over ranks
+    never runs over a trailing size of one, where numpy sums pairwise.
+    Rank k's pattern rows start at ``row_start[k]`` and are the first
+    slots, one to one; ``width[k]`` is their count, at least two.
+    ``slot[k, s]`` is the pattern row of slot s at rank k, or the pattern
+    row count, one past the last, where slot s's group has no tree of rank
+    k. ``codes[g, c]`` is the slot of group g's pattern under coalition c,
+    the groups in summation order and coalition c holding feature j when
+    bit j of c is set.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    local: np.ndarray
-    pattern_start: np.ndarray
     pattern_tree: np.ndarray
     pattern: np.ndarray
     leaf_index: np.ndarray
     levels: tuple
-    value: np.ndarray
+    step: np.ndarray
+    row_start: np.ndarray
+    width: np.ndarray
+    slot: np.ndarray
+    codes: np.ndarray
 
 
-def _explain_layout(trees, n_features) -> ExplainLayout:
-    """The :class:`ExplainLayout` of a non-empty list of trees."""
+def _explain_layout(trees, groups, n_features, learning_rate) -> ExplainLayout:
+    """The :class:`ExplainLayout` of a non-empty list of trees summed in
+    ``groups``."""
+    group_sizes = np.array([len(g) for g in groups])
+    by_size = np.argsort(-group_sizes, kind="stable")
+    trees = [trees[groups[g][k]] for k in range(group_sizes.max())
+             for g in by_size if group_sizes[g] > k]
     sizes = np.array([t.feature.size for t in trees])
     real = np.arange(sizes.max()) < sizes[:, None]
 
@@ -177,19 +199,34 @@ def _explain_layout(trees, n_features) -> ExplainLayout:
                        np.where(has, node_bit[rows, above], 0)[:, :, None]))
         node = np.where(has, up, node)
         up = np.where(has, parent[rows, above], -1)
-    return ExplainLayout(f, padded("threshold", 0.0), local, pattern_start,
-                         pattern_tree, pattern.astype(np.int16), leaf_index,
-                         tuple(levels), padded("value", 0.0).ravel())
+    # rank k holds a tree of the first (group_sizes > k).sum() groups of
+    # by_size, so the layout's first trees are each group's first, and their
+    # patterns are the slots
+    per_rank = (group_sizes > np.arange(group_sizes.max())[:, None]).sum(1)
+    row_start = pattern_start[np.concatenate([[0], np.cumsum(per_rank)])]
+    width = np.diff(row_start)
+    slots = np.arange(max(2, width[0]))
+    slot = np.where(slots < width[:, None], row_start[:-1, None] + slots,
+                    row_start[-1])
+    first = np.empty(len(groups), dtype=np.intp)
+    first[by_size] = np.arange(len(groups))
+    in_coalition = (np.arange(1 << n_features)[:, None]
+                    >> np.arange(n_features)) & 1
+    codes = pattern_start[first, None] + local[first] @ in_coalition.T
+    return ExplainLayout(f, padded("threshold", 0.0), pattern_tree,
+                         pattern.astype(np.int16), leaf_index, tuple(levels),
+                         learning_rate * padded("value", 0.0).ravel(),
+                         row_start, np.maximum(width, 2), slot, codes)
 
 
 @dataclass
 class GbtModel:
     """A fitted ensemble. Its trees and feature names are not changed
-    after construction; :attr:`explain_layout` is built from them once.
-    ``explain_background`` is the one slot where ``scmlab.explain`` holds
-    its tables for the last background explained against, with that
-    background's key; it is not part of the fit, so it is not compared,
-    shown, or carried over by ``dataclasses.replace``."""
+    after construction; :attr:`tree_groups` and :attr:`explain_layout` are
+    built from them once. ``explain_background`` is the one slot where
+    ``scmlab.explain`` holds its tables for the last background explained
+    against, with that background's key; it is not part of the fit, so it
+    is not compared, shown, or carried over by ``dataclasses.replace``."""
 
     trees: list
     learning_rate: float
@@ -200,10 +237,26 @@ class GbtModel:
                                       compare=False)
 
     @cached_property
+    def tree_groups(self) -> tuple:
+        """The order in which the margin adds the trees up: one tuple of
+        tree indices per feature set U that a tree splits on, the groups in
+        the order in which each U first appears and the trees in their
+        order within a group. A group's sum runs in tree order from its
+        first tree's shrunk leaf value, and the margin is ``base_score``
+        plus the group sums, in group order. Prediction and explanation
+        both add up in this order, so they agree bit for bit."""
+        groups = {}
+        for t, tree in enumerate(self.trees):
+            key = frozenset(tree.feature[tree.feature >= 0].tolist())
+            groups.setdefault(key, []).append(t)
+        return tuple(tuple(g) for g in groups.values())
+
+    @cached_property
     def explain_layout(self) -> ExplainLayout:
         """The trees' :class:`ExplainLayout`, built on first use (the
         ensemble must have a tree)."""
-        return _explain_layout(self.trees, len(self.feature_names))
+        return _explain_layout(self.trees, self.tree_groups,
+                               len(self.feature_names), self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -376,13 +429,18 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
 
 
 def decision_function(model: GbtModel, X: np.ndarray) -> np.ndarray:
-    """Raw additive score (margin for logistic loss, mean for squared)."""
+    """Raw additive score (margin for logistic loss, mean for squared),
+    added up in the order of :attr:`GbtModel.tree_groups`."""
     # column-major, so each tree walk gathers a split's feature from one
     # contiguous column
     X = np.asfortranarray(X, dtype=np.float64)
+    trees, rate = model.trees, model.learning_rate
     F = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
-        F += model.learning_rate * tree.predict(X)
+    for group in model.tree_groups:
+        G = rate * trees[group[0]].predict(X)
+        for t in group[1:]:
+            G += rate * trees[t].predict(X)
+        F += G
     return F
 
 

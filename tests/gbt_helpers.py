@@ -8,9 +8,12 @@ split of two leaves gives them the parent's cumulative sums over counts.
 This module restates that arithmetic in the plain style: ``int32``
 column-major codes, per-feature table lists, one ``argmax`` per feature
 per node, and boolean-mask row partitions in both the grower and the tree
-walk. The package must match it bit for bit, so the tests compare the two
-with ``np.array_equal``; a separate test checks every leaf against the
-exact mean of its rows' residuals, which neither twin computes.
+walk. Prediction adds the trees up per feature set, as the package does
+(``GbtModel.tree_groups``), but as interleaved accumulators rather than
+group by group. The package must match it bit for bit, so the tests
+compare the two with ``np.array_equal``; a separate test checks every leaf
+against the exact mean of its rows' residuals, which neither twin
+computes.
 
 The package keeps no training-loss trajectory; the reference loop records
 one, and :func:`replay_loss` rebuilds it from a fitted model's trees.
@@ -182,9 +185,21 @@ def tree_predict(arrays, X):
 
 
 def decision_function(trees, learning_rate, base, X):
-    """Raw additive score of the trees (flat arrays) on X."""
+    """Raw additive score of the trees (flat arrays) on X, in the
+    ensemble's summation order: one accumulator per feature set the trees
+    split on, opened by the first tree on that set and taking its trees in
+    order, then the accumulators added to ``base`` in the order in which
+    they were opened."""
     X = np.asarray(X, dtype=np.float64)
-    F = np.full(X.shape[0], base)
+    groups = {}
     for arrays in trees:
-        F += learning_rate * tree_predict(arrays, X)
+        key = frozenset(int(f) for f in arrays[0] if f >= 0)
+        value = learning_rate * tree_predict(arrays, X)
+        if key in groups:
+            groups[key] += value
+        else:
+            groups[key] = value
+    F = np.full(X.shape[0], base)
+    for total in groups.values():
+        F += total
     return F

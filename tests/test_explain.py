@@ -12,9 +12,10 @@ from scmlab.errors import (EmptyBackgroundError, EmptyEvaluationError,
                            EmptyFeatureListError, FeatureListRequiredError,
                            FeatureMismatchError, RowShapeError, ScmLabError,
                            TooManyFeaturesError)
-from scmlab.flexfit import predict_on_matrix
+from scmlab.flexfit import GbtModel, predict_on_matrix
 from scmlab.rng import normal_column, uniform_column
 from shapley_helpers import grid_coalition_outputs
+import gbt_helpers
 
 
 def make_data(**cols):
@@ -464,6 +465,76 @@ def test_gbt_path_with_small_row_budgets(monkeypatch, budget):
     assert_matches_grid(model, E, B)
     tiny = attribution_summary(model, E, B, relevant=["x0"])
     assert np.array_equal(full.mean_abs_phi, tiny.mean_abs_phi)
+
+
+# --- the summation order at its edges -------------------------------------
+
+# added up in order these are 1e16, as each 1.0 rounds away; numpy's
+# pairwise sum adds the 1.0s together first and gets more
+SKEWED = [1e16] + [1.0] * 40
+
+
+def leaf_tree(value):
+    """A tree of one leaf, which splits on no feature."""
+    return gbt_module.Tree(np.array([-1], dtype=np.int32), np.array([0.0]),
+                           np.array([-1], dtype=np.int32),
+                           np.array([-1], dtype=np.int32), np.array([value]))
+
+
+def stump(feature, left, right):
+    """A tree of one split, ``x[feature] < 0`` going left."""
+    return gbt_module.Tree(np.array([feature, -1, -1], dtype=np.int32),
+                           np.zeros(3), np.array([1, -1, -1], dtype=np.int32),
+                           np.array([2, -1, -1], dtype=np.int32),
+                           np.array([0.0, left, right]))
+
+
+def assert_order_matches(trees, d, E, B):
+    """A hand-built ensemble (learning rate 1, base 0) predicts what the
+    reference twin adds up, and its explain path matches the grid."""
+    model = GbtModel(trees, 1.0, 0.0, "squared", [f"x{j}" for j in range(d)])
+    arrays = [(t.feature, t.threshold, t.left, t.right, t.value)
+              for t in trees]
+    assert np.array_equal(predict_on_matrix(model, E),
+                          gbt_helpers.decision_function(arrays, 1.0, 0.0, E))
+    assert_matches_grid(model, E, B)
+    return model
+
+
+@pytest.mark.parametrize("n_bg", [1, 2])
+def test_gbt_single_leaf_trees_add_in_order(n_bg):
+    # one group of one pattern: against one background row the group
+    # tables hold one value per slot, and a reduce over ranks with a
+    # trailing size of one would add pairwise
+    assert sum(SKEWED) == 1e16 != np.sum(SKEWED)
+    E = np.array([[0.5]])
+    model = assert_order_matches([leaf_tree(v) for v in SKEWED], 1, E,
+                                 random_background(40, n_bg, 1))
+    assert predict_on_matrix(model, E)[0] == 1e16
+
+
+@pytest.mark.parametrize("budget", [explain._CHUNK_ROWS, 1])
+def test_gbt_interleaved_groups_add_in_order(monkeypatch, budget):
+    # three feature sets of 41, 12 and 5 trees, interleaved, so the groups
+    # run out of trees at different ranks; the first two groups' sums in
+    # order differ from pairwise ones, and budget 1 takes one rank per block
+    opposite = [-1e16] + [1.0] * 11
+    assert sum(opposite) == -1e16 != np.sum(opposite)
+    trees = []
+    for k, v in enumerate(SKEWED):
+        trees.append(stump(0, v, -v))
+        if k < 12:
+            trees.append(stump(1, opposite[k], opposite[k]))
+        if k < 5:
+            trees.append(leaf_tree(1.0))
+    E = np.array([[-1.0, 0.5], [1.0, -0.5], [-0.5, -2.0]])
+    B = np.array([[0.5, 0.5], [-2.0, 0.25]])
+    monkeypatch.setattr(explain, "_CHUNK_ROWS", budget)
+    model = assert_order_matches(trees, 2, E, B)
+    assert [len(g) for g in model.tree_groups] == [41, 12, 5]
+    # the groups' sums 1e16, -1e16 and 5.0, added to the base in turn; in
+    # plain tree order the large values cancel first and the sum is 56.0
+    assert predict_on_matrix(model, E[:1])[0] == 5.0
 
 
 # --- background tables held on the model ----------------------------------

@@ -10,7 +10,7 @@ from scmlab import (Dataset, GbtConfig, MlpConfig, gbt_train, gradient_check,
 from scmlab.errors import (ConfigValidationError, DegenerateTargetError,
                            DivergenceError, EmptyFeatureListError,
                            InsufficientDataError, MissingFeatureError,
-                           NonBinaryTargetError, ScmLabError)
+                           NonBinaryTargetError, NotAModelError, ScmLabError)
 from scmlab.experiments import build_config
 from scmlab.experiments.generators import (blended_logit_features,
                                            blended_logit_model)
@@ -115,6 +115,15 @@ def test_mlp_predict_requires_features():
                       MlpConfig(hidden=(4,), epochs=50, seed=0))
     with pytest.raises(MissingFeatureError):
         predict(model, make_data(z=np.zeros(5)))
+
+
+def test_predict_on_matrix_rejects_what_is_not_a_trained_model():
+    for thing in (lambda X: X[:, 0], GbtConfig()):
+        with pytest.raises(NotAModelError,
+                           match=f"not a trained model: {type(thing).__name__}"
+                           ) as err:
+            predict_on_matrix(thing, np.zeros((2, 1)))
+        assert isinstance(err.value, TypeError)
 
 
 @pytest.mark.parametrize("settings, field", [
@@ -417,6 +426,21 @@ def test_gbt_leaves_hold_the_mean_residual_of_their_rows(case):
             r = resid[node == leaf]
             assert abs(tree.value[leaf] - math.fsum(r) / r.size) <= tol
         F += config.learning_rate * tree.value[node]
+
+
+def test_gbt_one_feature_set_sums_in_tree_order():
+    # every tree splits on x, so the ensemble is one summation group: the
+    # margin is base_score plus the trees' shrunk leaf values added up in
+    # tree order, which cumsum does
+    d = sine_data(n=400, seed=9)
+    model = gbt_train(d, "y", ["x"],
+                      GbtConfig(n_trees=80, depth=3, min_leaf=10))
+    assert model.tree_groups == (tuple(range(80)),)
+    X = d.matrix(["x"])
+    leaves = np.stack([model.learning_rate * t.predict(X)
+                       for t in model.trees])
+    assert np.array_equal(gbt_module.decision_function(model, X),
+                          model.base_score + np.cumsum(leaves, axis=0)[-1])
 
 
 # --- split / stepwise -----------------------------------------------------
