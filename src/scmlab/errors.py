@@ -45,8 +45,9 @@ class ModelFileError(ScmLabError, ValueError):
 
 # --- graph layer --------------------------------------------------------
 
-class OverlappingSetsError(ScmLabError):
-    """d-separation query sets X, Y, Z are not pairwise disjoint."""
+class OverlappingSetsError(ScmLabError, ValueError):
+    """A query's sets overlap: d-separation's X, Y, Z, or a cause, outcome
+    and adjustment set.  Also a ``ValueError``, as the latter raised one."""
 
 
 class TooManyCandidatesError(ScmLabError):

@@ -21,7 +21,7 @@ def _mse(y, pred):
 def run_fig3_fit(cfg):
     p = cfg.params
     mlp_cfg = MlpConfig(hidden=p["hidden"], activation=p["activation"],
-                        output="identity", learning_rate=p["learning_rate"],
+                        learning_rate=p["learning_rate"],
                         epochs=p["epochs"], momentum=p["momentum"],
                         init_scale=p["init_scale"],
                         seed=derive_seed(cfg.seed, 2))

@@ -15,19 +15,19 @@ from ..graph import Dag
 from ..scm import Assignment, NoiseSpec, StructuralModel
 
 
-def exogenous_predictor_model(theta, noise_sd=1.0):
+def exogenous_predictor_model(theta):
     """Outcome regressed on independent predictors, no confounding.
 
     x0 is the constant 1, x1..x3 are independent standard normals, and
-    y := theta . (x0..x3) + noise. OLS on a sample is consistent for theta
-    (theta_0 appearing as the intercept).
+    y := theta . (x0..x3) + standard normal noise. OLS on a sample is
+    consistent for theta (theta_0 appearing as the intercept).
     """
     pairs = [("x0", Assignment.exogenous(NoiseSpec.constant(1.0)))]
     for k in range(1, 4):
         pairs.append((f"x{k}", Assignment.exogenous(NoiseSpec.gaussian())))
     pairs.append(("y", Assignment.linear(
         ["x0", "x1", "x2", "x3"], list(theta),
-        noise=NoiseSpec.gaussian(sd=noise_sd))))
+        noise=NoiseSpec.gaussian())))
     return StructuralModel(pairs)
 
 

@@ -23,8 +23,8 @@ __all__ = [
 def predict(model, data: Dataset) -> np.ndarray:
     """Evaluate a trained MLP or GBT on a dataset.
 
-    Columns are looked up by the model's stored feature names; logistic
-    models return probabilities.
+    Columns are looked up by the model's stored feature names; a
+    logistic-loss GBT returns probabilities.
     """
     missing = [f for f in model.feature_names if f not in data]
     if missing:

@@ -1,9 +1,9 @@
 """Small fully-connected network trained by full-batch gradient descent.
 
-Deliberately minimal: dense layers, tanh/relu hidden activations, identity
-or logistic output, fixed learning rate with optional momentum. Everything
-is plain numpy and deterministic given the config seed. The analytic
-backprop gradients are verifiable against central finite differences via
+Deliberately minimal: squared-loss regression with dense layers, tanh/relu
+hidden activations and an identity output, at a fixed learning rate with
+optional momentum. Everything is plain numpy and deterministic given the
+config seed. Backprop is checked against central finite differences by
 :func:`gradient_check`, which runs the same backprop as training.
 
 Training keeps every weight and bias in one flat parameter vector (each
@@ -23,19 +23,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigValidationError, DivergenceError
 from ..rng import substream
 
 _DIVERGENCE_FACTOR = 1e6
+_FD_STEP = 1e-5       # gradient_check's central-difference step
 
 
 @dataclass(frozen=True)
 class MlpConfig:
     hidden: tuple = (32,)
     activation: str = "tanh"       # hidden layers: "tanh" | "relu"
-    output: str = "identity"       # "identity" (squared loss) | "logistic" (log-loss)
     learning_rate: float = 0.01
     epochs: int = 20000
     momentum: float = 0.0
@@ -50,9 +49,6 @@ class MlpConfig:
         if self.activation not in ("tanh", "relu"):
             raise ConfigValidationError(
                 f"activation = {self.activation!r} must be 'tanh' or 'relu'")
-        if self.output not in ("identity", "logistic"):
-            raise ConfigValidationError(
-                f"output = {self.output!r} must be 'identity' or 'logistic'")
         if self.epochs < 0:
             raise ConfigValidationError(
                 f"epochs = {self.epochs} must be non-negative")
@@ -77,7 +73,6 @@ class MlpModel:
     weights: list
     biases: list
     activation: str
-    output: str
     feature_names: list
     x_mean: np.ndarray
     x_scale: np.ndarray
@@ -109,7 +104,7 @@ def _flat_layers(sizes):
     return vec, weights, biases
 
 
-def _forward(weights, biases, X, activation, output):
+def _forward(weights, biases, X, activation):
     """Returns (output column, pre-activations, activations)."""
     zs, acts = [], [X]
     h = X
@@ -118,41 +113,29 @@ def _forward(weights, biases, X, activation, output):
         z = np.dot(h, W)
         z += b
         zs.append(z)
-        if i < last:
-            h = _act(z, activation)
-        else:
-            h = expit(z) if output == "logistic" else z
+        h = _act(z, activation) if i < last else z
         acts.append(h)
     return h[:, 0], zs, acts
 
 
-def _loss(pred, r, y, output):
-    """Mean loss of the predictions; ``r`` is their residual pred − y."""
-    if output == "logistic":
-        p = np.clip(pred, 1e-12, 1.0 - 1e-12)
-        return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+def _loss(r):
+    """Mean squared error of the residuals ``r`` = prediction − target."""
     return float(np.add.reduce(r * r) / r.shape[0])
 
 
-def _batch_loss(weights, biases, X, y, activation, output):
-    pred, _, _ = _forward(weights, biases, X, activation, output)
-    return _loss(pred, pred - y, y, output)
+def _batch_loss(weights, biases, X, y, activation):
+    pred, _, _ = _forward(weights, biases, X, activation)
+    return _loss(pred - y)
 
 
-def _backprop(weights, biases, X, y, activation, output, grad_w, grad_b):
+def _backprop(weights, biases, X, y, activation, grad_w, grad_b):
     """Loss for one full batch; writes its gradients into ``grad_w`` and
-    ``grad_b`` (views shaped like ``weights`` and ``biases``).
-
-    For both losses the gradient at the output pre-activation reduces to
-    (prediction − target) scaled by 2/n (squared) or 1/n (log-loss with
-    logistic output — the sigmoid and the log-loss derivative cancel).
-    """
+    ``grad_b`` (views shaped like ``weights`` and ``biases``)."""
     n = X.shape[0]
-    pred, zs, acts = _forward(weights, biases, X, activation, output)
+    pred, zs, acts = _forward(weights, biases, X, activation)
     r = pred - y
-    loss = _loss(pred, r, y, output)
-    scale = 1.0 / n if output == "logistic" else 2.0 / n
-    delta = (scale * r)[:, None]
+    loss = _loss(r)
+    delta = (2.0 / n * r)[:, None]
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grad_w[i])
         np.add.reduce(delta, axis=0, out=grad_b[i])
@@ -179,10 +162,10 @@ def _init_params(weights, biases, cfg):
 def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpModel:
     """Fit the network on a dataset by full-batch gradient descent.
 
-    Inputs, and the target under identity output, are standardized first;
-    the model keeps the affine maps.  Raises DivergenceError as soon as the
-    loss is non-finite or exceeds 1e6 times its initial value.  The
-    settings are checked when the :class:`MlpConfig` is built.
+    Inputs and target are standardized first; the model keeps the affine
+    maps.  Raises DivergenceError as soon as the loss is non-finite or
+    exceeds 1e6 times its initial value.  The settings are checked when
+    the :class:`MlpConfig` is built.
     """
     cfg = config or MlpConfig()
     features = list(features)
@@ -190,10 +173,7 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     y = train.column(target).astype(np.float64)
     x_mean, x_scale = X.mean(axis=0), X.std(axis=0)
     x_scale = np.where(x_scale == 0, 1.0, x_scale)
-    if cfg.output == "identity":
-        y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
-    else:
-        y_mean, y_scale = 0.0, 1.0
+    y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
     Xn = (X - x_mean) / x_scale
     yn = (y - y_mean) / y_scale
 
@@ -206,7 +186,7 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     history = np.empty(cfg.epochs + 1)
     initial = None
     for epoch in range(cfg.epochs):
-        loss = _backprop(weights, biases, Xn, yn, cfg.activation, cfg.output,
+        loss = _backprop(weights, biases, Xn, yn, cfg.activation,
                          grad_w, grad_b)
         history[epoch] = loss
         if initial is None:
@@ -218,33 +198,28 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
         vel *= m
         vel -= lr * grad
         theta += vel
-    history[cfg.epochs] = _batch_loss(weights, biases, Xn, yn,
-                                      cfg.activation, cfg.output)
+    history[cfg.epochs] = _batch_loss(weights, biases, Xn, yn, cfg.activation)
     if not np.isfinite(history[cfg.epochs]):
         raise DivergenceError("final loss is not finite")
-    return MlpModel(weights, biases, cfg.activation, cfg.output,
-                    features, x_mean, x_scale, y_mean, y_scale,
-                    history)
+    return MlpModel(weights, biases, cfg.activation, features,
+                    x_mean, x_scale, y_mean, y_scale, history)
 
 
 def predict_matrix(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Forward pass on a raw feature matrix (columns in feature order)."""
     Xn = (np.asarray(X, dtype=np.float64) - model.x_mean) / model.x_scale
-    out, _, _ = _forward(model.weights, model.biases, Xn,
-                         model.activation, model.output)
-    if model.output == "identity":
-        return out * model.y_scale + model.y_mean
-    return out
+    out, _, _ = _forward(model.weights, model.biases, Xn, model.activation)
+    return out * model.y_scale + model.y_mean
 
 
 def gradient_check(config: MlpConfig, X: np.ndarray, y: np.ndarray,
-                   n_points: int = 100, h: float = 1e-5, seed: int = 0) -> float:
+                   n_points: int = 100, seed: int = 0) -> float:
     """Max relative error between backprop and central finite differences.
 
     Draws ``n_points`` random parameter vectors for the configured
     architecture and compares every coordinate's analytic gradient against
-    (L(p+h) − L(p−h)) / 2h. Relative error uses |ga − gn| / max(|ga| +
-    |gn|, 1e-8).
+    (L(p+h) − L(p−h)) / 2h, with h = 1e-5. Relative error uses |ga − gn| /
+    max(|ga| + |gn|, 1e-8).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -253,7 +228,7 @@ def gradient_check(config: MlpConfig, X: np.ndarray, y: np.ndarray,
     theta, weights, biases = _flat_layers(sizes)
     analytic, grad_w, grad_b = _flat_layers(sizes)
     numeric = np.empty_like(theta)
-    args = (X, y, config.activation, config.output)
+    args = (X, y, config.activation)
     worst = 0.0
     for _ in range(n_points):
         for layer in (*weights, *biases):
@@ -261,12 +236,12 @@ def gradient_check(config: MlpConfig, X: np.ndarray, y: np.ndarray,
         _backprop(weights, biases, *args, grad_w, grad_b)
         for j in range(theta.size):
             v = theta[j]
-            theta[j] = v + h
+            theta[j] = v + _FD_STEP
             hi = _batch_loss(weights, biases, *args)
-            theta[j] = v - h
+            theta[j] = v - _FD_STEP
             lo = _batch_loss(weights, biases, *args)
             theta[j] = v
-            numeric[j] = (hi - lo) / (2.0 * h)
+            numeric[j] = (hi - lo) / (2.0 * _FD_STEP)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
         worst = max(worst, float(rel.max()))
     return worst

@@ -68,13 +68,10 @@ class Dag:
         self.order = topological_sort(self)
 
     @staticmethod
-    def from_structural_model(model, observed=None) -> "Dag":
+    def from_structural_model(model) -> "Dag":
         edges = [(p, name) for name, a in model.assignments.items()
                  for p in a.parents]
-        return Dag(model.nodes, edges, observed)
-
-    def parents_of(self, node):
-        return self._parents[node]
+        return Dag(model.nodes, edges)
 
     def ancestors_of(self, seeds) -> set:
         """All ancestors of the seed set (not including the seeds
@@ -236,7 +233,7 @@ def backdoor_paths(g: Dag, cause: str, outcome: str) -> list:
     """
     g._check_nodes(cause, outcome)
     if cause == outcome:
-        raise ValueError("cause and outcome must differ")
+        raise OverlappingSetsError("cause and outcome must differ")
     paths = []
 
     def extend(path, last):
@@ -266,7 +263,7 @@ def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     Z = set(Z)
     g._check_nodes(cause, outcome, *Z)
     if cause in Z or outcome in Z:
-        raise ValueError("cause and outcome cannot be in the adjustment set")
+        raise OverlappingSetsError("cause and outcome cannot be in the adjustment set")
     if g._children[cause]:
         if Z & g.descendants_of(cause):
             return False
@@ -295,28 +292,23 @@ class AdjustmentAnalysis:
     identifiable: bool
 
 
-def minimal_backdoor_sets(g: Dag, cause: str, outcome: str,
-                          candidates=None) -> AdjustmentAnalysis:
+def minimal_backdoor_sets(g: Dag, cause: str, outcome: str) -> AdjustmentAnalysis:
     """Enumerate valid and inclusion-minimal backdoor adjustment sets.
 
-    ``candidates`` defaults to the observed nodes minus cause and outcome.
-    Search is exhaustive over subsets (candidates capped at 20); descendants
-    of cause are pruned first since no valid set may contain them. When no
-    backdoor path exists the empty set is the unique minimal set.
+    The candidates are the observed nodes minus cause and outcome (capped
+    at 20), searched exhaustively over subsets; descendants of cause are
+    pruned first since no valid set may contain them. When no backdoor
+    path exists the empty set is the unique minimal set.
     """
     g._check_nodes(cause, outcome)
     if cause == outcome:
-        raise ValueError("cause and outcome must differ")
-    if candidates is None:
-        candidates = g.observed - {cause, outcome}
-    else:
-        candidates = set(candidates)
-        g._check_nodes(*candidates)
+        raise OverlappingSetsError("cause and outcome must differ")
+    candidates = g.observed - {cause, outcome}
     if len(candidates) > _CANDIDATE_LIMIT:
         raise TooManyCandidatesError(
             f"{len(candidates)} candidates exceed the exhaustive-search "
             f"cap of {_CANDIDATE_LIMIT}")
-    usable = sorted(candidates - g.descendants_of(cause) - {cause, outcome})
+    usable = sorted(candidates - g.descendants_of(cause))
     paths = backdoor_paths(g, cause, outcome)
     # usable already excludes the descendants of cause, so every subset
     # is tested on one cut graph built here

@@ -33,8 +33,9 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import (DuplicateAssignmentError, ModelFileError,
-                     NonlinearModelError, SingularCovarianceError,
-                     UnknownNodeError, UnknownParentError)
+                     NonlinearModelError, OverlappingSetsError,
+                     SingularCovarianceError, UnknownNodeError,
+                     UnknownParentError)
 from .graph import Dag
 from .rng import normal_column, uniform_column
 
@@ -360,7 +361,7 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
         if name not in model.assignments:
             raise UnknownNodeError(f"no node named {name!r}")
     if cause == outcome:
-        raise ValueError("cause and outcome must differ")
+        raise OverlappingSetsError("cause and outcome must differ")
     order = model._order
     effect = {cause: 1.0}
     for name in order:

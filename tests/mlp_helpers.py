@@ -12,7 +12,6 @@ The package must match it bit for bit, so the tests compare the two with
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from scmlab.errors import DivergenceError
 from scmlab.flexfit.mlp import MlpConfig, MlpModel
@@ -29,7 +28,7 @@ def _act_grad(a, z, kind):
     return 1.0 - a * a if kind == "tanh" else (z > 0).astype(z.dtype)
 
 
-def _forward(weights, biases, X, activation, output):
+def _forward(weights, biases, X, activation):
     """Returns (output column, pre-activations, activations)."""
     zs, acts = [], [X]
     h = X
@@ -39,30 +38,26 @@ def _forward(weights, biases, X, activation, output):
         if i < len(weights) - 1:
             h = _act(z, activation)
         else:
-            h = expit(z) if output == "logistic" else z
+            h = z
         acts.append(h)
     return h[:, 0], zs, acts
 
 
-def _loss(pred, y, output):
-    if output == "logistic":
-        p = np.clip(pred, 1e-12, 1.0 - 1e-12)
-        return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+def _loss(pred, y):
     d = pred - y
     return float(np.mean(d * d))
 
 
-def _backward(weights, biases, X, y, activation, output):
+def _backward(weights, biases, X, y, activation):
     """Loss and gradients for one full batch.
 
-    For both losses the gradient at the output pre-activation reduces to
-    (prediction − target) scaled by 2/n (squared) or 1/n (log-loss with
-    logistic output — the sigmoid and the log-loss derivative cancel).
+    The gradient at the output pre-activation is (prediction − target)
+    scaled by 2/n.
     """
     n = X.shape[0]
-    pred, zs, acts = _forward(weights, biases, X, activation, output)
-    loss = _loss(pred, y, output)
-    scale = 1.0 / n if output == "logistic" else 2.0 / n
+    pred, zs, acts = _forward(weights, biases, X, activation)
+    loss = _loss(pred, y)
+    scale = 2.0 / n
     delta = (scale * (pred - y))[:, None]
     gw = [None] * len(weights)
     gb = [None] * len(weights)
@@ -92,8 +87,8 @@ def _init_params(sizes, cfg):
 def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpModel:
     """Fit the network on a dataset by full-batch gradient descent.
 
-    Inputs, and the target under identity output, are standardized first;
-    the model keeps the affine maps.  Raises DivergenceError as soon as the
+    Inputs and target are standardized first; the model keeps the affine
+    maps.  Raises DivergenceError as soon as the
     loss is non-finite or exceeds 1e6 times its initial value.  The
     settings are checked when the :class:`MlpConfig` is built.
     """
@@ -103,10 +98,7 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     y = train.column(target).astype(np.float64)
     x_mean, x_scale = X.mean(axis=0), X.std(axis=0)
     x_scale = np.where(x_scale == 0, 1.0, x_scale)
-    if cfg.output == "identity":
-        y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
-    else:
-        y_mean, y_scale = 0.0, 1.0
+    y_mean, y_scale = float(y.mean()), float(y.std()) or 1.0
     Xn = (X - x_mean) / x_scale
     yn = (y - y_mean) / y_scale
 
@@ -117,7 +109,7 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     history = np.empty(cfg.epochs + 1)
     initial = None
     for epoch in range(cfg.epochs):
-        loss, gw, gb = _backward(weights, biases, Xn, yn, cfg.activation, cfg.output)
+        loss, gw, gb = _backward(weights, biases, Xn, yn, cfg.activation)
         history[epoch] = loss
         if initial is None:
             initial = loss if loss > 0 else 1.0
@@ -130,11 +122,11 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
             vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
             weights[i] = weights[i] + vel_w[i]
             biases[i] = biases[i] + vel_b[i]
-    pred, _, _ = _forward(weights, biases, Xn, cfg.activation, cfg.output)
-    history[cfg.epochs] = _loss(pred, yn, cfg.output)
+    pred, _, _ = _forward(weights, biases, Xn, cfg.activation)
+    history[cfg.epochs] = _loss(pred, yn)
     if not np.isfinite(history[cfg.epochs]):
         raise DivergenceError("final loss is not finite")
-    return MlpModel(weights, biases, cfg.activation, cfg.output,
+    return MlpModel(weights, biases, cfg.activation,
                     features, x_mean, x_scale, y_mean, y_scale,
                     history)
 
@@ -142,8 +134,5 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
 def predict_matrix(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Forward pass on a raw feature matrix (columns in feature order)."""
     Xn = (np.asarray(X, dtype=np.float64) - model.x_mean) / model.x_scale
-    out, _, _ = _forward(model.weights, model.biases, Xn,
-                         model.activation, model.output)
-    if model.output == "identity":
-        return out * model.y_scale + model.y_mean
-    return out
+    out, _, _ = _forward(model.weights, model.biases, Xn, model.activation)
+    return out * model.y_scale + model.y_mean

@@ -66,20 +66,6 @@ def test_mlp_deterministic_given_seed():
     assert not np.array_equal(m1.weights[0], m3.weights[0])
 
 
-def test_mlp_logistic_output_learns_probabilities():
-    n = 2000
-    x = normal_column(6, (0,), n)
-    p = 1.0 / (1.0 + np.exp(-2.0 * x))
-    y = (uniform_column(6, (1,), n) < p).astype(float)
-    model = mlp_train(make_data(x=x, y=y), "y", ["x"],
-                      MlpConfig(hidden=(8,), output="logistic",
-                                learning_rate=0.5, momentum=0.9,
-                                epochs=2000, seed=1))
-    pred = predict(model, make_data(x=x, y=y))
-    assert ((0 < pred) & (pred < 1)).all()
-    assert np.mean(np.abs(pred - p)) < 0.06
-
-
 def test_mlp_divergence_raises():
     with pytest.raises(DivergenceError):
         mlp_train(sine_data(), "y", ["x"],
@@ -97,16 +83,13 @@ def test_mlp_relu_trains():
     assert mse < 0.05
 
 
-@pytest.mark.parametrize("activation,output", [
-    ("tanh", "identity"), ("relu", "identity"),
-    ("tanh", "logistic"), ("relu", "logistic")])
-def test_mlp_gradient_check(activation, output):
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mlp_gradient_check(activation):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 3))
-    y = (rng.random(12) < 0.5).astype(float) if output == "logistic" \
-        else rng.normal(size=12)
-    err = gradient_check(MlpConfig(hidden=(5, 4), activation=activation,
-                                   output=output), X, y, n_points=5)
+    y = rng.normal(size=12)
+    err = gradient_check(MlpConfig(hidden=(5, 4), activation=activation),
+                         X, y, n_points=5)
     assert err < 1e-4
 
 
@@ -128,7 +111,6 @@ def test_predict_on_matrix_rejects_what_is_not_a_trained_model():
 
 @pytest.mark.parametrize("settings, field", [
     (dict(activation="sigmoid"), "activation"),    # trained relu units
-    (dict(output="softmax"), "output"),            # trained an identity output
     (dict(hidden=()), "hidden"),
     (dict(hidden=(8, 0)), "hidden"),
     (dict(epochs=-1), "epochs"),
@@ -145,18 +127,15 @@ def test_mlp_config_rejects_bad_settings(settings, field):
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("output", ["identity", "logistic"])
-def test_mlp_matches_reference_bit_for_bit(activation, output):
+def test_mlp_matches_reference_bit_for_bit(activation):
     rng = np.random.default_rng(8)
     for n_in, hidden, momentum in itertools.product(
             (1, 4), ((6,), (5, 7), (5, 7, 3)), (0.0, 0.9)):
         X = rng.normal(size=(90, n_in))
         y = np.sin(2.0 * X).sum(axis=1) + 0.1 * rng.normal(size=90)
-        if output == "logistic":
-            y = (y > 0).astype(float)
         features = [f"x{j}" for j in range(n_in)]
         data = make_data(y=y, **{f: X[:, j] for j, f in enumerate(features)})
-        cfg = MlpConfig(hidden=hidden, activation=activation, output=output,
+        cfg = MlpConfig(hidden=hidden, activation=activation,
                         learning_rate=0.05, momentum=momentum, epochs=150,
                         seed=n_in + len(hidden))
         got = mlp_train(data, "y", features, cfg)
@@ -167,7 +146,6 @@ def test_mlp_matches_reference_bit_for_bit(activation, output):
         E = rng.normal(size=(40, n_in)) * 2.0
         assert np.array_equal(predict_on_matrix(got, E),
                               mlp_helpers.predict_matrix(want, E))
-    # the squared loss diverges; the clipped log-loss stays bounded
     diverges = MlpConfig(hidden=(16,), activation=activation,
                          learning_rate=50.0, momentum=0.9, epochs=500)
     messages = []

@@ -220,8 +220,19 @@ def test_valid_backdoor_set_rules():
     g = confounder_triangle()
     assert not is_valid_backdoor_set(g, "x", "y", set())
     assert is_valid_backdoor_set(g, "x", "y", {"z"})
-    with pytest.raises(ValueError):
-        is_valid_backdoor_set(g, "x", "y", {"x"})
+    for Z in ({"x"}, {"y", "z"}):
+        with pytest.raises(OverlappingSetsError,
+                           match="cannot be in the adjustment set") as err:
+            is_valid_backdoor_set(g, "x", "y", Z)
+        assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("query", [backdoor_paths, minimal_backdoor_sets])
+def test_backdoor_queries_reject_cause_equal_to_outcome(query):
+    with pytest.raises(OverlappingSetsError,
+                       match="cause and outcome must differ") as err:
+        query(confounder_triangle(), "x", "x")
+    assert isinstance(err.value, ValueError)
 
 
 def test_descendants_of_cause_invalidate_a_set():
@@ -230,8 +241,9 @@ def test_descendants_of_cause_invalidate_a_set():
     assert not is_valid_backdoor_set(g, "x", "y", {"m"})
     assert not is_valid_backdoor_set(g, "x", "y", {"m", "z"})
     assert is_valid_backdoor_set(g, "x", "y", {"z"})
-    # an explicit candidate list may name a descendant; the search prunes it
-    analysis = minimal_backdoor_sets(g, "x", "y", candidates={"m", "z"})
+    # every node is observed, so the descendant m is a candidate; the
+    # search prunes it
+    analysis = minimal_backdoor_sets(g, "x", "y")
     assert analysis.valid_sets == analysis.minimal_sets == [("z",)]
 
 
@@ -297,13 +309,14 @@ def test_minimal_backdoor_sets_match_per_subset_criterion():
         # cause usually has descendants and backdoor paths exist
         cause, outcome = names[int(rng.integers(0, 3))], names[-1 - case % 3]
         everything = set(g.nodes) - {cause, outcome}
-        for candidates in (None, everything):
-            got = minimal_backdoor_sets(g, cause, outcome, candidates)
-            pool = (g.observed - {cause, outcome} if candidates is None
-                    else candidates)
+        # the graph as drawn, then the same graph fully observed, whose
+        # pool holds every other node
+        for h in (g, Dag(g.nodes, g.edges)):
+            got = minimal_backdoor_sets(h, cause, outcome)
+            pool = h.observed - {cause, outcome}
             valid, minimal = _reference_backdoor_sets(g, cause, outcome, pool)
-            assert got.valid_sets == valid, (case, candidates)
-            assert got.minimal_sets == minimal, (case, candidates)
+            assert got.valid_sets == valid, (case, sorted(pool))
+            assert got.minimal_sets == minimal, (case, sorted(pool))
             assert got.identifiable == bool(valid)
         if everything & g.descendants_of(cause):
             with_descendant_candidates += 1

@@ -9,8 +9,8 @@ from scmlab import (Assignment, NoiseSpec, StructuralModel, intervene,
                     total_effect_linear, validate_model)
 from scmlab.errors import (CycleError, DuplicateAssignmentError,
                            ModelFileError, NonlinearModelError,
-                           SingularCovarianceError, UnknownNodeError,
-                           UnknownParentError)
+                           OverlappingSetsError, SingularCovarianceError,
+                           UnknownNodeError, UnknownParentError)
 from sem_helpers import (dense_covariance, dense_mean, random_linear_model,
                          total_effect_matrix)
 
@@ -308,6 +308,13 @@ def test_total_effect_sums_paths():
     # a -> b -> c (2 * 3) plus direct a -> c (-1)
     assert total_effect_linear(chain_model(), "a", "c") == pytest.approx(5.0)
     assert total_effect_linear(chain_model(), "c", "a") == 0.0
+
+
+def test_total_effect_rejects_cause_equal_to_outcome():
+    with pytest.raises(OverlappingSetsError,
+                       match="cause and outcome must differ") as err:
+        total_effect_linear(chain_model(), "b", "b")
+    assert isinstance(err.value, ValueError)
 
 
 def test_total_effect_rejects_custom_on_path():
