@@ -88,9 +88,9 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     """Fit the network on a dataset by full-batch gradient descent.
 
     Inputs and target are standardized first; the model keeps the affine
-    maps.  Raises DivergenceError as soon as the
-    loss is non-finite or exceeds 1e6 times its initial value.  The
-    settings are checked when the :class:`MlpConfig` is built.
+    maps.  Raises DivergenceError as soon as the loss is non-finite or
+    exceeds 1e6 times its initial value.  The settings are checked when
+    the :class:`MlpConfig` is built.
     """
     cfg = config or MlpConfig()
     features = list(features)
