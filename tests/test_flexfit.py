@@ -83,12 +83,13 @@ def test_mlp_relu_trains():
     assert mse < 0.05
 
 
+@pytest.mark.parametrize("hidden", [(6,), (5, 4)])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_mlp_gradient_check(activation):
+def test_mlp_gradient_check(activation, hidden):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 3))
     y = rng.normal(size=12)
-    err = gradient_check(MlpConfig(hidden=(5, 4), activation=activation),
+    err = gradient_check(MlpConfig(hidden=hidden, activation=activation),
                          X, y, n_points=5)
     assert err < 1e-4
 
