@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         overrides = parse_config_file(args.config) if args.config else None
         config = build_config(args.experiment, out_dir=args.out,
                               seed=args.seed, n=args.n, overrides=overrides)
-        files = run(args.experiment, config)
+        files = run(config)
         print(f"wrote {', '.join(files)} to {config.out_dir}")
         return 0
     except ScmLabError as exc:

@@ -4,6 +4,9 @@ Grouped by the layer that raises them; all inherit from :class:`ScmLabError`
 so callers can catch toolkit failures with a single except clause.
 """
 
+import math
+import re
+
 
 class ScmLabError(Exception):
     """Base class for every error raised by this package."""
@@ -166,3 +169,39 @@ class ConfigValidationError(ScmLabError, ValueError):
 
 class IoError(ScmLabError):
     """Reading or writing an experiment artifact failed."""
+
+
+# --- the range rule -----------------------------------------------------
+
+_INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
+
+
+def _bounds(accepts: str, n: int):
+    """(lo, lo_open, hi, hi_open) of an interval ``accepts`` at sample size
+    ``n``, or None when ``accepts`` is not an interval."""
+    match = _INTERVAL.fullmatch(accepts)
+    if match is None:
+        return None
+    lo_bracket, lo, hi, hi_bracket = match.groups()
+    return (n if lo == "n" else float(lo), lo_bracket == "(",
+            n if hi == "n" else float(hi), hi_bracket == ")")
+
+
+def check_value(label: str, value, accepts: str = "", n: int = None) -> None:
+    """The one range rule for settings and arguments: raise
+    :class:`ConfigValidationError` (``<label> = <value> must be finite`` or
+    ``... must lie in <accepts>``) if ``value`` is a float that is not
+    finite, or lies outside ``accepts``.  ``accepts`` is "" for any value or
+    an interval such as ``[1, inf)``, where "(" and ")" exclude a bound and
+    a bound ``n`` is the ``n`` given; other text sets no range."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigValidationError(f"{label} = {value!r} must be finite")
+    bounds = _bounds(accepts, n)
+    if bounds is None:
+        return
+    lo, lo_open, hi, hi_open = bounds
+    if not ((lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)):
+        raise ConfigValidationError(
+            f"{label} = {value!r} must lie in "
+            + re.sub(r"\bn\b", str(n), accepts))

@@ -16,7 +16,7 @@ from scipy.special import digamma, expit, ndtr, stdtr
 from .dataset import Dataset
 from .errors import (DegenerateColumnError, InsufficientDataError,
                      NonBinaryTargetError, NonFiniteValueError,
-                     RankDeficientError, SeparationError)
+                     RankDeficientError, SeparationError, check_value)
 from .rng import substream
 
 _RANK_TOL = 1e-10          # singular values below tol*s_max are rank loss
@@ -243,8 +243,7 @@ def mutual_information(data: Dataset, a: str, b: str, k: int = 3) -> MiResult:
     rescaling of either column. Exact ties make neighbour counts ambiguous,
     so both columns also receive a deterministic jitter of 1e-10 scale.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_value("k", k, "[1, inf)")
     n = data.n_rows
     if n <= k:
         raise InsufficientDataError(f"need more than k={k} rows, got {n}")

@@ -10,13 +10,12 @@ against the range registered next to the default before the run starts.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import ConfigValidationError, IoError, UnknownExperimentError
+from ..errors import (ConfigValidationError, IoError, UnknownExperimentError,
+                      check_value)
 from ..explain import _MAX_FEATURES
 from .curves import run_fig3_fit
 from .generators import blended_logit_features
@@ -34,7 +33,7 @@ _MAX_NOISE_FEATURES = _MAX_FEATURES - len(blended_logit_features(0))
 
 # Each parameter maps to (default, accepts): "" for any value, "length K"
 # for K values, or an interval that the value, or each element of a grid,
-# lies in ("(" and ")" exclude a bound; n is the run's sample size).  Every
+# lies in (``check_value``'s grammar; n is the run's sample size).  Every
 # float must be finite.  Rules on the parameters jointly follow as
 # (key, requirement, predicate).
 _REGISTRY = {
@@ -117,12 +116,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _lookup(self.name)
-        if self.n < 10:
-            raise ConfigValidationError(
-                f"n = {self.n} is below the minimum of 10")
-        if self.seed < 0:
-            raise ConfigValidationError(
-                f"seed = {self.seed} must be non-negative")
+        check_value("n", self.n, "[10, inf)")
+        check_value("seed", self.seed, "[0, inf)")
 
 
 def _convert(key, value, default):
@@ -200,20 +195,6 @@ def build_config(name: str, out_dir: str, seed: int = None, n: int = None,
         n=_convert("n", file_n if n is None else n, 0))
 
 
-_INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
-
-
-def _bounds(accepts: str, n: int):
-    """(lo, lo_open, hi, hi_open) of an interval ``accepts`` at sample size
-    ``n``, or None when ``accepts`` is not an interval."""
-    match = _INTERVAL.fullmatch(accepts)
-    if match is None:
-        return None
-    lo_bracket, lo, hi, hi_bracket = match.groups()
-    return (n if lo == "n" else float(lo), lo_bracket == "(",
-            n if hi == "n" else float(hi), hi_bracket == ")")
-
-
 def _reject(label, value, requirement):
     raise ConfigValidationError(f"{label} = {value!r} must {requirement}")
 
@@ -235,34 +216,21 @@ def _checked(config: ExperimentConfig) -> ExperimentConfig:
         _, _, length = accepts.partition("length ")
         if length and len(value) != int(length):
             _reject(key, value, f"hold {length} values")
-        bounds = _bounds(accepts, config.n)
         named = (((f"{key}[{i}]", v) for i, v in enumerate(value))
                  if isinstance(value, tuple) else [(key, value)])
         for label, v in named:
-            if isinstance(v, float) and not math.isfinite(v):
-                _reject(label, v, "be finite")
-            if bounds is None:
-                continue
-            lo, lo_open, hi, hi_open = bounds
-            if not ((lo < v if lo_open else lo <= v)
-                    and (v < hi if hi_open else v <= hi)):
-                _reject(label, v, "lie in "
-                        + re.sub(r"\bn\b", str(config.n), accepts))
+            check_value(label, v, accepts, config.n)
     for key, requirement, holds in rules:
         if not holds(params):
             _reject(key, params[key], requirement)
     return replace(config, params=params)
 
 
-def run(name: str, config: ExperimentConfig) -> list:
-    """Check ``config`` against the registered ranges, then execute the
+def run(config: ExperimentConfig) -> list:
+    """Check ``config`` against the registered ranges, then execute its
     experiment; returns the report file names written into
     ``config.out_dir``."""
-    runner = _lookup(name)[0]
-    if config.name != name:
-        raise ConfigValidationError(
-            f"config is for {config.name!r}, not {name!r}")
-    return runner(_checked(config))
+    return _lookup(config.name)[0](_checked(config))
 
 
 def list_experiments() -> list:

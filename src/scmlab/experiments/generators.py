@@ -39,21 +39,21 @@ def confounded_chain_model():
     """
     pairs = [
         ("x4", Assignment.exogenous(NoiseSpec.gaussian())),
-        ("x2", Assignment.exogenous(NoiseSpec.gaussian(scale=0.8))),
+        ("x2", Assignment.exogenous(NoiseSpec.gaussian(sd=0.8))),
         ("x0", Assignment.linear(["x4", "x2"], [1.0, -2.0],
-                                 noise=NoiseSpec.gaussian(scale=0.2))),
+                                 noise=NoiseSpec.gaussian(sd=0.2))),
         ("x1", Assignment.linear(["x0"], [-2.0],
-                                 noise=NoiseSpec.gaussian(scale=0.5))),
+                                 noise=NoiseSpec.gaussian(sd=0.5))),
         ("x3", Assignment.linear(["x2"], [1.0],
-                                 noise=NoiseSpec.gaussian(scale=0.1))),
+                                 noise=NoiseSpec.gaussian(sd=0.1))),
         ("x5", Assignment.linear(["x0"], [3.0],
-                                 noise=NoiseSpec.gaussian(scale=0.8))),
+                                 noise=NoiseSpec.gaussian(sd=0.8))),
         ("x6", Assignment.linear(["x1"], [1.0],
-                                 noise=NoiseSpec.gaussian(scale=0.5))),
+                                 noise=NoiseSpec.gaussian(sd=0.5))),
         ("y", Assignment.linear(["x3", "x1"], [2.0, -1.0],
-                                noise=NoiseSpec.gaussian(scale=0.2))),
+                                noise=NoiseSpec.gaussian(sd=0.2))),
         ("x7", Assignment.linear(["y"], [0.5],
-                                 noise=NoiseSpec.gaussian(scale=0.1))),
+                                 noise=NoiseSpec.gaussian(sd=0.1))),
     ]
     nodes = [f"x{k}" for k in range(8)] + ["y"]
     return StructuralModel(pairs, nodes=nodes)

@@ -44,8 +44,8 @@ from scipy.special import expit
 from .dataset import Dataset
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
-                     FeatureMismatchError, RowShapeError,
-                     TooManyFeaturesError)
+                     FeatureMismatchError, NonFiniteValueError,
+                     RowShapeError, TooManyFeaturesError)
 from .flexfit import GbtModel, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -262,13 +262,16 @@ def _feature_list(model, features):
 
 def _row_matrix(rows, features, what):
     """``rows`` (a Dataset, or an (m, d) array in ``features`` order) as
-    an (m, d) float matrix."""
+    an (m, d) float matrix of finite values (a Dataset holds only
+    those)."""
     if isinstance(rows, Dataset):
         return rows.matrix(features)
     M = np.asarray(rows, dtype=np.float64)
     if M.ndim != 2 or M.shape[1] != len(features):
         raise RowShapeError(f"{what} must be rows over the {len(features)} "
                             f"feature columns, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonFiniteValueError(f"{what}: a value is NaN or infinite")
     return M
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import MissingFeatureError, NotAModelError
+from ..errors import MissingFeatureError, NotAModelError, RowShapeError
 from . import gbt as _gbt
 from . import mlp as _mlp
 from .gbt import GbtConfig, GbtModel, gbt_train
@@ -35,8 +35,11 @@ def predict(model, data: Dataset) -> np.ndarray:
 
 def predict_on_matrix(model, X: np.ndarray) -> np.ndarray:
     """Evaluate on a raw matrix whose columns follow model.feature_names."""
-    if isinstance(model, MlpModel):
-        return _mlp.predict_matrix(model, X)
-    if isinstance(model, GbtModel):
-        return _gbt.predict_matrix(model, X)
-    raise NotAModelError(f"not a trained model: {type(model).__name__}")
+    if not isinstance(model, (MlpModel, GbtModel)):
+        raise NotAModelError(f"not a trained model: {type(model).__name__}")
+    if np.ndim(X) != 2 or np.shape(X)[1] != len(model.feature_names):
+        raise RowShapeError(
+            f"rows must be a matrix over the {len(model.feature_names)} "
+            f"feature columns, got shape {np.shape(X)}")
+    module = _mlp if isinstance(model, MlpModel) else _gbt
+    return module.predict_matrix(model, X)

@@ -33,9 +33,12 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import (ConfigValidationError, DegenerateTargetError,
-                      NonBinaryTargetError)
+                      NonBinaryTargetError, check_value)
 
 _MAX_BINS = 64
+_RANGES = (("depth", "[1, inf)"), ("learning_rate", "(0, inf)"),
+           ("n_trees", "[0, inf)"), ("n_bins", f"[1, {_MAX_BINS}]"),
+           ("min_leaf", "[1, inf)"))
 
 
 @dataclass(frozen=True)
@@ -48,22 +51,8 @@ class GbtConfig:
     loss: str = "squared"          # "squared" | "logistic"
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigValidationError(
-                f"depth = {self.depth} must be at least 1")
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigValidationError(
-                f"learning_rate = {self.learning_rate} must be a finite "
-                "number above 0")
-        if self.n_trees < 0:
-            raise ConfigValidationError(
-                f"n_trees = {self.n_trees} must be non-negative")
-        if not 1 <= self.n_bins <= _MAX_BINS:
-            raise ConfigValidationError(
-                f"n_bins = {self.n_bins} must lie in 1..{_MAX_BINS}")
-        if self.min_leaf < 1:
-            raise ConfigValidationError(
-                f"min_leaf = {self.min_leaf} must be at least 1")
+        for name, accepts in _RANGES:
+            check_value(name, getattr(self, name), accepts)
         if self.loss not in ("squared", "logistic"):
             raise ConfigValidationError(
                 f"loss = {self.loss!r} must be 'squared' or 'logistic'")

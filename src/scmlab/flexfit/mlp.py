@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigValidationError, DivergenceError
+from ..errors import ConfigValidationError, DivergenceError, check_value
 from ..rng import substream
 
 _DIVERGENCE_FACTOR = 1e6
 _FD_STEP = 1e-5       # gradient_check's central-difference step
+_RANGES = (("epochs", "[0, inf)"), ("learning_rate", "(0, inf)"),
+           ("momentum", "[0, 1)"), ("init_scale", "(0, inf)"))
 
 
 @dataclass(frozen=True)
@@ -42,27 +44,16 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.hidden or min(self.hidden) < 1:
+        if not self.hidden:
             raise ConfigValidationError(
-                f"hidden = {self.hidden!r} must list one or more layer sizes, "
-                f"each at least 1")
+                f"hidden = {self.hidden!r} must list one or more layer sizes")
+        for i, size in enumerate(self.hidden):
+            check_value(f"hidden[{i}]", size, "[1, inf)")
         if self.activation not in ("tanh", "relu"):
             raise ConfigValidationError(
                 f"activation = {self.activation!r} must be 'tanh' or 'relu'")
-        if self.epochs < 0:
-            raise ConfigValidationError(
-                f"epochs = {self.epochs} must be non-negative")
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigValidationError(
-                f"learning_rate = {self.learning_rate} must be a finite "
-                "number above 0")
-        if not 0 <= self.momentum < 1:
-            raise ConfigValidationError(
-                f"momentum = {self.momentum} must lie in [0, 1)")
-        if not 0 < self.init_scale < np.inf:
-            raise ConfigValidationError(
-                f"init_scale = {self.init_scale} must be a finite number "
-                "above 0")
+        for name, accepts in _RANGES:
+            check_value(name, getattr(self, name), accepts)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import InsufficientDataError
+from ..errors import InsufficientDataError, check_value
 from ..estimators import ols_fit
 from ..rng import substream
 
@@ -29,8 +29,7 @@ def split(data: Dataset, test_fraction: float, seed: int = 0) -> SplitPlan:
     each side.
     """
     n = data.n_rows
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
+    check_value("test_fraction", test_fraction, "(0, 1)")
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test >= n:
         raise InsufficientDataError(
@@ -66,8 +65,7 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     it needs at least 2 test rows (else InsufficientDataError).
     """
     candidates = list(candidates)
-    if len(candidates) < 2:
-        raise ValueError("need at least 2 candidates")
+    check_value("len(candidates)", len(candidates), "[2, inf)")
     if plan.test_idx.size < 2:
         raise InsufficientDataError(
             f"held-out R^2 needs at least 2 test rows, got "

@@ -76,24 +76,10 @@ class Dag:
     def ancestors_of(self, seeds) -> set:
         """All ancestors of the seed set (not including the seeds
         themselves unless reachable)."""
-        out = set()
-        stack = [p for s in seeds for p in self._parents[s]]
-        while stack:
-            n = stack.pop()
-            if n not in out:
-                out.add(n)
-                stack.extend(self._parents[n])
-        return out
+        return _closure(self._parents, seeds)
 
     def descendants_of(self, node) -> set:
-        out = set()
-        stack = list(self._children[node])
-        while stack:
-            n = stack.pop()
-            if n not in out:
-                out.add(n)
-                stack.extend(self._children[n])
-        return out
+        return _closure(self._children, [node])
 
     def _check_nodes(self, *names):
         for n in names:
@@ -102,6 +88,19 @@ class Dag:
 
     def __repr__(self):
         return f"Dag({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+def _closure(step, start) -> set:
+    """Every node one or more ``step`` moves (a parent or child map) from
+    a node of ``start``, by one stack walk."""
+    out = set()
+    stack = [m for s in start for m in step[s]]
+    while stack:
+        n = stack.pop()
+        if n not in out:
+            out.add(n)
+            stack.extend(step[n])
+    return out
 
 
 def topological_sort(g: Dag) -> list:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import check_value
+
 _DRAWS_PER_BLOCK = 4  # one 256-bit Philox block -> four 53-bit doubles
 
 # Offset added to uniforms in [0, 1) before the inverse CDF so the argument
@@ -63,8 +65,8 @@ def uniform_column(seed: int, path: tuple[int, ...], n: int, start: int = 0) -> 
     ``uniform_column(s, p, k, 0)`` and ``uniform_column(s, p, n-k, k)`` for
     any split point k — chunked generation is exact, not approximate.
     """
-    if n < 0 or start < 0:
-        raise ValueError("n and start must be non-negative")
+    check_value("n", n, "[0, inf)")
+    check_value("start", start, "[0, inf)")
     bg = _bit_generator(seed, path)
     skip = start % _DRAWS_PER_BLOCK
     bg.advance(start // _DRAWS_PER_BLOCK)

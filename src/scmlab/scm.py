@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (DuplicateAssignmentError, ModelFileError,
-                     NonlinearModelError, OverlappingSetsError,
-                     SingularCovarianceError, UnknownNodeError,
-                     UnknownParentError)
+from .errors import (ConfigValidationError, DuplicateAssignmentError,
+                     ModelFileError, NonlinearModelError,
+                     OverlappingSetsError, SingularCovarianceError,
+                     UnknownNodeError, UnknownParentError, check_value)
 from .graph import Dag
 from .rng import normal_column, uniform_column
 
@@ -47,55 +47,55 @@ class NoiseSpec:
     """Distribution of one node's exogenous noise term.
 
     ``kind`` is one of ``gaussian`` (params mean, sd), ``uniform`` (params
-    lo, hi) or ``constant`` (single param); the draw is multiplied by
-    ``scale``.
+    lo, hi) or ``constant`` (single param).  Every param is finite.
     """
 
     kind: str
     params: tuple
-    scale: float = 1.0
 
     @staticmethod
-    def gaussian(mean: float = 0.0, sd: float = 1.0, scale: float = 1.0) -> "NoiseSpec":
-        if sd < 0:
-            raise ValueError("sd must be non-negative")
-        return NoiseSpec("gaussian", (float(mean), float(sd)), float(scale))
+    def gaussian(mean: float = 0.0, sd: float = 1.0) -> "NoiseSpec":
+        check_value("mean", float(mean))
+        check_value("sd", float(sd), "[0, inf)")
+        return NoiseSpec("gaussian", (float(mean), float(sd)))
 
     @staticmethod
-    def uniform(lo: float, hi: float, scale: float = 1.0) -> "NoiseSpec":
+    def uniform(lo: float, hi: float) -> "NoiseSpec":
+        check_value("lo", float(lo))
+        check_value("hi", float(hi))
         if lo > hi:
-            raise ValueError("uniform noise needs lo <= hi")
-        return NoiseSpec("uniform", (float(lo), float(hi)), float(scale))
+            raise ConfigValidationError(
+                f"lo = {lo!r} must not exceed hi = {hi!r}")
+        return NoiseSpec("uniform", (float(lo), float(hi)))
 
     @staticmethod
-    def constant(c: float, scale: float = 1.0) -> "NoiseSpec":
-        return NoiseSpec("constant", (float(c),), float(scale))
+    def constant(c: float) -> "NoiseSpec":
+        check_value("c", float(c))
+        return NoiseSpec("constant", (float(c),))
 
     def mean(self) -> float:
-        if self.kind == "gaussian":
-            return self.scale * self.params[0]
         if self.kind == "uniform":
             lo, hi = self.params
-            return self.scale * 0.5 * (lo + hi)
-        return self.scale * self.params[0]
+            return 0.5 * (lo + hi)
+        return self.params[0]
 
     def variance(self) -> float:
         """Exact variance; any kind (sampling-side helper)."""
         if self.kind == "gaussian":
-            return (self.scale * self.params[1]) ** 2
+            return self.params[1] ** 2
         if self.kind == "uniform":
             lo, hi = self.params
-            return (self.scale * (hi - lo)) ** 2 / 12.0
+            return (hi - lo) ** 2 / 12.0
         return 0.0
 
     def draw(self, seed: int, path: tuple, n: int) -> np.ndarray:
         if self.kind == "gaussian":
             mean, sd = self.params
-            return self.scale * (mean + sd * normal_column(seed, path, n))
+            return mean + sd * normal_column(seed, path, n)
         if self.kind == "uniform":
             lo, hi = self.params
-            return self.scale * (lo + (hi - lo) * uniform_column(seed, path, n))
-        return np.full(n, self.scale * self.params[0])
+            return lo + (hi - lo) * uniform_column(seed, path, n)
+        return np.full(n, self.params[0])
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,11 @@ class Assignment:
         parents = tuple(parents)
         weights = tuple(float(w) for w in weights)
         if len(parents) != len(weights):
-            raise ValueError("one weight per parent required")
+            raise ConfigValidationError(
+                f"weights = {weights!r} must hold one weight per parent")
+        for i, w in enumerate(weights):
+            check_value(f"weights[{i}]", w)
+        check_value("intercept", float(intercept))
         return Assignment(parents, "linear", noise or NoiseSpec.constant(0.0),
                           weights, float(intercept))
 
@@ -211,8 +215,7 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     the declared order, so identical (model, n, seed) inputs give
     bit-identical datasets regardless of evaluation order or chunking.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_value("n", n, "[1, inf)")
     order = model._order
     node_idx = {name: i for i, name in enumerate(model.nodes)}
     cols = {}
@@ -391,7 +394,6 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
 #   weights = -2.0
 #   intercept = 0.0
 #   noise = gaussian 0 1     ; or: uniform LO HI | constant C
-#   scale = 0.5
 #
 
 def save_model(model: StructuralModel, path: str) -> None:
@@ -411,8 +413,6 @@ def save_model(model: StructuralModel, path: str) -> None:
         if a.intercept != 0.0:
             sec["intercept"] = repr(a.intercept)
         sec["noise"] = f"{a.noise.kind} " + " ".join(repr(p) for p in a.noise.params)
-        if a.noise.scale != 1.0:
-            sec["scale"] = repr(a.noise.scale)
         cp[f"node {name}"] = sec
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
@@ -426,8 +426,9 @@ def load_model(path: str) -> StructuralModel:
     """Read a model written by :func:`save_model`.
 
     Raises ModelFileError, naming the path, for a file that is not INI, a
-    missing section or key, a non-numeric value, an unknown noise kind, or
-    values the noise or assignment constructors reject.
+    missing section or key, a non-numeric value, an unknown noise kind, a
+    ``scale`` key (noise is no longer scaled: fold the scale into the noise
+    parameters), or values the noise or assignment constructors reject.
     """
     cp = configparser.ConfigParser()
     try:
@@ -466,10 +467,13 @@ def load_model(path: str) -> StructuralModel:
                 f"{path}: [{sec.name}] unknown noise kind {kind!r}; choose "
                 f"from {', '.join(_NOISE_KINDS)}")
         params = floats(sec, "noise", params)
-        [scale] = floats(sec, "scale", [sec.get("scale", "1.0")])
+        if "scale" in sec:
+            raise ModelFileError(
+                f"{path}: [{sec.name}] has a 'scale' key, which model files "
+                "no longer hold; fold it into the noise parameters")
         [intercept] = floats(sec, "intercept", [sec.get("intercept", "0.0")])
         try:
-            noise = _NOISE_KINDS[kind](*params, scale=scale)
+            noise = _NOISE_KINDS[kind](*params)
             pairs.append((name, Assignment.linear(parents, weights, intercept,
                                                   noise)))
         except (TypeError, ValueError) as exc:

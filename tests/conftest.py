@@ -9,5 +9,5 @@ def fig5_report(tmp_path_factory):
     run); shared by every test that reads it."""
     out = tmp_path_factory.mktemp("fig5_full")
     cfg = build_config("fig5_sweep", out_dir=str(out))
-    run("fig5_sweep", cfg)
+    run(cfg)
     return out

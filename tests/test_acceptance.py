@@ -161,7 +161,7 @@ def test_criterion_05_mutual_information_calibration():
 def test_criterion_06_mlp_tracks_sinusoid_linear_cannot(tmp_path):
     start = time.perf_counter()
     cfg = build_config("fig3_fit", out_dir=str(tmp_path))
-    run("fig3_fit", cfg)
+    run(cfg)
     results = read_report(tmp_path)["results"]
     noise_var = results["noise_variance"]
     assert noise_var == pytest.approx(0.09)
@@ -265,7 +265,7 @@ def test_criterion_10_every_experiment_reruns_byte_identical(tmp_path):
         for attempt in ("a", "b"):
             out = tmp_path / name / attempt
             cfg = build_config(name, out_dir=str(out), **kwargs)
-            files[attempt] = run(name, cfg)
+            files[attempt] = run(cfg)
         assert files["a"] == files["b"]
         for fname in files["a"]:
             first = (tmp_path / name / "a" / fname).read_bytes()

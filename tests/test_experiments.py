@@ -15,9 +15,10 @@ import scmlab.experiments.sweep as sweep
 import scmlab.flexfit
 from scmlab.cli import main
 from scmlab.errors import (ConfigValidationError, IoError,
-                           NonFiniteValueError, UnknownExperimentError)
-from scmlab.experiments import (_REGISTRY, ExperimentConfig, _bounds,
-                                _checked, build_config, list_experiments,
+                           NonFiniteValueError, UnknownExperimentError,
+                           _bounds)
+from scmlab.experiments import (_REGISTRY, ExperimentConfig, _checked,
+                                build_config, list_experiments,
                                 parse_config_file, run)
 from scmlab.experiments.report import format_cell, write_run
 
@@ -107,7 +108,7 @@ def test_python_values_must_convert_exactly(tmp_path):
     cfg = ExperimentConfig(name="fig2_panels", seed=7, n=300,
                            out_dir=str(tmp_path / "out"), params=params)
     with pytest.raises(ConfigValidationError, match="mi_k"):
-        run("fig2_panels", cfg)
+        run(cfg)
     assert not (tmp_path / "out").exists()
 
 
@@ -124,7 +125,7 @@ def test_run_rejects_a_hand_built_config_with_a_missing_or_unknown_key(
     cfg = ExperimentConfig(name=name, seed=7, n=300,
                            out_dir=str(tmp_path / "out"), params=params)
     with pytest.raises(ConfigValidationError, match=message):
-        run(name, cfg)
+        run(cfg)
     assert not (tmp_path / "out").exists()
 
 
@@ -171,12 +172,6 @@ def test_parse_config_file_repeated_key(tmp_path):
 def test_parse_config_file_missing():
     with pytest.raises(IoError):
         parse_config_file("/nonexistent/đ/run.cfg")
-
-
-def test_run_rejects_mismatched_config(tmp_path):
-    cfg = build_config("table2", out_dir=str(tmp_path))
-    with pytest.raises(ConfigValidationError):
-        run("table3", cfg)
 
 
 # --- report emission ------------------------------------------------------
@@ -239,7 +234,7 @@ def test_write_run_unwritable_path():
 
 def test_table2_report_structure(tmp_path):
     cfg = build_config("table2", out_dir=str(tmp_path), n=500)
-    files = run("table2", cfg)
+    files = run(cfg)
     assert files == ["coefficients.csv", "meta.json", "report.json"]
     report = read_json(tmp_path / "report.json")
     assert report["experiment"] == "table2"
@@ -251,7 +246,7 @@ def test_table2_report_structure(tmp_path):
 
 def test_backdoor_report_contents(tmp_path):
     cfg = build_config("backdoor_report", out_dir=str(tmp_path))
-    run("backdoor_report", cfg)
+    run(cfg)
     text = (tmp_path / "adjustment_sets.csv").read_text()
     assert "{x2},1,true" in text
     assert "{x3},1,true" in text
@@ -263,7 +258,7 @@ def test_rerun_is_byte_identical(tmp_path):
     for d in ["a", "b"]:
         cfg = build_config("overfit_demo", out_dir=str(tmp_path / d), n=60,
                            overrides={"n_candidates": "6"})
-        files = run("overfit_demo", cfg)
+        files = run(cfg)
     for fname in files:
         assert ((tmp_path / "a" / fname).read_bytes()
                 == (tmp_path / "b" / fname).read_bytes()), fname
@@ -273,7 +268,7 @@ def test_seed_changes_the_numbers(tmp_path):
     for d, seed in [("a", 7), ("b", 8)]:
         cfg = build_config("overfit_demo", out_dir=str(tmp_path / d), n=60,
                            seed=seed, overrides={"n_candidates": "6"})
-        run("overfit_demo", cfg)
+        run(cfg)
     r1 = read_json(tmp_path / "a" / "report.json")
     r2 = read_json(tmp_path / "b" / "report.json")
     assert r1["results"] != r2["results"]
@@ -444,7 +439,7 @@ def test_cli_ols_overflow_prints_json_error_and_no_warning(tmp_path):
 def test_cli_allocation_failure_prints_json_error(tmp_path, capsys,
                                                  monkeypatch):
     # a huge --n ended in numpy's _ArrayMemoryError traceback
-    def run(name, config):
+    def run(config):
         raise MemoryError("Unable to allocate 7.28 TiB")
     monkeypatch.setattr(scmlab.cli, "run", run)
     code, lines, out = run_cli(tmp_path, capsys, "table3", "")
@@ -460,7 +455,7 @@ def test_fig5_gbt_settings_checked_before_sampling(tmp_path, monkeypatch):
                        overrides={"eval_rows": "10", "background_rows": "10",
                                   "gbt_depth": "0"})
     with pytest.raises(ConfigValidationError, match="depth"):
-        run("fig5_sweep", cfg)
+        run(cfg)
 
 
 FIG5_ROWS = "eval_rows = 10\nbackground_rows = 10\n"

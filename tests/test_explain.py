@@ -10,8 +10,8 @@ from scmlab import (Dataset, GbtConfig, MlpConfig, attribution_summary,
                     gbt_train, mlp_train, shapley_exact)
 from scmlab.errors import (EmptyBackgroundError, EmptyEvaluationError,
                            EmptyFeatureListError, FeatureListRequiredError,
-                           FeatureMismatchError, RowShapeError, ScmLabError,
-                           TooManyFeaturesError)
+                           FeatureMismatchError, NonFiniteValueError,
+                           RowShapeError, ScmLabError, TooManyFeaturesError)
 from scmlab.flexfit import GbtModel, predict_on_matrix
 from scmlab.rng import normal_column, uniform_column
 from shapley_helpers import grid_coalition_outputs
@@ -205,6 +205,12 @@ def test_bad_inputs_rejected():
                       features=["a", "b"])
 
 
+def two_feature_gbt():
+    x = np.arange(20.0)
+    return gbt_train(make_data(a=x, b=x % 3, y=x), "y", ["a", "b"],
+                     GbtConfig(n_trees=2, depth=1, min_leaf=2))
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, 2.0], B),
      FeatureListRequiredError),
@@ -219,6 +225,22 @@ def test_bad_inputs_rejected():
                              features=["a", "b"]), EmptyBackgroundError),
     (lambda B: shapley_exact(lambda X: X.sum(axis=1), [], B[:, :0],
                              features=[]), EmptyFeatureListError),
+    # a NaN instance gave a GBT a finite attribution (NaN goes right at
+    # every split) and a callable or MLP a NaN phi
+    (lambda B: shapley_exact(two_feature_gbt(), [np.nan, 1.0], B),
+     NonFiniteValueError),
+    (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, np.inf], B,
+                             features=["a", "b"]), NonFiniteValueError),
+    (lambda B: shapley_exact(lambda X: X[:, 0], [1.0, 2.0], B - np.inf,
+                             features=["a", "b"]), NonFiniteValueError),
+    (lambda B: attribution_summary(lambda X: X[:, 0], [[1.0, np.nan]], B,
+                                   relevant=["a"], features=["a", "b"]),
+     NonFiniteValueError),
+    # a 2-feature GBT predicted silently from a 4-column matrix
+    (lambda B: predict_on_matrix(two_feature_gbt(), np.zeros((3, 4))),
+     RowShapeError),
+    (lambda B: predict_on_matrix(two_feature_gbt(), np.zeros(2)),
+     RowShapeError),
 ])
 def test_bad_inputs_raise_named_errors(call, error):
     with pytest.raises(error) as err:

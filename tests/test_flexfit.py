@@ -114,13 +114,19 @@ def test_predict_on_matrix_rejects_what_is_not_a_trained_model():
     (dict(activation="sigmoid"), "activation"),    # trained relu units
     (dict(hidden=()), "hidden"),
     (dict(hidden=(8, 0)), "hidden"),
+    (dict(hidden=(1, float("nan"))), "hidden"),
     (dict(epochs=-1), "epochs"),
+    (dict(epochs=float("nan")), "epochs"),
     (dict(init_scale=-1.0), "init_scale"),    # numpy "scale < 0" traceback
+    (dict(init_scale=0.0), "init_scale"),
     (dict(init_scale=float("nan")), "init_scale"),  # DivergenceError at epoch 0
+    (dict(init_scale=float("inf")), "init_scale"),
     (dict(learning_rate=float("nan")), "learning_rate"),
+    (dict(learning_rate=float("inf")), "learning_rate"),
     (dict(learning_rate=0.0), "learning_rate"),
     (dict(momentum=-0.1), "momentum"),
     (dict(momentum=1.0), "momentum"),
+    (dict(momentum=float("nan")), "momentum"),
 ])
 def test_mlp_config_rejects_bad_settings(settings, field):
     with pytest.raises(ConfigValidationError, match=field):
@@ -223,9 +229,14 @@ def test_gbt_degenerate_logistic_target():
 @pytest.mark.parametrize("settings, field", [
     (dict(loss="huber"), "loss"),                  # fitted squared loss
     (dict(depth=0), "depth"),
+    (dict(depth=float("nan")), "depth"),
     (dict(n_trees=-1), "n_trees"),
+    (dict(n_trees=float("nan")), "n_trees"),
+    (dict(n_bins=0), "n_bins"),
     (dict(n_bins=65), "n_bins"),
+    (dict(n_bins=float("nan")), "n_bins"),
     (dict(min_leaf=0), "min_leaf"),
+    (dict(min_leaf=float("nan")), "min_leaf"),
     (dict(learning_rate=float("nan")), "learning_rate"),  # predicted NaN
     (dict(learning_rate=float("inf")), "learning_rate"),
     (dict(learning_rate=0.0), "learning_rate"),

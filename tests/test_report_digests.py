@@ -43,7 +43,7 @@ def file_digests(out_dir: Path) -> dict:
 
 
 def run_registered(name: str, out_dir: Path) -> dict:
-    run(name, build_config(name, out_dir=str(out_dir)))
+    run(build_config(name, out_dir=str(out_dir)))
     return file_digests(out_dir)
 
 

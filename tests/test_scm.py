@@ -7,10 +7,11 @@ from scmlab import (Assignment, NoiseSpec, StructuralModel, intervene,
                     load_model, population_covariance, population_mean,
                     population_regression, sample, save_model,
                     total_effect_linear, validate_model)
-from scmlab.errors import (CycleError, DuplicateAssignmentError,
-                           ModelFileError, NonlinearModelError,
-                           OverlappingSetsError, SingularCovarianceError,
-                           UnknownNodeError, UnknownParentError)
+from scmlab.errors import (ConfigValidationError, CycleError,
+                           DuplicateAssignmentError, ModelFileError,
+                           NonlinearModelError, OverlappingSetsError,
+                           SingularCovarianceError, UnknownNodeError,
+                           UnknownParentError)
 from sem_helpers import (dense_covariance, dense_mean, random_linear_model,
                          total_effect_matrix)
 
@@ -91,6 +92,24 @@ def test_constructor_checks_model_without_validate(pairs, error):
         StructuralModel(pairs)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: NoiseSpec.gaussian(sd=float("nan")), "sd"),  # [[nan]] covariance
+    (lambda: NoiseSpec.gaussian(sd=-0.1), "sd"),
+    (lambda: NoiseSpec.gaussian(mean=float("inf")), "mean"),
+    (lambda: NoiseSpec.uniform(float("nan"), 1.0), "lo"),
+    (lambda: NoiseSpec.uniform(0.0, float("inf")), "hi"),
+    (lambda: NoiseSpec.uniform(2.0, 1.0), "lo"),
+    (lambda: NoiseSpec.constant(float("nan")), "c"),
+    (lambda: Assignment.linear(["a"], [float("nan")]), "weights"),
+    (lambda: Assignment.linear(["a"], [1.0, 2.0]), "weights"),
+    (lambda: Assignment.linear([], [], intercept=float("inf")), "intercept"),
+])
+def test_noise_and_assignment_reject_bad_parameters(build, field):
+    # every non-finite row was accepted and sampled or solved silently
+    with pytest.raises(ConfigValidationError, match=field):
+        build()
+
+
 def test_intervened_model_is_ordered_when_built():
     # b loses its parent a, so the declared-order tie-break puts b first
     m = intervene(out_of_order_model(), "b", 1.0)
@@ -141,7 +160,7 @@ def test_sample_rejects_empty():
 
 
 def test_uniform_noise_matches_declared_moments():
-    spec = NoiseSpec.uniform(-1.0, 3.0, scale=0.5)
+    spec = NoiseSpec.uniform(-0.5, 1.5)
     draws = spec.draw(0, (0,), 100_000)
     assert abs(draws.mean() - spec.mean()) < 0.01
     assert abs(draws.var() - spec.variance()) < 0.01
@@ -385,8 +404,10 @@ def test_save_rejects_custom_assignment(tmp_path):
      "unknown noise kind 'laplace'"),
     (("weights = 2.0", "weights = 2.0 3.0"), "one weight per parent"),
     (("[model]", ""), "not a model file"),
+    (("noise = gaussian 0.0 0.5", "noise = gaussian 0.0 0.5\nscale = 0.5"),
+     "[node y] has a 'scale' key"),
 ], ids=["missing-section", "missing-key", "non-numeric", "unknown-noise-kind",
-        "weight-count", "no-section-header"])
+        "weight-count", "no-section-header", "scale-key"])
 def test_load_model_names_the_file_and_the_fault(tmp_path, edit, expect):
     path = tmp_path / "two.model"
     save_model(two_node(), str(path))
