@@ -7,6 +7,8 @@ so callers can catch toolkit failures with a single except clause.
 import math
 import re
 
+import numpy as np
+
 
 class ScmLabError(Exception):
     """Base class for every error raised by this package."""
@@ -171,7 +173,7 @@ class IoError(ScmLabError):
     """Reading or writing an experiment artifact failed."""
 
 
-# --- the range rule -----------------------------------------------------
+# --- the settings rule --------------------------------------------------
 
 _INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
 
@@ -187,21 +189,71 @@ def _bounds(accepts: str, n: int):
             n if hi == "n" else float(hi), hi_bracket == ")")
 
 
-def check_value(label: str, value, accepts: str = "", n: int = None) -> None:
-    """The one range rule for settings and arguments: raise
-    :class:`ConfigValidationError` (``<label> = <value> must be finite`` or
-    ``... must lie in <accepts>``) if ``value`` is a float that is not
-    finite, or lies outside ``accepts``.  ``accepts`` is "" for any value or
-    an interval such as ``[1, inf)``, where "(" and ")" exclude a bound and
-    a bound ``n`` is the ``n`` given; other text sets no range."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigValidationError(f"{label} = {value!r} must be finite")
-    bounds = _bounds(accepts, n)
-    if bounds is None:
-        return
-    lo, lo_open, hi, hi_open = bounds
-    if not ((lo < value if lo_open else lo <= value)
-            and (value < hi if hi_open else value <= hi)):
+def _inside(value, lo, lo_open, hi, hi_open) -> bool:
+    return ((lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi))
+
+
+def _cast(value, kind):
+    """``value`` as ``kind``, or None when it does not convert: a string is
+    parsed, and any other value must convert exactly (3.0 to an int does,
+    3.7 does not).  No setting is a bool, so a bool never converts, though
+    ``True == 1``."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        if isinstance(value, str):
+            return kind(value.strip())
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if out == value or out != out else None
+
+
+def check_value(label: str, value, like, accepts: str = "", n: int = None):
+    """The one type-and-range rule for settings and arguments: ``value`` in
+    the type of the example value ``like``, checked against ``accepts``.
+
+    A tuple ``like`` takes a tuple (or a string of comma- or space-separated
+    items) whose items each take the type of ``like[0]``.  ``accepts`` is ""
+    for any value, ``length K`` for a tuple of K items, or an interval such
+    as ``[1, inf)`` that the value, or each item, lies in; "(" and ")"
+    exclude a bound, and a bound ``n`` is the ``n`` given.  Every float must
+    be finite.  Raises :class:`ConfigValidationError` naming ``label``, or
+    the item (``hidden[0]``): ``could not parse <label> = <value> as int``,
+    ``... must hold K values``, ``... must be finite`` or ``... must lie in
+    <accepts>``."""
+    many = type(like) is tuple
+    kind = type(like[0] if many else like)
+    items = (value,)
+    if many:
+        try:
+            items = tuple(value.replace(",", " ").split()
+                          if isinstance(value, str) else value)
+        except TypeError:
+            raise ConfigValidationError(
+                f"could not parse {label} = {value!r} as tuple") from None
+    bounds = _bounds(accepts, n) if accepts else None
+    out = []
+    for i, item in enumerate(items):
+        v = _cast(item, kind)
+        if v is None:
+            head, tail = "could not parse ", f" = {item!r} as {kind.__name__}"
+        elif isinstance(v, float) and not math.isfinite(v):
+            head, tail = "", f" = {v!r} must be finite"
+        elif bounds is not None and not _inside(v, *bounds):
+            head, tail = "", (f" = {v!r} must lie in "
+                              + re.sub(r"\bn\b", str(n), accepts))
+        else:
+            out.append(v)
+            continue
         raise ConfigValidationError(
-            f"{label} = {value!r} must lie in "
-            + re.sub(r"\bn\b", str(n), accepts))
+            head + (f"{label}[{i}]" if many else label) + tail)
+    if not many:
+        return out[0]
+    out = tuple(out)
+    _, _, length = accepts.partition("length ")
+    if length and len(out) != int(length):
+        raise ConfigValidationError(
+            f"{label} = {out!r} must hold {length} values")
+    return out

@@ -243,7 +243,7 @@ def mutual_information(data: Dataset, a: str, b: str, k: int = 3) -> MiResult:
     rescaling of either column. Exact ties make neighbour counts ambiguous,
     so both columns also receive a deterministic jitter of 1e-10 scale.
     """
-    check_value("k", k, "[1, inf)")
+    k = check_value("k", k, 0, "[1, inf)")
     n = data.n_rows
     if n <= k:
         raise InsufficientDataError(f"need more than k={k} rows, got {n}")

@@ -4,15 +4,15 @@ Each experiment owns a default seed, sample size, and parameter set; a run
 writes ``report.json``, one CSV per table, and ``meta.json`` into its output
 directory, and rerunning with the same configuration reproduces the files
 byte for byte.  Parameters may be overridden from a plain ``key = value``
-config file; each value takes its default's type, and ``run`` checks it
-against the range registered next to the default before the run starts.
+config file.  An :class:`ExperimentConfig` checks itself when it is
+built: each value takes its default's type and must lie in the range
+registered next to the default, and its ``params`` are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..errors import (ConfigValidationError, IoError, UnknownExperimentError,
                       check_value)
@@ -106,7 +106,13 @@ def _lookup(name: str):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved run request: registered name, seed, sample size,
-    parameter dict, and output directory."""
+    parameter mapping, and output directory.
+
+    Building one checks it: ``n``, ``seed`` and every registered parameter
+    take their defaults' types and must lie in their registered ranges and
+    meet the registered joint rules, and no key may be unknown or missing;
+    the first fault raises ``ConfigValidationError`` naming its key.  The
+    checked ``params`` are stored read-only."""
 
     name: str
     seed: int
@@ -115,29 +121,24 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _lookup(self.name)
-        check_value("n", self.n, "[10, inf)")
-        check_value("seed", self.seed, "[0, inf)")
-
-
-def _convert(key, value, default):
-    """``value`` as the type of ``default``: a string is parsed, and any
-    other value must convert exactly (3.0 to an int does, 3.7 does not).
-    No parameter is a bool, so a bool is refused, though ``True == 1``."""
-    kind = type(default)
-    try:
-        if kind is tuple:
-            items = (value.replace(",", " ").split()
-                     if isinstance(value, str) else value)
-            return tuple(_convert(key, v, default[0]) for v in items)
-        out = kind(value.strip() if isinstance(value, str) else value)
-        if not isinstance(value, (bool, np.bool_)) and (
-                isinstance(value, str) or out == value or out != out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigValidationError(
-        f"could not parse {key} = {value!r} as {kind.__name__}")
+        _, _, _, registered, rules, _ = _lookup(self.name)
+        n = check_value("n", self.n, 0, "[10, inf)")
+        seed = check_value("seed", self.seed, 0, "[0, inf)")
+        for key in (*self.params, *registered):
+            if (key in self.params) != (key in registered):
+                raise ConfigValidationError(
+                    f"{'unknown' if key in self.params else 'missing'} "
+                    f"parameter {key!r} for experiment {self.name!r}; valid "
+                    f"keys: {', '.join(sorted(registered)) or '(none)'}")
+        params = {key: check_value(key, self.params[key], default, accepts, n)
+                  for key, (default, accepts) in registered.items()}
+        for key, requirement, holds in rules:
+            if not holds(params):
+                raise ConfigValidationError(
+                    f"{key} = {params[key]!r} must {requirement}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "params", MappingProxyType(params))
 
 
 def parse_config_file(path: str) -> dict:
@@ -164,73 +165,30 @@ def parse_config_file(path: str) -> dict:
     return overrides
 
 
-def _refuse_key(what, key, name, registered):
-    raise ConfigValidationError(
-        f"{what} parameter {key!r} for experiment {name!r}; "
-        f"valid keys: {', '.join(sorted(registered)) or '(none)'}")
-
-
 def build_config(name: str, out_dir: str, seed: int = None, n: int = None,
                  overrides: dict = None) -> ExperimentConfig:
-    """Resolve CLI arguments and config-file overrides against the
-    experiment's defaults.
+    """Merge the experiment's defaults, ``overrides`` and the ``seed`` and
+    ``n`` flags into an :class:`ExperimentConfig`, which checks them.
 
-    ``overrides`` maps parameter names (strings) to replacement values,
-    each given the default's type by ``_convert``.  ``seed`` and ``n`` may
-    also appear as override keys; explicit arguments win over overrides,
-    which win over defaults.  Ranges are checked by ``run``, not here.
+    ``overrides`` maps parameter names to replacement values (a string is
+    parsed).  ``seed`` and ``n`` may also appear as override keys; explicit
+    arguments win over overrides, which win over defaults.
     """
     _, def_seed, def_n, def_params, _, _ = _lookup(name)
-    params = {key: default for key, (default, _) in def_params.items()}
     overrides = dict(overrides or {})
     file_seed = overrides.pop("seed", def_seed)
     file_n = overrides.pop("n", def_n)
-    for key, value in overrides.items():
-        if key not in params:
-            _refuse_key("unknown", key, name, params)
-        params[key] = _convert(key, value, params[key])
+    params = {key: default for key, (default, _) in def_params.items()}
     return ExperimentConfig(
-        name=name, out_dir=out_dir, params=params,
-        seed=_convert("seed", file_seed if seed is None else seed, 0),
-        n=_convert("n", file_n if n is None else n, 0))
-
-
-def _reject(label, value, requirement):
-    raise ConfigValidationError(f"{label} = {value!r} must {requirement}")
-
-
-def _checked(config: ExperimentConfig) -> ExperimentConfig:
-    """``config`` with its parameters in their defaults' types; raises
-    ``ConfigValidationError`` naming the first key that is unknown,
-    missing, out of type or out of range."""
-    _, _, _, registered, rules, _ = _lookup(config.name)
-    for key in config.params:
-        if key not in registered:
-            _refuse_key("unknown", key, config.name, registered)
-    for key in registered:
-        if key not in config.params:
-            _refuse_key("missing", key, config.name, registered)
-    params = {}
-    for key, (default, accepts) in registered.items():
-        value = params[key] = _convert(key, config.params[key], default)
-        _, _, length = accepts.partition("length ")
-        if length and len(value) != int(length):
-            _reject(key, value, f"hold {length} values")
-        named = (((f"{key}[{i}]", v) for i, v in enumerate(value))
-                 if isinstance(value, tuple) else [(key, value)])
-        for label, v in named:
-            check_value(label, v, accepts, config.n)
-    for key, requirement, holds in rules:
-        if not holds(params):
-            _reject(key, params[key], requirement)
-    return replace(config, params=params)
+        name=name, out_dir=out_dir, params={**params, **overrides},
+        seed=file_seed if seed is None else seed,
+        n=file_n if n is None else n)
 
 
 def run(config: ExperimentConfig) -> list:
-    """Check ``config`` against the registered ranges, then execute its
-    experiment; returns the report file names written into
-    ``config.out_dir``."""
-    return _lookup(config.name)[0](_checked(config))
+    """Execute ``config``'s experiment; returns the report file names
+    written into ``config.out_dir``."""
+    return _lookup(config.name)[0](config)
 
 
 def list_experiments() -> list:

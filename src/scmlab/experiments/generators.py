@@ -95,7 +95,6 @@ def blended_logit_model(q, coefficients, proxy_sd, n_noise_features):
     draws across different q — only the blend changes.
     """
     a, b, c, d, e, f = coefficients
-    q = float(q)
 
     def link_prob(x1, x2):
         eta = (1.0 - q) * (a * x1 + b) + q * (c * x1 * x1 + d) + e * x2 + f
@@ -126,7 +125,6 @@ def blended_logit_features(n_noise_features):
 
 def correlated_pair_model(rho):
     """Bivariate standard normal with correlation rho."""
-    rho = float(rho)
     return StructuralModel([
         ("x", Assignment.exogenous(NoiseSpec.gaussian())),
         ("y", Assignment.linear(["x"], [rho],

@@ -26,7 +26,7 @@ partition rows with ``compress``, as the tree walk does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -36,9 +36,9 @@ from ..errors import (ConfigValidationError, DegenerateTargetError,
                       NonBinaryTargetError, check_value)
 
 _MAX_BINS = 64
-_RANGES = (("depth", "[1, inf)"), ("learning_rate", "(0, inf)"),
-           ("n_trees", "[0, inf)"), ("n_bins", f"[1, {_MAX_BINS}]"),
-           ("min_leaf", "[1, inf)"))
+_RANGES = {"n_trees": "[0, inf)", "depth": "[1, inf)",
+           "learning_rate": "(0, inf)", "min_leaf": "[1, inf)",
+           "n_bins": f"[1, {_MAX_BINS}]"}
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,10 @@ class GbtConfig:
     loss: str = "squared"          # "squared" | "logistic"
 
     def __post_init__(self):
-        for name, accepts in _RANGES:
-            check_value(name, getattr(self, name), accepts)
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_value(
+                f.name, getattr(self, f.name), f.default,
+                _RANGES.get(f.name, "")))
         if self.loss not in ("squared", "logistic"):
             raise ConfigValidationError(
                 f"loss = {self.loss!r} must be 'squared' or 'logistic'")

@@ -20,7 +20,7 @@ whose summation order the trained bits depend on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from ..rng import substream
 
 _DIVERGENCE_FACTOR = 1e6
 _FD_STEP = 1e-5       # gradient_check's central-difference step
-_RANGES = (("epochs", "[0, inf)"), ("learning_rate", "(0, inf)"),
-           ("momentum", "[0, 1)"), ("init_scale", "(0, inf)"))
+_RANGES = {"hidden": "[1, inf)", "learning_rate": "(0, inf)",
+           "epochs": "[0, inf)", "momentum": "[0, 1)",
+           "init_scale": "(0, inf)", "seed": "[0, inf)"}
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,16 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_value(
+                f.name, getattr(self, f.name), f.default,
+                _RANGES.get(f.name, "")))
         if not self.hidden:
             raise ConfigValidationError(
                 f"hidden = {self.hidden!r} must list one or more layer sizes")
-        for i, size in enumerate(self.hidden):
-            check_value(f"hidden[{i}]", size, "[1, inf)")
         if self.activation not in ("tanh", "relu"):
             raise ConfigValidationError(
                 f"activation = {self.activation!r} must be 'tanh' or 'relu'")
-        for name, accepts in _RANGES:
-            check_value(name, getattr(self, name), accepts)
 
 
 @dataclass

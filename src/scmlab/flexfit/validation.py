@@ -29,7 +29,7 @@ def split(data: Dataset, test_fraction: float, seed: int = 0) -> SplitPlan:
     each side.
     """
     n = data.n_rows
-    check_value("test_fraction", test_fraction, "(0, 1)")
+    test_fraction = check_value("test_fraction", test_fraction, 0.0, "(0, 1)")
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test >= n:
         raise InsufficientDataError(
@@ -65,7 +65,7 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     it needs at least 2 test rows (else InsufficientDataError).
     """
     candidates = list(candidates)
-    check_value("len(candidates)", len(candidates), "[2, inf)")
+    check_value("len(candidates)", len(candidates), 0, "[2, inf)")
     if plan.test_idx.size < 2:
         raise InsufficientDataError(
             f"held-out R^2 needs at least 2 test rows, got "

@@ -55,23 +55,21 @@ class NoiseSpec:
 
     @staticmethod
     def gaussian(mean: float = 0.0, sd: float = 1.0) -> "NoiseSpec":
-        check_value("mean", float(mean))
-        check_value("sd", float(sd), "[0, inf)")
-        return NoiseSpec("gaussian", (float(mean), float(sd)))
+        return NoiseSpec("gaussian", (check_value("mean", mean, 0.0),
+                                      check_value("sd", sd, 0.0, "[0, inf)")))
 
     @staticmethod
     def uniform(lo: float, hi: float) -> "NoiseSpec":
-        check_value("lo", float(lo))
-        check_value("hi", float(hi))
+        lo = check_value("lo", lo, 0.0)
+        hi = check_value("hi", hi, 0.0)
         if lo > hi:
             raise ConfigValidationError(
                 f"lo = {lo!r} must not exceed hi = {hi!r}")
-        return NoiseSpec("uniform", (float(lo), float(hi)))
+        return NoiseSpec("uniform", (lo, hi))
 
     @staticmethod
     def constant(c: float) -> "NoiseSpec":
-        check_value("c", float(c))
-        return NoiseSpec("constant", (float(c),))
+        return NoiseSpec("constant", (check_value("c", c, 0.0),))
 
     def mean(self) -> float:
         if self.kind == "uniform":
@@ -123,15 +121,12 @@ class Assignment:
     def linear(parents, weights, intercept: float = 0.0,
                noise: NoiseSpec = None) -> "Assignment":
         parents = tuple(parents)
-        weights = tuple(float(w) for w in weights)
+        weights = check_value("weights", weights, (0.0,))
         if len(parents) != len(weights):
             raise ConfigValidationError(
                 f"weights = {weights!r} must hold one weight per parent")
-        for i, w in enumerate(weights):
-            check_value(f"weights[{i}]", w)
-        check_value("intercept", float(intercept))
         return Assignment(parents, "linear", noise or NoiseSpec.constant(0.0),
-                          weights, float(intercept))
+                          weights, check_value("intercept", intercept, 0.0))
 
     @staticmethod
     def exogenous(noise: NoiseSpec) -> "Assignment":
@@ -213,9 +208,9 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
 
     Noise for each node comes from a substream keyed by the node's index in
     the declared order, so identical (model, n, seed) inputs give
-    bit-identical datasets regardless of evaluation order or chunking.
+    bit-identical datasets regardless of evaluation order.
     """
-    check_value("n", n, "[1, inf)")
+    n = check_value("n", n, 0, "[1, inf)")
     order = model._order
     node_idx = {name: i for i, name in enumerate(model.nodes)}
     cols = {}
@@ -246,7 +241,7 @@ def intervene(model: StructuralModel, node: str, value) -> StructuralModel:
     if isinstance(value, NoiseSpec):
         new = Assignment.exogenous(value)
     else:
-        new = Assignment.exogenous(NoiseSpec.constant(float(value)))
+        new = Assignment.exogenous(NoiseSpec.constant(value))
     return StructuralModel({k: new if k == node else a
                             for k, a in model.assignments.items()},
                            nodes=model.nodes)
@@ -426,9 +421,10 @@ def load_model(path: str) -> StructuralModel:
     """Read a model written by :func:`save_model`.
 
     Raises ModelFileError, naming the path, for a file that is not INI, a
-    missing section or key, a non-numeric value, an unknown noise kind, a
-    ``scale`` key (noise is no longer scaled: fold the scale into the noise
-    parameters), or values the noise or assignment constructors reject.
+    missing section or key, a key or a section the schema does not hold (a
+    misspelt key, a node that ``nodes`` does not list), an unknown noise
+    kind, or values the noise or assignment constructors reject (a value
+    that does not parse as a number, a non-finite one).
     """
     cp = configparser.ConfigParser()
     try:
@@ -447,35 +443,36 @@ def load_model(path: str) -> StructuralModel:
             raise ModelFileError(f"{path}: [{sec.name}] has no {key!r} key")
         return sec[key]
 
-    def floats(sec, key, tokens):
-        try:
-            return [float(t) for t in tokens]
-        except ValueError:
-            raise ModelFileError(
-                f"{path}: [{sec.name}] {key} = {sec[key]!r} is not "
-                f"numeric") from None
+    def known(sec, keys):
+        for key in sec:
+            if key not in keys:
+                raise ModelFileError(
+                    f"{path}: [{sec.name}] unknown key {key!r}; valid keys: "
+                    f"{', '.join(keys)}")
 
-    nodes = value(section("model"), "nodes").split()
+    model = section("model")
+    nodes = value(model, "nodes").split()
+    known(model, ("nodes",))
     pairs = []
     for name in nodes:
         sec = section(f"node {name}")
-        parents = sec.get("parents", "").split()
-        weights = floats(sec, "weights", sec.get("weights", "").split())
         kind, *params = value(sec, "noise").split() or [""]
+        known(sec, ("intercept", "noise", "parents", "weights"))
         if kind not in _NOISE_KINDS:
             raise ModelFileError(
                 f"{path}: [{sec.name}] unknown noise kind {kind!r}; choose "
                 f"from {', '.join(_NOISE_KINDS)}")
-        params = floats(sec, "noise", params)
-        if "scale" in sec:
-            raise ModelFileError(
-                f"{path}: [{sec.name}] has a 'scale' key, which model files "
-                "no longer hold; fold it into the noise parameters")
-        [intercept] = floats(sec, "intercept", [sec.get("intercept", "0.0")])
         try:
             noise = _NOISE_KINDS[kind](*params)
-            pairs.append((name, Assignment.linear(parents, weights, intercept,
-                                                  noise)))
+            pairs.append((name, Assignment.linear(
+                sec.get("parents", "").split(), sec.get("weights", ""),
+                sec.get("intercept", "0.0"), noise)))
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: [{sec.name}] {exc}") from None
+    listed = {"model", *(f"node {name}" for name in nodes)}
+    for name in cp.sections():
+        if name not in listed:
+            raise ModelFileError(
+                f"{path}: unknown section [{name}]; [model] nodes lists "
+                f"{' '.join(nodes)}")
     return StructuralModel(pairs, nodes=nodes)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from scmlab.experiments import build_config, run
@@ -11,3 +14,15 @@ def fig5_report(tmp_path_factory):
     cfg = build_config("fig5_sweep", out_dir=str(out))
     run(cfg)
     return out
+
+
+@pytest.fixture
+def src_env():
+    """The environment for a child Python process, with this repository's
+    ``src`` first on its ``PYTHONPATH``: pyproject's ``pythonpath`` setting
+    reaches only pytest's own process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    return env

@@ -5,9 +5,10 @@ from scipy import stats
 import scmlab.estimators as estimators
 from scmlab import (Dataset, logistic_fit, mutual_information, ols_fit,
                     pearson)
-from scmlab.errors import (DegenerateColumnError, InsufficientDataError,
-                           NonBinaryTargetError, NonFiniteValueError,
-                           RankDeficientError, SeparationError)
+from scmlab.errors import (ConfigValidationError, DegenerateColumnError,
+                           InsufficientDataError, NonBinaryTargetError,
+                           NonFiniteValueError, RankDeficientError,
+                           SeparationError)
 from scmlab.rng import normal_column, uniform_column
 
 
@@ -243,6 +244,8 @@ def test_mi_argument_guards():
         mutual_information(d, "x", "y", k=5)
     with pytest.raises(ValueError):
         mutual_information(d, "x", "y", k=0)
+    with pytest.raises(ConfigValidationError, match="k = 2.5"):  # ran
+        mutual_information(d, "x", "y", k=2.5)
 
 
 def test_mi_deterministic():

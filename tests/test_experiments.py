@@ -17,9 +17,8 @@ from scmlab.cli import main
 from scmlab.errors import (ConfigValidationError, IoError,
                            NonFiniteValueError, UnknownExperimentError,
                            _bounds)
-from scmlab.experiments import (_REGISTRY, ExperimentConfig, _checked,
-                                build_config, list_experiments,
-                                parse_config_file, run)
+from scmlab.experiments import (_REGISTRY, ExperimentConfig, build_config,
+                                list_experiments, parse_config_file, run)
 from scmlab.experiments.report import format_cell, write_run
 
 ALL_EXPERIMENTS = ["backdoor_report", "fig2_panels", "fig3_fit", "fig5_sweep",
@@ -67,6 +66,8 @@ def test_defaults_resolved_from_registry():
     assert cfg.seed == 7 and cfg.n == 2000
     assert cfg.params["mi_k"] == 3
     assert cfg.params["rho_grid"] == (0.0, 0.2, 0.4, 0.6, 0.8, 0.95)
+    with pytest.raises(TypeError):          # checked once, so read-only
+        cfg.params["mi_k"] = 0
 
 
 def test_unknown_parameter_rejected():
@@ -103,12 +104,11 @@ def test_python_values_must_convert_exactly(tmp_path):
             build_config(name, out_dir="x", overrides={key: value})
     cfg = build_config("fig3_fit", out_dir="x", overrides={"hidden": (4, 4)})
     assert cfg.params["hidden"] == (4, 4)
-    # a config built without build_config is checked by run
+    # a config built without build_config checks itself
     params = dict(build_config("fig2_panels", out_dir="x").params, mi_k=3.7)
-    cfg = ExperimentConfig(name="fig2_panels", seed=7, n=300,
-                           out_dir=str(tmp_path / "out"), params=params)
     with pytest.raises(ConfigValidationError, match="mi_k"):
-        run(cfg)
+        ExperimentConfig(name="fig2_panels", seed=7, n=300,
+                         out_dir=str(tmp_path / "out"), params=params)
     assert not (tmp_path / "out").exists()
 
 
@@ -122,10 +122,9 @@ def test_run_rejects_a_hand_built_config_with_a_missing_or_unknown_key(
     # dropped from the run and from the config echo
     params = {**build_config(name, out_dir="x").params, **change}
     params = {k: v for k, v in params.items() if v is not None}
-    cfg = ExperimentConfig(name=name, seed=7, n=300,
-                           out_dir=str(tmp_path / "out"), params=params)
     with pytest.raises(ConfigValidationError, match=message):
-        run(cfg)
+        ExperimentConfig(name=name, seed=7, n=300,
+                         out_dir=str(tmp_path / "out"), params=params)
     assert not (tmp_path / "out").exists()
 
 
@@ -420,7 +419,8 @@ def test_cli_one_held_out_row_prints_json_error(tmp_path, capsys):
                           "InsufficientDataError")
 
 
-def test_cli_ols_overflow_prints_json_error_and_no_warning(tmp_path):
+def test_cli_ols_overflow_prints_json_error_and_no_warning(tmp_path,
+                                                           src_env):
     # resid @ resid overflowed with a RuntimeWarning on stderr, and only
     # write_run stopped the infinite residual variance
     cfg = tmp_path / "run.cfg"
@@ -429,7 +429,7 @@ def test_cli_ols_overflow_prints_json_error_and_no_warning(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "scmlab.cli", "run", "table2", "--n", "50",
          "--out", str(out), "--config", str(cfg)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert_one_json_error(proc.returncode, proc.stdout.splitlines(), out,
                           "NonFiniteValueError")
     assert "residual_variance" in json.loads(proc.stdout)["message"]
@@ -554,7 +554,7 @@ def test_registered_ranges_hold_at_each_bound_and_fail_one_step_past(
         pytest.fail(f"{key} = {past!r} passed the range check")
     monkeypatch.setitem(_REGISTRY, experiment, (no_run,) + entry[1:])
     if at is not None:
-        _checked(build_config(experiment, out_dir="x", overrides={key: at}))
+        build_config(experiment, out_dir="x", overrides={key: at})
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {_config_text(past)}\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -604,19 +604,19 @@ def test_cli_missing_required_out_exits_2():
     assert err.value.code == 2
 
 
-def test_import_loads_neither_scipy_stats_nor_spatial():
+def test_import_loads_neither_scipy_stats_nor_spatial(src_env):
     code = ("import sys, scmlab, scmlab.cli; print(sorted(m for m in "
             "('scipy.stats', 'scipy.spatial') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=src_env)
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_module_entrypoint(tmp_path):
+def test_cli_module_entrypoint(tmp_path, src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "scmlab.cli", "run", "backdoor_report",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert "report.json" in proc.stdout
     assert (tmp_path / "paths.csv").exists()

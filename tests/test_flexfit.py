@@ -127,6 +127,9 @@ def test_predict_on_matrix_rejects_what_is_not_a_trained_model():
     (dict(momentum=-0.1), "momentum"),
     (dict(momentum=1.0), "momentum"),
     (dict(momentum=float("nan")), "momentum"),
+    (dict(epochs=2.5), "epochs"),                  # numpy TypeError
+    (dict(hidden=5), "hidden"),                    # bare TypeError
+    (dict(hidden=(2.5,)), r"hidden\[0\] = 2.5"),    # numpy TypeError
 ])
 def test_mlp_config_rejects_bad_settings(settings, field):
     with pytest.raises(ConfigValidationError, match=field):
@@ -240,6 +243,10 @@ def test_gbt_degenerate_logistic_target():
     (dict(learning_rate=float("nan")), "learning_rate"),  # predicted NaN
     (dict(learning_rate=float("inf")), "learning_rate"),
     (dict(learning_rate=0.0), "learning_rate"),
+    (dict(n_trees=2.5), "n_trees"),                # bare TypeError
+    (dict(depth=2.5), "depth"),                    # trained without error
+    (dict(depth=True), "depth"),
+    (dict(learning_rate=None), "learning_rate"),   # bare TypeError
 ])
 def test_gbt_config_rejects_bad_settings(settings, field):
     with pytest.raises(ConfigValidationError, match=field):

@@ -13,22 +13,6 @@ def test_uniform_column_reproducible():
     assert ((0.0 <= a) & (a < 1.0)).all()
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 17, 100])
-def test_uniform_column_chunks_concatenate_exactly(k):
-    n = 101
-    whole = uniform_column(9, (0, 2), n)
-    parts = np.concatenate([uniform_column(9, (0, 2), k, start=0),
-                            uniform_column(9, (0, 2), n - k, start=k)])
-    assert np.array_equal(whole, parts)
-
-
-def test_uniform_column_random_access_matches_slice():
-    whole = uniform_column(5, (1,), 64)
-    for start in (0, 1, 2, 3, 4, 7, 31, 60):
-        chunk = uniform_column(5, (1,), 64 - start, start=start)
-        assert np.array_equal(chunk, whole[start:])
-
-
 def test_streams_differ_across_paths_and_seeds():
     base = uniform_column(7, (0,), 50)
     assert not np.array_equal(base, uniform_column(7, (1,), 50))
@@ -52,8 +36,6 @@ def test_normal_column_moments():
 def test_uniform_column_rejects_negative_arguments():
     with pytest.raises(ValueError):
         uniform_column(0, (0,), -1)
-    with pytest.raises(ValueError):
-        uniform_column(0, (0,), 5, start=-2)
 
 
 def test_substream_reproducible_and_distinct():

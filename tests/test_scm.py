@@ -103,6 +103,8 @@ def test_constructor_checks_model_without_validate(pairs, error):
     (lambda: Assignment.linear(["a"], [float("nan")]), "weights"),
     (lambda: Assignment.linear(["a"], [1.0, 2.0]), "weights"),
     (lambda: Assignment.linear([], [], intercept=float("inf")), "intercept"),
+    (lambda: NoiseSpec.gaussian(sd=None), "sd"),        # bare TypeError
+    (lambda: sample(two_node(), 2.5, 0), "n"),          # numpy TypeError
 ])
 def test_noise_and_assignment_reject_bad_parameters(build, field):
     # every non-finite row was accepted and sampled or solved silently
@@ -399,15 +401,23 @@ def test_save_rejects_custom_assignment(tmp_path):
 @pytest.mark.parametrize("edit, expect", [
     (("[node y]", "[nody y]"), "missing section [node y]"),
     (("nodes = ", "names = "), "has no 'nodes' key"),
-    (("weights = 2.0", "weights = two"), "is not numeric"),
+    (("weights = 2.0", "weights = two"),
+     "could not parse weights[0] = 'two' as float"),
     (("noise = gaussian 0.0 0.5", "noise = laplace 0.0 0.5"),
      "unknown noise kind 'laplace'"),
     (("weights = 2.0", "weights = 2.0 3.0"), "one weight per parent"),
     (("[model]", ""), "not a model file"),
     (("noise = gaussian 0.0 0.5", "noise = gaussian 0.0 0.5\nscale = 0.5"),
-     "[node y] has a 'scale' key"),
+     "[node y] unknown key 'scale'"),
+    (("intercept = 1.0", "intercep = 1.0"),       # loaded as intercept 0.0
+     "[node y] unknown key 'intercep'"),
+    (("[node y]", "[node c]\nnoise = constant 0.0\n\n[node y]"),  # dropped
+     "unknown section [node c]"),
+    (("nodes = x y", "nodes = x y\ncolour = red"),  # ignored
+     "[model] unknown key 'colour'"),
 ], ids=["missing-section", "missing-key", "non-numeric", "unknown-noise-kind",
-        "weight-count", "no-section-header", "scale-key"])
+        "weight-count", "no-section-header", "scale-key", "misspelt-key",
+        "unlisted-node", "model-key"])
 def test_load_model_names_the_file_and_the_fault(tmp_path, edit, expect):
     path = tmp_path / "two.model"
     save_model(two_node(), str(path))
