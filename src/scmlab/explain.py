@@ -8,25 +8,24 @@ values are computed, and
     phi_j = sum over S not containing j of
             |S|! (d - |S| - 1)! / d! * (v(S + j) - v(S)).
 
-A black-box model (a callable, or the MLP) gets every coalition-masked row
-in one batched model call. A boosted-tree ensemble is evaluated tree by
-tree instead: a tree reads only its own feature set U, so it needs its
-leaf for just the 2^|U| patterns of which U-features come from x, and
+A black-box model (a callable, or the MLP) is evaluated on every
+coalition-masked row, in blocks of the coalition grid. A boosted-tree
+ensemble is read from its cell tables instead (``GbtModel.cell_tables``):
+the trees that split on one feature set U form one summation group, whose
+sum is one value per cell of the grid its thresholds cut on U. The group
+needs just the 2^|U| patterns of which U-features come from x, and
 coalition S takes the pattern of S ∩ U (the interventional TreeSHAP
-observation of Lundberg et al., Nat. Mach. Intell. 2020). The trees of
-one U share their patterns, so their leaves are summed into one table per
-U, and a coalition adds one row per table. Tables and trees are added in
-the ensemble's one summation order (``GbtModel.tree_groups``), which its
-own prediction follows too, so the outputs, and the Shapley values, are
-bit-identical to enumerating every coalition row; the result is still
-exact. What depends on the model alone (its padded tree tables, and
-which table row each coalition takes) is built once per model, and what
-depends on the model and the background (which leaves each background row
-reaches under each pattern) once per model and background, held on the
-model until another background comes; a call pays only for the rows it
-explains. For every model the prediction is the full-coalition output of
-that same call, so it equals a batch prediction, and the rows explained
-are checked as the background rows are.
+observation of Lundberg et al., Nat. Mach. Intell. 2020). A coalition then
+adds one cell value per group, in the ensemble's one summation order
+(``GbtModel.tree_groups``), which its own prediction follows too, so the
+outputs, and the Shapley values, are bit-identical to enumerating every
+coalition row; the result is still exact. The tables are built once per
+model and nothing is held per background, so a background changed between
+calls is simply read again. A model whose tables would exceed the cell
+budget has none and is explained on the coalition grid, as a black box.
+For every model the prediction is the full-coalition output of that same
+call, so it equals a batch prediction, and the rows explained are checked
+as the background rows are.
 
 Exact enumeration is refused beyond 12 features; every experiment here
 uses at most 10.
@@ -50,13 +49,10 @@ from .flexfit import GbtModel, predict_on_matrix
 
 _MAX_FEATURES = 12
 # cache budget, in elements, of one explain step: a chunk of evaluation rows
-# spans at most this many coalition-expanded rows, and a block of GBT trees
-# at most this many temporary elements (8 rows x 256 coalitions x 64
-# background rows)
+# has at most this many coalition outputs (8 rows x 256 coalitions x 64
+# background rows), and a block of the coalition grid or of a GBT's
+# gathered group rows at most this many elements
 _CHUNK_ROWS = 131_072
-# a float32 holds every integer up to 2^24 exactly, so the leaf ids of an
-# ensemble with at most this many node slots are contracted in float32
-_FLOAT32_IDS = 1 << 24
 
 
 @dataclass
@@ -95,143 +91,70 @@ def _coalition_outputs(model):
     """The function ``(masks, Ec, B) -> outputs`` that explain uses for
     ``model``: the model output for every (coalition, evaluation row,
     background row), shape (n_coal, ec, n_bg)."""
-    if isinstance(model, GbtModel):
+    if isinstance(model, GbtModel) and model.cell_tables is not None:
         return lambda masks, Ec, B: _gbt_coalition_outputs(model, masks, Ec, B)
 
     def grid_outputs(masks, Ec, B):
-        # grid[c, e, b, j] = Ec[e, j] if j in coalition c else B[b, j]
-        grid = np.where(masks[:, None, None, :], Ec[None, :, None, :],
-                        B[None, None, :, :]).reshape(-1, masks.shape[1])
-        out = model(grid) if callable(model) else predict_on_matrix(model, grid)
-        return out.reshape(masks.shape[0], Ec.shape[0], B.shape[0])
+        n_coal, d = masks.shape
+        out = np.empty((n_coal, Ec.shape[0], B.shape[0]))
+        # coalitions in blocks of at most _CHUNK_ROWS grid elements
+        block = max(1, _CHUNK_ROWS // (Ec.shape[0] * B.shape[0] * d))
+        for lo in range(0, n_coal, block):
+            # grid[c, e, b, j] = Ec[e, j] if j in coalition c else B[b, j]
+            grid = np.where(masks[lo:lo + block, None, None, :],
+                            Ec[None, :, None, :], B[None, None, :, :])
+            grid = grid.reshape(-1, d)
+            rows = (model(grid) if callable(model)
+                    else predict_on_matrix(model, grid))
+            out[lo:lo + block] = rows.reshape(-1, Ec.shape[0], B.shape[0])
+        return out
     return grid_outputs
-
-
-def _leaf_misses(layout, X):
-    """For every tree, leaf and row of X, the U-bits whose split on the
-    path to the leaf sends the row the other way (n_trees, n_leaf, rows).
-    The split tests are those of ``Tree.predict``, ``x < threshold``,
-    taken once per node and row."""
-    n_trees, n_leaf = layout.leaf_index.shape
-    goes_left = X.T[layout.feature] < layout.threshold[:, :, None]
-    goes_left = goes_left.reshape(-1, X.shape[0])     # (tree * node, row)
-    miss = np.zeros((n_trees, n_leaf, X.shape[0]), dtype=layout.pattern.dtype)
-    for above, turn, bits in layout.levels:   # one level of ancestors each
-        miss |= (goes_left[above] != turn) * bits
-    return miss
-
-
-def _background_reach(model, B):
-    """Which leaf slots the background rows reach under each pattern:
-    (pattern row, leaf slot, background row), over the layout's flat
-    pattern rows, 1 where no split above the slot on one of the tree's
-    features outside the pattern misses on the row, else 0.
-
-    It depends on the model and the background alone, so it is built once
-    and held in the model's ``explain_background`` slot, keyed by the
-    background's shape and bytes: another background, or this one changed
-    in place, replaces it. It is held as float32, the type the leaves are
-    contracted in, which holds every leaf id exactly while the ensemble has
-    at most 2^24 node slots; a larger one is held as float64. It is built
-    in blocks of pattern rows within the step budget.
-    """
-    key = (B.shape, B.tobytes())
-    held = model.explain_background
-    if held is None or held[0] != key:
-        layout = model.explain_layout
-        miss = _leaf_misses(layout, B)                   # (tree, leaf, row)
-        _, n_leaf, n_bg = miss.shape
-        n_rows = layout.pattern.size
-        dtype = np.float32 if layout.step.size <= _FLOAT32_IDS else np.float64
-        reach = np.empty((n_rows, n_leaf, n_bg), dtype=dtype)
-        block = max(1, _CHUNK_ROWS // (n_leaf * n_bg))
-        for lo in range(0, n_rows, block):
-            rows = slice(lo, lo + block)
-            np.equal(miss[layout.pattern_tree[rows]]
-                     & ~layout.pattern[rows, None, None], 0, out=reach[rows])
-        held = model.explain_background = (key, reach)
-    return held[1]
 
 
 def _gbt_coalition_outputs(model, masks, Ec, B):
     """A GBT's outputs for every (coalition, evaluation row, background
-    row), with each tree evaluated only on the 2^|U| patterns over its
-    own feature set U. ``masks`` must be every coalition, in the order of
-    :func:`_coalition_tables`, which the layout's ``codes`` follow.
+    row), read from its :class:`~scmlab.flexfit.gbt.CellTables`. ``masks``
+    must be every coalition, in the order of :func:`_coalition_tables`.
 
-    Pattern p says which U-features come from the evaluation row. Under p
-    a leaf is reached when no split above it on a p-feature misses on the
-    evaluation row and none on another U-feature misses on the background
-    row; exactly one leaf is. The background side is
-    :func:`_background_reach`, held on the model; here only the evaluation
-    rows' misses are found. Weighting the evaluation side's reached slots
-    by their leaf ids and contracting over the slots with the background
-    side, in one batched float matmul, gives each (pattern, row pair) the
-    id of its one leaf: the other terms are exact zeros and the ids are
-    integers the float type holds exactly.
-
-    The margin is added up in the model's one summation order
-    (:attr:`GbtModel.tree_groups`). The trees of a group share U, so the
-    group's sum under a pattern is one table row per (row pair): the rank
-    blocks of the layout are gathered onto the group tables' slots, with
-    an exact ``-0.0`` where a group has no tree of that rank, and reduced
-    over their leading rank axis, which adds in order, after the tables so
-    far are added to the block's first rank. Coalition S then takes, per
-    group, the slot of the pattern S ∩ U, and the groups' rows are added
-    from ``base_score`` in group order the same way. That is the
-    element-wise arithmetic of ``decision_function`` on the expanded
-    coalition grid, so the outputs are bit-identical to it.
+    A group g reads only its feature set U_g, so it needs only the 2^|U_g|
+    patterns of which U-features come from the evaluation row; coalition S
+    takes the pattern S ∩ U_g. Under pattern p a (row, background row)
+    pair lies in the cell whose coordinates come from the row on p's
+    features and from the background row on the others, so one ``take``
+    gives every (group, pattern, pair) its group sum. The slots of these
+    sums run group by group, each group's patterns in order of their bits.
+    Each coalition then takes one slot per group, and the groups are added
+    from ``base_score`` in group order, which is the element-wise
+    arithmetic of ``decision_function`` on the expanded coalition grid, so
+    the outputs are bit-identical to it.
     """
-    n_coal = masks.shape[0]
-    ec, n_bg = Ec.shape[0], B.shape[0]
-    pairs = ec * n_bg
-    F = np.full((n_coal, pairs), model.base_score)
-    if model.trees:
-        layout = model.explain_layout
-        reach_b = _background_reach(model, B)
-        n_leaf = reach_b.shape[1]
-        pattern = layout.pattern[:, None, None]
-        miss_e = _leaf_misses(layout, Ec).transpose(0, 2, 1)
-        ids = layout.leaf_index.astype(reach_b.dtype)[:, None, :]
-        start, width = layout.row_start, layout.width
-        tables = np.empty((layout.slot.shape[1], pairs))
-        lo = 0
-        while lo < width.size:
-            # rank blocks within the budget: a slot's gathered row, and a
-            # pattern row's leaf values, ids and evaluation-side reach
-            # table, counting every slot as a pattern row
-            w = width[lo]
-            hi = min(width.size, lo + max(1, _CHUNK_ROWS
-                                          // (w * ec * (2 * n_bg + n_leaf))))
-            rows = slice(start[lo], start[hi])
-            tree = layout.pattern_tree[rows]
-            reach_e = (miss_e[tree] & pattern[rows]) == 0   # (row, e, leaf)
-            leaf = (reach_e * ids[tree]) @ reach_b[rows]
-            # the block's leaf values, then one -0.0 row: x + -0.0 is x
-            vals = np.empty((leaf.shape[0] + 1, pairs))
-            vals[-1] = -0.0
-            # (mode "clip" takes into ``out`` unbuffered; no id is clipped)
-            layout.step.take(leaf.astype(np.intp), mode="clip",
-                             out=vals[:-1].reshape(leaf.shape))
-            # (rank, slot, e*b); a slot with no tree clips to the -0.0 row
-            G = vals.take(layout.slot[lo:hi, :w] - start[lo], axis=0,
-                          mode="clip")
-            if lo:
-                G[0] += tables[:w]
-            # w >= 2, so the rank axis is not the fast one, and reduce adds
-            # along it in order, never pairwise
-            np.add.reduce(G, axis=0, out=tables[:w])
-            del reach_e, leaf, vals, G   # before the next block's exist
-            lo = hi
-        block = max(1, _CHUNK_ROWS // (n_coal * pairs))
-        for lo in range(0, layout.codes.shape[0], block):
-            G = tables[layout.codes[lo:lo + block]]   # (group, coalition, e*b)
-            G[0] += F
-            # with two or more coalitions the same holds for the group
-            # axis; a single group's sum is its own row, without reduce's
-            # copy
-            F = G[0] if G.shape[0] == 1 else np.add.reduce(G, axis=0)
-            del G
+    tables = model.cell_tables
+    n_coal, ec, n_bg = masks.shape[0], Ec.shape[0], B.shape[0]
+    patterns = 1 << np.count_nonzero(tables.bits, axis=1)
+    first = np.cumsum(patterns) - patterns
+    group = np.repeat(np.arange(patterns.size), patterns)
+    from_row = (tables.bits[group]
+                & (np.arange(group.size) - first[group])[:, None]) != 0
+    # (slot, row, feature): the slot's group's lookup at each row's
+    # coordinate, the evaluation rows first
+    picked = tables.lookup.take(tables.columns(np.vstack((Ec, B))),
+                                axis=1)[group]
+    cell = (np.einsum("srf,sf->sr", picked[:, :ec], from_row)[:, :, None]
+            + (tables.start[group, None]
+               + np.einsum("srf,sf->sr", picked[:, ec:], ~from_row))[:, None])
+    sums = tables.values.take(cell).reshape(group.size, ec * n_bg)
+    codes = first[:, None] + tables.bits @ masks.T     # (group, coalition)
+    F = np.full((n_coal, ec * n_bg), model.base_score)
+    # the group rows of each coalition, gathered in blocks within the budget
+    block = max(1, _CHUNK_ROWS // F.size)
+    for lo in range(0, patterns.size, block):
+        G = sums[codes[lo:lo + block]]      # (group, coalition, pair)
+        G[0] += F
+        # n_coal >= 2, so the group axis is not the fast one, and reduce
+        # adds along it in order, never pairwise; a single group's sum is
+        # its own row, without reduce's copy
+        F = G[0] if G.shape[0] == 1 else np.add.reduce(G, axis=0)
+        del G
     F = F.reshape(n_coal, ec, n_bg)
     return expit(F) if model.loss == "logistic" else F
 

@@ -20,12 +20,18 @@ __all__ = [
 ]
 
 
+def _check_model(model):
+    if not isinstance(model, (MlpModel, GbtModel)):
+        raise NotAModelError(f"not a trained model: {type(model).__name__}")
+
+
 def predict(model, data: Dataset) -> np.ndarray:
     """Evaluate a trained MLP or GBT on a dataset.
 
     Columns are looked up by the model's stored feature names; a
     logistic-loss GBT returns probabilities.
     """
+    _check_model(model)
     missing = [f for f in model.feature_names if f not in data]
     if missing:
         raise MissingFeatureError(f"dataset lacks feature columns {missing}")
@@ -35,8 +41,7 @@ def predict(model, data: Dataset) -> np.ndarray:
 
 def predict_on_matrix(model, X: np.ndarray) -> np.ndarray:
     """Evaluate on a raw matrix whose columns follow model.feature_names."""
-    if not isinstance(model, (MlpModel, GbtModel)):
-        raise NotAModelError(f"not a trained model: {type(model).__name__}")
+    _check_model(model)
     if np.ndim(X) != 2 or np.shape(X)[1] != len(model.feature_names):
         raise RowShapeError(
             f"rows must be a matrix over the {len(model.feature_names)} "

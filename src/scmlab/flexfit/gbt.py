@@ -22,11 +22,18 @@ read off its parent's cumulative tables, and a split whose children are
 leaves gives them those sums over counts and writes their training
 predictions with one ``where``, without partitioning rows. Other splits
 partition rows with ``compress``, as the tree walk does.
+
+A fitted model predicts from its :class:`CellTables`: the trees that split
+on one feature set form one summation group, whose sum takes one value per
+cell of the grid cut by the group's thresholds, so a row's margin is the
+base score plus one looked-up value per group. A model whose tables would
+hold more than ``_MAX_CELLS`` values has none and walks its trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -94,138 +101,105 @@ class Tree:
         return out
 
 
+# the most cells a model's group tables may hold (8 bytes each); a model
+# whose tables would hold more gets none: its prediction walks the trees,
+# and its explanation evaluates the coalition grid
+_MAX_CELLS = 1 << 17
+
+
 @dataclass(frozen=True)
-class ExplainLayout:
-    """The trees as the padded tables that exact Shapley explanation reads.
+class CellTables:
+    """Each summation group's sum as a table over the grid its own
+    thresholds cut (the groups of :attr:`GbtModel.tree_groups`).
 
-    The trees are laid out rank-major over their summation groups (see
-    :attr:`GbtModel.tree_groups`): rank k holds the k-th tree of every
-    group that has more than k trees, the groups taken largest first
-    (stably), so the groups still open at rank k come first. Node slots are
-    padded to the largest tree. ``feature`` and ``threshold`` (n_trees,
-    n_nodes) give each slot's split test ``x[feature] < threshold``
-    (feature 0 and threshold 0 at leaves and padding, whose tests nothing
-    reads). A tree's feature set U gets one bit per feature, in feature
-    order; a pattern is a set of U-bits, at most 12, so int16. Tree t has
-    the 2^|U_t| patterns over its own set, as consecutive rows of one flat
-    list, in which ``pattern_tree`` names each row's tree and ``pattern``
-    its bits. ``leaf_index[t, l]`` is the flat index of tree t's leaf slot
-    l into ``step`` (0 for a padding slot). ``levels`` walks the leaves'
-    ancestors one level per entry: the ancestor's flat node index, whether
-    the path leaves it to the left, and its split's U-bit (0 once the path
-    has reached the root). ``step`` holds the padded leaf values times the
-    learning rate, flat.
+    The trees of group g split only on its feature set U_g. On a feature f
+    of U_g, a row's path through them depends only on its coordinate there:
+    how many of the group's distinct thresholds on f lie at or below x_f
+    (``x < threshold`` goes left; NaN goes right, as in ``Tree.predict``).
+    The group's cells are numbered in C order over U_g's features in
+    ascending order and start at ``start[g]`` in ``values``. A cell's value
+    is its representative point (per U-feature -inf, or the threshold that
+    opens the cell) through the group's trees, added up as
+    ``decision_function`` adds a row, so reading a row's cell gives that
+    row's group sum bit for bit.
 
-    The group tables are the per-(group, pattern) sums the margin is added
-    up from, as rows ("slots") of one table, the groups largest first, at
-    least two rows (the second then unused), so that a reduce over ranks
-    never runs over a trailing size of one, where numpy sums pairwise.
-    Rank k's pattern rows start at ``row_start[k]`` and are the first
-    slots, one to one; ``width[k]`` is their count, at least two.
-    ``slot[k, s]`` is the pattern row of slot s at rank k, or the pattern
-    row count, one past the last, where slot s's group has no tree of rank
-    k. ``codes[g, c]`` is the slot of group g's pattern under coalition c,
-    the groups in summation order and coalition c holding feature j when
-    bit j of c is set.
+    A row's cells in every group are found at once: ``thresholds[f]`` holds
+    the distinct thresholds of all trees on f, and a row's coordinate c on
+    them picks column ``offset[f] + c`` of ``lookup``, which holds, in row
+    g, group g's stride on f times the group's own coordinate (0 where f
+    is not in U_g). A row's cell in group g is ``start[g]`` plus the sum
+    of ``lookup[g]`` at its d picked columns. ``bits[g, f]`` is feature f's
+    bit in group g's patterns, ``1 << (f's rank in U_g)``, or 0 off U_g.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    pattern_tree: np.ndarray
-    pattern: np.ndarray
-    leaf_index: np.ndarray
-    levels: tuple
-    step: np.ndarray
-    row_start: np.ndarray
-    width: np.ndarray
-    slot: np.ndarray
-    codes: np.ndarray
+    thresholds: tuple
+    offset: np.ndarray
+    lookup: np.ndarray
+    start: np.ndarray
+    values: np.ndarray
+    bits: np.ndarray
+
+    def columns(self, X):
+        """The ``lookup`` column of each row's coordinate on each
+        feature, (rows, d)."""
+        C = np.empty(X.shape, dtype=np.intp)
+        for f, th in enumerate(self.thresholds):
+            C[:, f] = np.searchsorted(th, X[:, f], side="right")
+        return C + self.offset
 
 
-def _explain_layout(trees, groups, n_features, learning_rate) -> ExplainLayout:
-    """The :class:`ExplainLayout` of a non-empty list of trees summed in
-    ``groups``."""
-    group_sizes = np.array([len(g) for g in groups])
-    by_size = np.argsort(-group_sizes, kind="stable")
-    trees = [trees[groups[g][k]] for k in range(group_sizes.max())
-             for g in by_size if group_sizes[g] > k]
-    sizes = np.array([t.feature.size for t in trees])
-    real = np.arange(sizes.max()) < sizes[:, None]
-
-    def padded(attr, fill):
-        a = np.full(real.shape, fill, dtype=type(fill))
-        a[real] = np.concatenate([getattr(t, attr) for t in trees])
-        return a
-
-    feature, left, right = (padded(a, -1) for a in ("feature", "left", "right"))
-    n_trees, n_nodes = feature.shape
-    rows = np.arange(n_trees)[:, None]
-    split = feature >= 0
-    f = np.where(split, feature, 0)
-    used = (feature[:, :, None] == np.arange(n_features)).any(axis=1)
-    local = np.where(used, 1 << (np.cumsum(used, axis=1) - 1), 0)
-    local = local.astype(np.int16)
-    n_patterns = 1 << used.sum(axis=1)
-    pattern_start = np.concatenate([[0], np.cumsum(n_patterns)])
-    pattern_tree = np.repeat(np.arange(n_trees), n_patterns)
-    pattern = np.arange(pattern_start[-1]) - pattern_start[pattern_tree]
-    node_bit = np.where(split, local[rows, f], 0)
-    t_split, i_split = np.nonzero(split)
-    parent = np.full(feature.shape, -1)
-    parent[t_split, left[t_split, i_split]] = i_split
-    parent[t_split, right[t_split, i_split]] = i_split
-    is_left = np.zeros(feature.shape, dtype=bool)
-    is_left[t_split, left[t_split, i_split]] = True
-    leaves = real & ~split
-    n_leaf = leaves.sum(axis=1).max()
-    leaf = np.argsort(~leaves, axis=1, kind="stable")[:, :n_leaf]
-    leaf_index = np.where(leaves[rows, leaf], rows * n_nodes + leaf, 0)
-    levels = []
-    node, up = leaf, parent[rows, leaf]
-    while (up >= 0).any():
-        has = up >= 0
-        above = np.where(has, up, 0)
-        levels.append((rows * n_nodes + above,
-                       is_left[rows, node][:, :, None],
-                       np.where(has, node_bit[rows, above], 0)[:, :, None]))
-        node = np.where(has, up, node)
-        up = np.where(has, parent[rows, above], -1)
-    # rank k holds a tree of the first (group_sizes > k).sum() groups of
-    # by_size, so the layout's first trees are each group's first, and their
-    # patterns are the slots
-    per_rank = (group_sizes > np.arange(group_sizes.max())[:, None]).sum(1)
-    row_start = pattern_start[np.concatenate([[0], np.cumsum(per_rank)])]
-    width = np.diff(row_start)
-    slots = np.arange(max(2, width[0]))
-    slot = np.where(slots < width[:, None], row_start[:-1, None] + slots,
-                    row_start[-1])
-    first = np.empty(len(groups), dtype=np.intp)
-    first[by_size] = np.arange(len(groups))
-    in_coalition = (np.arange(1 << n_features)[:, None]
-                    >> np.arange(n_features)) & 1
-    codes = pattern_start[first, None] + local[first] @ in_coalition.T
-    return ExplainLayout(f, padded("threshold", 0.0), pattern_tree,
-                         pattern.astype(np.int16), leaf_index, tuple(levels),
-                         learning_rate * padded("value", 0.0).ravel(),
-                         row_start, np.maximum(width, 2), slot, codes)
+def _cell_tables(model):
+    """The model's :class:`CellTables`, or None when they would hold more
+    than ``_MAX_CELLS`` cells."""
+    d, rate = len(model.feature_names), model.learning_rate
+    grids = []        # per group, {feature of U: its sorted thresholds}
+    for group in model.tree_groups:
+        f = np.concatenate([model.trees[t].feature for t in group])
+        th = np.concatenate([model.trees[t].threshold for t in group])
+        grids.append({int(j): np.unique(th[f == j])
+                      for j in np.unique(f[f >= 0])})
+    sizes = [math.prod(t.size + 1 for t in g.values()) for g in grids]
+    if sum(sizes) > _MAX_CELLS:
+        return None
+    sizes = np.array(sizes, dtype=np.intp)
+    thresholds = tuple(np.unique(np.concatenate(
+        [[]] + [g[f] for g in grids if f in g])) for f in range(d))
+    widths = np.array([t.size + 1 for t in thresholds])
+    offset = np.cumsum(widths) - widths
+    lookup = np.zeros((len(grids), widths.sum()), dtype=np.intp)
+    bits = np.zeros((len(grids), d), dtype=np.intp)
+    values = []
+    for g, (group, grid, n) in enumerate(zip(model.tree_groups, grids,
+                                             sizes)):
+        points = np.zeros((n, d), order="F")
+        stride = n
+        for rank, (f, th) in enumerate(grid.items()):
+            stride //= th.size + 1
+            cells = np.searchsorted(th, thresholds[f], side="right")
+            lookup[g, offset[f] + 1:offset[f] + widths[f]] = stride * cells
+            bits[g, f] = 1 << rank
+            points[:, f] = np.tile(np.repeat(np.r_[-np.inf, th], stride),
+                                   n // (stride * (th.size + 1)))
+        G = rate * model.trees[group[0]].predict(points)
+        for t in group[1:]:
+            G += rate * model.trees[t].predict(points)
+        values.append(G)
+    start = np.cumsum(sizes) - sizes
+    return CellTables(thresholds, offset, lookup, start,
+                      np.concatenate([[]] + values), bits)
 
 
 @dataclass
 class GbtModel:
     """A fitted ensemble. Its trees and feature names are not changed
-    after construction; :attr:`tree_groups` and :attr:`explain_layout` are
-    built from them once. ``explain_background`` is the one slot where
-    ``scmlab.explain`` holds its tables for the last background explained
-    against, with that background's key; it is not part of the fit, so it
-    is not compared, shown, or carried over by ``dataclasses.replace``."""
+    after construction; :attr:`tree_groups` and :attr:`cell_tables` are
+    built from them once."""
 
     trees: list
     learning_rate: float
     base_score: float
     loss: str
     feature_names: list
-    explain_background: tuple = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     @cached_property
     def tree_groups(self) -> tuple:
@@ -243,11 +217,10 @@ class GbtModel:
         return tuple(tuple(g) for g in groups.values())
 
     @cached_property
-    def explain_layout(self) -> ExplainLayout:
-        """The trees' :class:`ExplainLayout`, built on first use (the
-        ensemble must have a tree)."""
-        return _explain_layout(self.trees, self.tree_groups,
-                               len(self.feature_names), self.learning_rate)
+    def cell_tables(self):
+        """The groups' :class:`CellTables`, built on first use; None for
+        a model whose tables would exceed the cell budget."""
+        return _cell_tables(self)
 
 
 @dataclass(frozen=True)
@@ -420,13 +393,24 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
 
 
 def decision_function(model: GbtModel, X: np.ndarray) -> np.ndarray:
-    """Raw additive score (margin for logistic loss, mean for squared),
-    added up in the order of :attr:`GbtModel.tree_groups`."""
+    """Raw additive score (margin for logistic loss, mean for squared):
+    ``base_score`` plus each group's sum, in the order of
+    :attr:`GbtModel.tree_groups`. The group sums are read from the model's
+    :class:`CellTables`; a model over the cell budget walks its trees."""
+    X = np.asarray(X, dtype=np.float64)
+    tables = model.cell_tables
+    F = np.full(X.shape[0], model.base_score)
+    if tables is not None:
+        cell = np.repeat(tables.start[:, None], X.shape[0], axis=1)
+        for c in tables.columns(X).T:
+            cell += tables.lookup.take(c, axis=1)
+        for G in tables.values.take(cell):
+            F += G
+        return F
     # column-major, so each tree walk gathers a split's feature from one
     # contiguous column
-    X = np.asfortranarray(X, dtype=np.float64)
+    X = np.asfortranarray(X)
     trees, rate = model.trees, model.learning_rate
-    F = np.full(X.shape[0], model.base_score)
     for group in model.tree_groups:
         G = rate * trees[group[0]].predict(X)
         for t in group[1:]:

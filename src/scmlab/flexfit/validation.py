@@ -3,12 +3,14 @@ demonstration."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import InsufficientDataError, check_value
+from ..errors import (ConfigValidationError, InsufficientDataError,
+                      check_value)
 from ..estimators import ols_fit
 from ..rng import substream
 
@@ -63,7 +65,10 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     in-sample and held-out R² after every accepted step. Held-out R² uses
     the training-rows fit evaluated on the test rows and may be negative;
     it needs at least 2 test rows (else InsufficientDataError).
+    ``min_improvement`` may be infinite (nothing joins), but not NaN.
     """
+    if math.isnan(min_improvement):
+        raise ConfigValidationError("min_improvement = nan must be a number")
     candidates = list(candidates)
     check_value("len(candidates)", len(candidates), 0, "[2, inf)")
     if plan.test_idx.size < 2:

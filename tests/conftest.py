@@ -1,4 +1,5 @@
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,16 @@ def fig5_report(tmp_path_factory):
     cfg = build_config("fig5_sweep", out_dir=str(out))
     run(cfg)
     return out
+
+
+@pytest.fixture(scope="session")
+def fig3_report(tmp_path_factory):
+    """The MLP-versus-linear fit at its registered defaults, run once per
+    session: the report directory and the run's wall seconds."""
+    out = tmp_path_factory.mktemp("fig3_full")
+    start = time.perf_counter()
+    run(build_config("fig3_fit", out_dir=str(out)))
+    return out, time.perf_counter() - start
 
 
 @pytest.fixture

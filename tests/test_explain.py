@@ -391,7 +391,7 @@ def assert_matches_grid(model, E, B):
     path equal the grid route's bit for bit."""
     grid = partial(grid_coalition_outputs, model)
     masks, _, _ = explain._coalition_tables(E.shape[1])
-    assert np.array_equal(explain._gbt_coalition_outputs(model, masks, E, B),
+    assert np.array_equal(explain._coalition_outputs(model)(masks, E, B),
                           grid(masks, E, B))
     phi, base, full = explain._phi_matrix(explain._coalition_outputs(model),
                                           E, B)
@@ -456,31 +456,78 @@ def test_gbt_path_single_leaf_trees():
     assert_matches_grid(dataclasses.replace(split_model, trees=trees), E, B)
 
 
-def test_gbt_layout_built_once_per_model(monkeypatch):
+def test_gbt_cell_tables_built_once_per_model(monkeypatch):
     model, E, B = gbt_fixture(4, loss="logistic", depth=3)
     first = shapley_exact(model, E[0], B)
-    layout = model.explain_layout
+    tables = model.cell_tables
 
     def rebuilt(*args):
-        raise AssertionError("explain layout built again")
-    monkeypatch.setattr(gbt_module, "_explain_layout", rebuilt)
+        raise AssertionError("cell tables built again")
+    monkeypatch.setattr(gbt_module, "_cell_tables", rebuilt)
     second = shapley_exact(model, E[1], B)
     summary = attribution_summary(model, E, B, relevant=["x0"])
-    assert model.explain_layout is layout
+    predicted = predict_on_matrix(model, E)
+    assert model.cell_tables is tables
     monkeypatch.undo()
     fresh = dataclasses.replace(model)
-    assert "explain_layout" not in vars(fresh)
+    assert "cell_tables" not in vars(fresh)
     assert np.array_equal(first.phi, shapley_exact(fresh, E[0], B).phi)
     assert np.array_equal(second.phi, shapley_exact(fresh, E[1], B).phi)
     assert np.array_equal(
         summary.mean_abs_phi,
         attribution_summary(fresh, E, B, relevant=["x0"]).mean_abs_phi)
+    assert np.array_equal(predicted, predict_on_matrix(fresh, E))
+
+
+def rows_on_thresholds(model, X):
+    """Copies of X's rows with one split feature set exactly to a split
+    threshold, cycling through the model's split nodes."""
+    splits = [(f, t) for tree in model.trees
+              for f, t in zip(tree.feature, tree.threshold) if f >= 0]
+    rows = X[np.arange(len(splits)) % X.shape[0]].copy()
+    for row, (f, t) in zip(rows, splits):
+        row[f] = t
+    return rows
+
+
+def test_gbt_path_on_threshold_rows():
+    # a row exactly on a threshold goes right; its cell is the one that
+    # threshold opens, for the explained row and the background alike
+    model, E, B = gbt_fixture(4, depth=3)
+    on = rows_on_thresholds(model, np.vstack((E, B)))
+    assert_matches_grid(model, on[:4], on[-16:])
+
+
+@pytest.mark.parametrize("over", [-1, 0, 1])
+def test_gbt_at_the_cell_budget(monkeypatch, over):
+    # a model one cell under the budget, at it, and one cell over: over it
+    # the model has no tables, predicts by walking its trees and is
+    # explained on the coalition grid through predict_on_matrix
+    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
+    cells = model.cell_tables.values.size
+    monkeypatch.setattr(gbt_module, "_MAX_CELLS", cells - over)
+    fresh = dataclasses.replace(model)
+    assert (fresh.cell_tables is None) == (over == 1)
+    X = np.vstack((E, rows_on_thresholds(model, B),
+                   np.array([[np.nan, np.inf, -np.inf, 0.0]])))
+    arrays = [(t.feature, t.threshold, t.left, t.right, t.value)
+              for t in model.trees]
+    assert np.array_equal(
+        gbt_module.decision_function(fresh, X),
+        gbt_helpers.decision_function(arrays, model.learning_rate,
+                                      model.base_score, X))
+    rows = []
+    monkeypatch.setattr(explain, "predict_on_matrix",
+                        lambda m, X: rows.append(len(X))
+                        or predict_on_matrix(m, X))
+    assert_matches_grid(fresh, E, B)
+    assert bool(rows) == (over == 1)
 
 
 @pytest.mark.parametrize("budget", [1, 16_000])
 def test_gbt_path_with_small_row_budgets(monkeypatch, budget):
-    # 1: one evaluation row and one tree per step; 16 000: one chunk of
-    # evaluation rows, trees in blocks of a few
+    # 1: one evaluation row, one coalition of the grid and one group per
+    # step; 16 000: one chunk of evaluation rows, groups in blocks of a few
     model, E, B = gbt_fixture(4, loss="logistic", depth=3)
     full = attribution_summary(model, E, B, relevant=["x0"])
     monkeypatch.setattr(explain, "_CHUNK_ROWS", budget)
@@ -525,9 +572,8 @@ def assert_order_matches(trees, d, E, B):
 
 @pytest.mark.parametrize("n_bg", [1, 2])
 def test_gbt_single_leaf_trees_add_in_order(n_bg):
-    # one group of one pattern: against one background row the group
-    # tables hold one value per slot, and a reduce over ranks with a
-    # trailing size of one would add pairwise
+    # one group of one cell, whose value adds the 41 leaves in tree order;
+    # against one background row each coalition holds one value
     assert sum(SKEWED) == 1e16 != np.sum(SKEWED)
     E = np.array([[0.5]])
     model = assert_order_matches([leaf_tree(v) for v in SKEWED], 1, E,
@@ -539,7 +585,7 @@ def test_gbt_single_leaf_trees_add_in_order(n_bg):
 def test_gbt_interleaved_groups_add_in_order(monkeypatch, budget):
     # three feature sets of 41, 12 and 5 trees, interleaved, so the groups
     # run out of trees at different ranks; the first two groups' sums in
-    # order differ from pairwise ones, and budget 1 takes one rank per block
+    # order differ from pairwise ones, and budget 1 takes one group per block
     opposite = [-1e16] + [1.0] * 11
     assert sum(opposite) == -1e16 != np.sum(opposite)
     trees = []
@@ -559,53 +605,22 @@ def test_gbt_interleaved_groups_add_in_order(monkeypatch, budget):
     assert predict_on_matrix(model, E[:1])[0] == 5.0
 
 
-# --- background tables held on the model ----------------------------------
-
-def count_background_builds(monkeypatch, B):
-    """Calls of ``_leaf_misses`` on the background rows ``B``."""
-    calls = []
-
-    def counted(layout, X):
-        if X.shape == B.shape and np.array_equal(X, B):
-            calls.append(1)
-        return leaf_misses(layout, X)
-    leaf_misses = explain._leaf_misses
-    monkeypatch.setattr(explain, "_leaf_misses", counted)
-    return calls
-
+# --- the background is read on every call ---------------------------------
 
 def assert_same_attribution(a, b):
     assert np.array_equal(a.phi, b.phi)
     assert a.base == b.base and a.prediction == b.prediction
 
 
-def test_gbt_background_tables_repeat_bit_for_bit(monkeypatch):
-    model, E, B = gbt_fixture(4, loss="logistic", depth=3, n_trees=30)
-    X = random_background(30, 100, 4)
-    builds = count_background_builds(monkeypatch, B)
-    held = [shapley_exact(model, x, B) for x in X]
-    assert len(builds) == 1
-    # one row per pattern a tree can take: 2^|U| for its feature set U
-    reach = model.explain_background[1]
-    assert reach.shape[0] == sum(2 ** np.unique(t.feature[t.feature >= 0]).size
-                                 for t in model.trees)
-    assert reach.dtype == np.float32
-    for x, att in zip(X, held):
-        assert_same_attribution(att, shapley_exact(dataclasses.replace(model),
-                                                   x, B))
-
-
-def test_gbt_background_changed_in_place_is_rebuilt(monkeypatch):
+def test_gbt_background_changed_in_place_explains_the_new_rows():
     # a table keyed on the array's identity would explain against the old
     # rows here
     model, E, B = gbt_fixture(4, depth=3)
     other = random_background(31, B.shape[0], 4)
-    builds = count_background_builds(monkeypatch, other)
     rows = B.copy()
     before = shapley_exact(model, E[0], rows)
     rows[:] = other
     after = shapley_exact(model, E[0], rows)
-    assert len(builds) == 1
     assert not np.array_equal(before.phi, after.phi)
     assert_same_attribution(after, shapley_exact(dataclasses.replace(model),
                                                  E[0], other))
@@ -624,32 +639,6 @@ def test_gbt_two_backgrounds_used_alternately():
         for bg, expected in zip(backgrounds, fresh):
             for x, att in zip(E, expected):
                 assert_same_attribution(shapley_exact(model, x, bg), att)
-
-
-def test_gbt_background_built_once_per_model_and_background(monkeypatch):
-    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
-    builds = count_background_builds(monkeypatch, B)
-    for i in range(50):
-        shapley_exact(model, E[i % E.shape[0]], B)
-    assert len(builds) == 1
-    # one attribution summary over many row chunks builds it once, and a
-    # fresh model builds its own
-    monkeypatch.setattr(explain, "_CHUNK_ROWS", 1)
-    fresh = dataclasses.replace(model)
-    tiny = attribution_summary(fresh, E, B, relevant=["x0"])
-    assert len(builds) == 2
-    monkeypatch.undo()
-    assert np.array_equal(
-        tiny.mean_abs_phi,
-        attribution_summary(model, E, B, relevant=["x0"]).mean_abs_phi)
-
-
-def test_gbt_leaf_ids_contracted_in_float64_past_the_float32_range(
-        monkeypatch):
-    model, E, B = gbt_fixture(4, loss="logistic", depth=3)
-    monkeypatch.setattr(explain, "_FLOAT32_IDS", 0)
-    assert_matches_grid(model, E, B)
-    assert model.explain_background[1].dtype == np.float64
 
 
 @pytest.mark.parametrize("d", [1, 4, 12])

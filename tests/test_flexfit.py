@@ -110,6 +110,13 @@ def test_predict_on_matrix_rejects_what_is_not_a_trained_model():
         assert isinstance(err.value, TypeError)
 
 
+def test_predict_rejects_what_is_not_a_trained_model():
+    # predict read the object's feature names before the type check, so
+    # this ended in an AttributeError
+    with pytest.raises(NotAModelError, match="not a trained model: object"):
+        predict(object(), make_data(x=np.zeros(2)))
+
+
 @pytest.mark.parametrize("settings, field", [
     (dict(activation="sigmoid"), "activation"),    # trained relu units
     (dict(hidden=()), "hidden"),
@@ -307,6 +314,15 @@ def rows_on_thresholds(model, X):
     return np.array(rows).reshape(-1, X.shape[1])
 
 
+def rows_off_the_line(X):
+    """Copies of X's first row with one feature set to NaN, +inf or -inf,
+    one row per (feature, value)."""
+    rows = np.repeat(X[:1], 3 * X.shape[1], axis=0)
+    for j in range(X.shape[1]):
+        rows[3 * j:3 * j + 3, j] = (np.nan, np.inf, -np.inf)
+    return rows
+
+
 def counts_by_node(bins, tree):
     """Per-feature bin counts of the training rows each node holds, counted
     directly with one ``bincount`` per feature."""
@@ -374,7 +390,8 @@ def test_gbt_matches_reference_bit_for_bit(case):
         assert all(a.dtype == b.dtype and np.array_equal(a, b)
                    for a, b in zip(arrays, ref))
     assert np.array_equal(gbt_helpers.replay_loss(model, X, y), history)
-    X_pred = np.vstack([X[:50], rows_on_thresholds(model, X)])
+    X_pred = np.vstack([X[:50], rows_on_thresholds(model, X),
+                        rows_off_the_line(X)])
     for rows in (X_pred, X_pred[:0], X_pred[-1:]):
         assert np.array_equal(
             gbt_module.decision_function(model, rows),
@@ -509,3 +526,14 @@ def test_stepwise_min_improvement_stops_selection():
     plan = split(d, test_fraction=0.5, seed=0)
     assert stepwise_forward(d, "y", ["c0", "c1"], plan,
                             min_improvement=np.inf) == []
+
+
+def test_stepwise_rejects_a_nan_min_improvement():
+    # no improvement compares above NaN, so every candidate was selected
+    d = make_data(c0=normal_column(22, (0,), 60),
+                  c1=normal_column(22, (1,), 60),
+                  y=normal_column(22, (9,), 60))
+    plan = split(d, test_fraction=0.5, seed=0)
+    with pytest.raises(ConfigValidationError, match="min_improvement = nan"):
+        stepwise_forward(d, "y", ["c0", "c1"], plan,
+                         min_improvement=float("nan"))

@@ -1,13 +1,13 @@
 """The numpy behaviours that keep a GBT's prediction and its exact Shapley
 values adding up in one order.
 
-``decision_function`` adds a group's trees one array at a time, and explain
-reaches the same sums by reducing blocks of tables along a leading axis,
-``_phi_matrix`` sums its Shapley terms with ``cumsum``, and explain pads
-its group tables with ``-0.0``. Each test below pins one of those
-behaviours on a value whose in-order sum, 1e16, differs from any
-regrouping, so that a numpy upgrade that changes a summation order fails
-here, by name, and not as an unexplained move of a report digest.
+A group's cell values and ``decision_function`` add one array at a time,
+explain adds each coalition's group sums by reducing blocks of them along
+a leading axis, and ``_phi_matrix`` sums its Shapley terms with
+``cumsum``. Each test below pins one of the numpy behaviours behind that
+on a value whose in-order sum, 1e16, differs from any regrouping, so that
+a numpy upgrade that changes a summation order fails here, by name, and
+not as an unexplained move of a report digest.
 
 What the code avoids, as measured on numpy 2.4: a 1-D ``sum`` (or
 ``np.add.reduce``) and a reduce whose trailing size is one add pairwise,
@@ -51,16 +51,3 @@ def test_reduce_over_the_leading_axis_adds_in_order(trailing):
 @pytest.mark.parametrize("trailing", [(), (1, 1), (2, 3)])
 def test_cumsum_adds_in_order(trailing):
     assert (np.cumsum(stacked(trailing), axis=0)[-1] == 1e16).all()
-
-
-def test_negative_zero_is_the_additive_identity():
-    values = np.array([0.0, -0.0, 1.5, -2.0, 1e-310, np.inf, -np.inf])
-    total = values + -0.0
-    assert np.array_equal(total.view(np.int64), values.view(np.int64))
-    assert np.isnan(np.nan + -0.0)
-
-
-def test_take_clip_sends_past_the_end_to_the_last_row():
-    rows = np.arange(8.0).reshape(4, 2)
-    got = rows.take(np.array([[0, 9], [3, 4]]), axis=0, mode="clip")
-    assert np.array_equal(got, rows[[[0, 3], [3, 3]]])

@@ -64,7 +64,8 @@ def test_manifest_covers_every_registered_experiment():
 
 
 @pytest.mark.parametrize(
-    "name", [name for name, _ in list_experiments() if name != "fig5_sweep"])
+    "name", [name for name, _ in list_experiments()
+             if name not in ("fig5_sweep", "fig3_fit")])
 def test_registered_report_matches_committed_digests(name, manifest,
                                                      tmp_path):
     assert run_registered(name, tmp_path) == manifest[name]
@@ -72,6 +73,10 @@ def test_registered_report_matches_committed_digests(name, manifest,
 
 def test_fig5_report_matches_committed_digests(manifest, fig5_report):
     assert file_digests(fig5_report) == manifest["fig5_sweep"]
+
+
+def test_fig3_report_matches_committed_digests(manifest, fig3_report):
+    assert file_digests(fig3_report[0]) == manifest["fig3_fit"]
 
 
 if __name__ == "__main__":
