@@ -1,11 +1,12 @@
 """Brute-force twin of explain's coalition outputs for trained models.
 
-explain evaluates a boosted-tree ensemble tree by tree, on just the
-feature patterns each tree can read. This module keeps the plain route
-that path replaces: every one of the 2^d coalitions is expanded against
-every background row into one grid of rows, and the whole grid goes
-through ``predict_on_matrix``. The package's tree path must match it bit
-for bit, so the tests compare the two with ``np.array_equal``.
+explain reads a boosted-tree ensemble from its cell tables, on just the
+feature patterns each group of trees can read, and a black box in blocks
+of coalitions. This module keeps the plain route: every one of the 2^d
+coalitions is expanded against every background row into one grid of
+rows, and the whole grid goes through ``predict_on_matrix``. The
+package's paths must match it bit for bit, so the tests compare the two
+with ``np.array_equal``.
 """
 
 from __future__ import annotations
