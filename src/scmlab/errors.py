@@ -50,6 +50,11 @@ class ModelFileError(ScmLabError, ValueError):
 
 # --- graph layer --------------------------------------------------------
 
+class DuplicateNodeError(ScmLabError, ValueError):
+    """A graph declares a node name more than once.  Also a
+    ``ValueError``, as it raised before."""
+
+
 class OverlappingSetsError(ScmLabError, ValueError):
     """A query's sets overlap: d-separation's X, Y, Z, or a cause, outcome
     and adjustment set.  Also a ``ValueError``, as the latter raised one."""

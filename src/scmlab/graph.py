@@ -4,26 +4,40 @@ Everything operates on a :class:`Dag` — node names, directed edges, and an
 observed/unobserved flag per node. Graphs come from a structural model
 (:func:`Dag.from_structural_model`) or are built directly.
 
-d-separation is implemented twice on purpose: a reachability sweep over
+d-separation is implemented twice on purpose: a reachability walk over
 (node, travel-direction) states, and the ancestral-moralization reduction
 to undirected connectivity. The two are checked against each other
 exhaustively on small graphs in the test suite; ``d_separated`` exposes
 both through ``method``.
+
+The reachability walk runs on integer bit masks, bit i standing for
+``Dag.nodes[i]``. A ``Dag`` builds them on its first reachability query
+and keeps them: per node, the mask of its parents, of its children and of
+its ancestors. The walk moves whole frontiers of nodes at once. Every
+node of an active trail is in X ∪ Y ∪ Z or one of their ancestors, and
+the walk descends only into Y ∪ Z and their ancestors, which keeps it
+exact (see ``_reaches``). The backdoor test runs the same walk with the
+cause's out-edges forbidden, so it needs no second graph.
 
 References
 ----------
 Pearl, "Causality" (2009), ch. 1.2 (d-separation, backdoor criterion).
 Koller & Friedman, "Probabilistic Graphical Models" (2009), alg. 3.1
 (reachability formulation).
+van der Zander, Liśkiewicz & Textor, "Separators and adjustment sets in
+causal graphs: complete criteria and an algorithmic framework" (2019)
+(d-separation on the ancestral set).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
-from .errors import (CycleError, GraphFileError, OverlappingSetsError,
+from .errors import (ConfigValidationError, CycleError, DuplicateNodeError,
+                     GraphFileError, OverlappingSetsError,
                      TooManyCandidatesError, UnknownNodeError)
 
 _CANDIDATE_LIMIT = 20
@@ -44,13 +58,16 @@ class Dag:
     ----------
     order : the :func:`topological_sort` of the graph, computed once at
         construction as its cycle check (raises CycleError).
+
+    Raises DuplicateNodeError for a name declared twice, UnknownNodeError
+    for an edge end or an observed name that is not declared.
     """
 
     def __init__(self, nodes, edges, observed=None):
         self.nodes = list(nodes)
         declared = set(self.nodes)
         if len(declared) != len(self.nodes):
-            raise ValueError("duplicate node names")
+            raise DuplicateNodeError("duplicate node names")
         self.edges = set()
         for p, c in edges:
             if p not in declared or c not in declared:
@@ -81,6 +98,13 @@ class Dag:
     def descendants_of(self, node) -> set:
         return _closure(self._children, [node])
 
+    @cached_property
+    def _masks(self) -> "_NodeMasks":
+        """The node bit masks of the reachability walk, built on the first
+        query, so that a graph that is never queried (a structural model's
+        evaluation order) does not pay for them."""
+        return _NodeMasks.of(self)
+
     def _check_nodes(self, *names):
         for n in names:
             if n not in self._parents:
@@ -88,6 +112,51 @@ class Dag:
 
     def __repr__(self):
         return f"Dag({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+@dataclass(frozen=True)
+class _NodeMasks:
+    """A graph's nodes as bits: ``bit[name]`` is ``1 << i`` for
+    ``Dag.nodes[i]``, and ``parents[i]``, ``children[i]`` and
+    ``ancestors[i]`` are the masks of node i's parents, children and
+    (strict) ancestors."""
+
+    bit: dict
+    parents: list
+    children: list
+    ancestors: list
+
+    @staticmethod
+    def of(g: "Dag") -> "_NodeMasks":
+        bit = {n: 1 << i for i, n in enumerate(g.nodes)}
+        parents = [sum(bit[p] for p in g._parents[n]) for n in g.nodes]
+        children = [sum(bit[c] for c in g._children[n]) for n in g.nodes]
+        # in topological order every parent's ancestors are final first
+        index = {n: i for i, n in enumerate(g.nodes)}
+        ancestors = [0] * len(g.nodes)
+        for n in g.order:
+            a = 0
+            for p in g._parents[n]:
+                a |= ancestors[index[p]] | bit[p]
+            ancestors[index[n]] = a
+        return _NodeMasks(bit, parents, children, ancestors)
+
+    def mask(self, names) -> int:
+        return sum(self.bit[n] for n in names)
+
+    def closure(self, m: int) -> int:
+        """The nodes of mask ``m`` and all their ancestors."""
+        return m | _union(self.ancestors, m)
+
+
+def _union(masks, m: int) -> int:
+    """OR of ``masks[i]`` over the set bits i of ``m``."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= masks[low.bit_length() - 1]
+        m ^= low
+    return out
 
 
 def _closure(step, start) -> set:
@@ -139,59 +208,72 @@ def d_separated(g: Dag, X, Y, Z, method: str = "reachable") -> bool:
     Blocking follows the standard rules: a chain or fork node blocks when
     it is in Z; a collider blocks unless it or one of its descendants is
     in Z. ``method`` selects the implementation: ``"reachable"`` (default)
-    or ``"moral"`` — they always agree and exist for cross-checking.
+    or ``"moral"`` — they always agree and exist for cross-checking; any
+    other value raises ConfigValidationError.
     """
+    if method not in ("reachable", "moral"):
+        raise ConfigValidationError(
+            f"method = {method!r} must be 'reachable' or 'moral'")
     X, Y, Z = _as_sets(g, X, Y, Z)
     if not X or not Y:
         return True
     if method == "reachable":
-        return not _reaches(g, X, Y, Z)
-    if method == "moral":
-        return _moral_separated(g, X, Y, Z)
-    raise ValueError(f"unknown method {method!r}")
+        m = g._masks
+        return not _reaches(m, m.mask(X), m.mask(Y), m.mask(Z))
+    return _moral_separated(g, X, Y, Z)
 
 
-def _reaches(g: Dag, X: set, Y: set, Z: set) -> bool:
+def _reaches(m: _NodeMasks, x: int, y: int, z: int, cut: int = 0) -> bool:
     """True iff some node of Y is reachable from X along an active path
-    given Z; stops at the first node of Y it reaches.
+    given Z, the three sets given as masks ``x``, ``y``, ``z`` of one
+    graph's :class:`_NodeMasks` ``m``; stops at the first frontier that
+    holds a node of Y. ``cut``, the bit of a node of X, runs the walk on
+    the graph without the edges out of that node.
 
-    States are (node, direction of arrival), kept as one visited set per
+    States are (node, direction of arrival), kept as one visited mask per
     direction: "down" = entered along an edge out of the previous node,
-    "up" = entered against an edge. From a non-collider position travel
+    "up" = entered against an edge. Each step moves the whole frontier of
+    each direction at once, by OR-ing the parent and child masks of its
+    nodes (:class:`_NodeMasks`). From a non-collider position travel
     continues per the chain/fork rules; travel through a collider needs
-    the collider (or a descendant) in Z, which the precomputed
-    ancestors-of-Z set answers in O(1). X, Y and Z are disjoint, so a
-    node of Y is never in Z and is reached as soon as it is entered.
+    the collider (or a descendant) in Z, which the mask of Z and its
+    ancestors answers. X, Y and Z are disjoint, so a node of Y is never in
+    Z and is reached as soon as it is entered.
+
+    Down-moves are limited to A = Y ∪ Z ∪ An(Y ∪ Z). An up-move goes to a
+    parent, so the walk never leaves X ∪ A and their ancestors, the
+    ancestral set where every active trail lies. The limit loses no
+    active path: a node outside A is not in Y, and every node below it is
+    outside A as well, so from it the walk can only keep descending
+    outside A; it never enters Y, and it never bounces up, as a bounce
+    needs a node with a descendant in Z.
+
+    Cutting the edges out of node ``cut`` forbids every down-move out of
+    it. An up-move into it would come from one of its children along a cut
+    edge, but ``cut`` is in X, so its up state is visited from the start.
+    A is taken from the uncut masks, and it holds the cut graph's A, so
+    the argument above still holds. The bounce mask is exact in the cut
+    graph only if no node of Z descends from ``cut`` (then no path to Z
+    runs through a cut edge), which the backdoor test checks first.
     """
-    anc_z = Z | g.ancestors_of(Z)
-    up_seen, down_seen = set(), set()
+    anc_z = m.closure(z)
+    keep = anc_z | m.closure(y)
+    up_seen = down_seen = 0
     # the start nodes count as entered from a child ("up")
-    up, down = list(X), []
+    up, down = x, 0
     while up or down:
-        if up:
-            node = up.pop()
-            if node in up_seen:
-                continue
-            up_seen.add(node)
-            if node in Y:
-                return True
-            if node not in Z:
-                # continue to parents (against edges) and children (with edges)
-                up.extend(g._parents[node])
-                down.extend(g._children[node])
-        else:
-            node = down.pop()
-            if node in down_seen:
-                continue
-            down_seen.add(node)
-            if node in Y:
-                return True
-            if node not in Z:
-                # chain: keep descending
-                down.extend(g._children[node])
-            if node in anc_z:
-                # collider with (a descendant in) Z: bounce to parents
-                up.extend(g._parents[node])
+        if (up | down) & y:
+            return True
+        up_seen |= up
+        down_seen |= down
+        # up: pass to parents and children unless in Z; down: a chain
+        # keeps descending unless in Z, a collider with (a descendant in)
+        # Z bounces to its parents
+        passing = up & ~z
+        descend = (passing | down & ~z) & ~cut
+        ascend = passing | down & anc_z
+        down = _union(m.children, descend) & keep & ~down_seen
+        up = _union(m.parents, ascend) & ~up_seen
     return False
 
 
@@ -256,24 +338,20 @@ def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     """Backdoor criterion: no member of Z descends from cause, and Z
     d-separates cause from outcome once cause's outgoing edges are cut.
 
-    When cause has no children (the graph is already cut) both steps
-    reduce to the d-separation test, which runs on ``g`` itself.
+    The second step is the reachability walk on ``g`` itself with the
+    edges out of cause forbidden (``_reaches``'s ``cut``).
     """
     Z = set(Z)
     g._check_nodes(cause, outcome, *Z)
     if cause in Z or outcome in Z:
         raise OverlappingSetsError("cause and outcome cannot be in the adjustment set")
-    if g._children[cause]:
-        if Z & g.descendants_of(cause):
-            return False
-        g = _cut_outgoing(g, cause)
-    return d_separated(g, {cause}, {outcome}, Z)
-
-
-def _cut_outgoing(g: Dag, cause: str) -> Dag:
-    """Copy of ``g`` without the edges out of ``cause``."""
-    return Dag(g.nodes, [e for e in g.edges if e[0] != cause],
-               observed=g.observed)
+    if cause == outcome:
+        raise OverlappingSetsError("cause and outcome must differ")
+    m = g._masks
+    x, z = m.bit[cause], m.mask(Z)
+    if m.closure(z) & x:    # a node of Z descends from cause
+        return False
+    return not _reaches(m, x, m.bit[outcome], z, cut=x)
 
 
 @dataclass
@@ -309,16 +387,13 @@ def minimal_backdoor_sets(g: Dag, cause: str, outcome: str) -> AdjustmentAnalysi
             f"cap of {_CANDIDATE_LIMIT}")
     usable = sorted(candidates - g.descendants_of(cause))
     paths = backdoor_paths(g, cause, outcome)
-    # usable already excludes the descendants of cause, so every subset
-    # is tested on one cut graph built here
-    cut = _cut_outgoing(g, cause)
     # sets are sorted name tuples generated by size, then lexicographically,
     # so output order never depends on hash order, and a valid set is
     # minimal iff no minimal set found before it is contained in it
     valid, minimal = [], []
     for size in range(len(usable) + 1):
         for subset in combinations(usable, size):
-            if is_valid_backdoor_set(cut, cause, outcome, subset):
+            if is_valid_backdoor_set(g, cause, outcome, subset):
                 valid.append(subset)
                 if not any(set(subset).issuperset(m) for m in minimal):
                     minimal.append(subset)

@@ -7,8 +7,10 @@ from scmlab import (Assignment, Dag, NoiseSpec, StructuralModel,
                     backdoor_paths, d_separated, is_valid_backdoor_set,
                     load_graph, minimal_backdoor_sets, save_graph, to_dot,
                     topological_sort, validate_model)
-from scmlab.errors import (CycleError, GraphFileError, OverlappingSetsError,
-                           TooManyCandidatesError, UnknownNodeError)
+from scmlab.errors import (ConfigValidationError, CycleError,
+                           DuplicateNodeError, GraphFileError,
+                           OverlappingSetsError, TooManyCandidatesError,
+                           UnknownNodeError)
 
 from dsep_helpers import (all_dags, all_queries, moral_separated_batch,
                           node_major, pack_rows, reflexive_closure,
@@ -39,6 +41,23 @@ def test_dag_rejects_cycle_at_construction():
 def test_dag_rejects_unknown_edge_endpoint():
     with pytest.raises(UnknownNodeError):
         Dag(["a"], [("a", "b")])
+
+
+def test_dag_rejects_duplicate_node_names():
+    with pytest.raises(DuplicateNodeError, match="duplicate node names") as err:
+        Dag(["a", "b", "a"], [("a", "b")])
+    assert isinstance(err.value, ValueError)
+
+
+def test_node_masks_are_built_on_the_first_reachability_query():
+    # a structural model's Dag serves only its evaluation order, so
+    # building one must not pay for the walk's masks
+    g = Dag.from_structural_model(random_linear_model(50, 0))
+    assert "_masks" not in vars(g)
+    d_separated(g, {"v0"}, {"v1"}, set(), method="moral")
+    assert "_masks" not in vars(g)
+    d_separated(g, {"v0"}, {"v1"}, set())
+    assert "_masks" in vars(g)
 
 
 def test_topological_sort_respects_edges_and_declared_order():
@@ -115,8 +134,10 @@ def test_d_separation_rejects_overlap_and_unknown():
         d_separated(g, {"x"}, {"y"}, {"x"})
     with pytest.raises(UnknownNodeError):
         d_separated(g, {"x"}, {"nope"}, set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigValidationError,
+                       match="method = 'psychic' must be") as err:
         d_separated(g, {"x"}, {"y"}, set(), method="psychic")
+    assert isinstance(err.value, ValueError)
 
 
 def test_methods_agree_on_random_graphs():
@@ -201,6 +222,26 @@ def test_methods_agree_on_large_random_graphs():
     assert 0.2 < np.mean(answers) < 0.8      # both answers are exercised
 
 
+def test_methods_agree_on_set_valued_queries_on_large_random_graphs():
+    # the walk's down-moves are cut to the ancestors of all of X, Y and Z,
+    # and it stops at the first frontier that meets Y: sets of up to 3
+    # nodes on either side, and up to 4 in Z, exercise both
+    rng = np.random.default_rng(13)
+    answers = []
+    for seed in range(3):
+        g = Dag.from_structural_model(random_linear_model(300, seed))
+        for _ in range(100):
+            nx, ny = (int(k) for k in rng.integers(1, 4, size=2))
+            nz = int(rng.integers(0, 5))
+            picks = rng.choice(g.nodes, size=nx + ny + nz, replace=False)
+            X, Y, Z = (set(picks[:nx]), set(picks[nx:nx + ny]),
+                       set(picks[nx + ny:]))
+            a = d_separated(g, X, Y, Z, method="reachable")
+            assert a == d_separated(g, X, Y, Z, method="moral"), (seed, picks)
+            answers.append(a)
+    assert 0.2 < np.mean(answers) < 0.8      # both answers are exercised
+
+
 # --- backdoor machinery ---------------------------------------------------
 
 def test_backdoor_paths_found_and_sorted():
@@ -232,7 +273,9 @@ def test_valid_backdoor_set_rejects_cause_or_outcome_in_set(Z):
     assert isinstance(err.value, ValueError)
 
 
-@pytest.mark.parametrize("query", [backdoor_paths, minimal_backdoor_sets])
+@pytest.mark.parametrize("query", [
+    backdoor_paths, minimal_backdoor_sets,
+    lambda g, cause, outcome: is_valid_backdoor_set(g, cause, outcome, {"z"})])
 def test_backdoor_queries_reject_cause_equal_to_outcome(query):
     with pytest.raises(OverlappingSetsError,
                        match="cause and outcome must differ") as err:
@@ -293,26 +336,57 @@ def _random_dag(rng, n):
     return Dag(names, edges, observed=observed), names
 
 
+def _reference_backdoor_valid(g, cause, outcome, S):
+    """The backdoor criterion from its definition: no member of ``S``
+    descends from cause, and ``S`` separates cause from outcome, by the
+    moral route, in a graph built without cause's outgoing edges."""
+    if set(S) & g.descendants_of(cause):
+        return False
+    cut = Dag(g.nodes, [e for e in g.edges if e[0] != cause])
+    return d_separated(cut, {cause}, {outcome}, set(S), method="moral")
+
+
 def _reference_backdoor_sets(g, cause, outcome, candidates):
-    """Every subset of ``candidates``, by size then name, that
-    ``is_valid_backdoor_set`` accepts on ``g`` itself, and the
-    inclusion-minimal ones among them."""
+    """Every subset of ``candidates``, by size then name, that the
+    reference criterion accepts, and the inclusion-minimal ones among
+    them."""
     pool = sorted(candidates)
     valid = [S for k in range(len(pool) + 1)
              for S in itertools.combinations(pool, k)
-             if is_valid_backdoor_set(g, cause, outcome, S)]
+             if _reference_backdoor_valid(g, cause, outcome, S)]
     minimal = [S for S in valid if not any(set(T) < set(S) for T in valid)]
     return valid, minimal
 
 
-def test_minimal_backdoor_sets_match_per_subset_criterion():
+def _backdoor_queries():
+    """Twelve random DAGs on 8 to 12 nodes, each with a cause early in the
+    topological order and an outcome late, so that cause usually has
+    descendants and backdoor paths exist."""
     rng = np.random.default_rng(5)
-    with_descendant_candidates = 0
     for case in range(12):
         g, names = _random_dag(rng, int(rng.integers(8, 13)))
-        # cause early in the topological order, outcome late, so that
-        # cause usually has descendants and backdoor paths exist
-        cause, outcome = names[int(rng.integers(0, 3))], names[-1 - case % 3]
+        yield case, g, names[int(rng.integers(0, 3))], names[-1 - case % 3]
+
+
+def test_valid_backdoor_set_matches_reference_on_every_subset():
+    # every subset of every other node, observed or not, descendants of
+    # cause included: the in-walk cut against a graph built without the
+    # edges out of cause, separated by the moral route
+    checked = [0, 0]
+    for case, g, cause, outcome in _backdoor_queries():
+        others = sorted(set(g.nodes) - {cause, outcome})
+        for k in range(len(others) + 1):
+            for S in itertools.combinations(others, k):
+                got = is_valid_backdoor_set(g, cause, outcome, S)
+                assert got == _reference_backdoor_valid(
+                    g, cause, outcome, S), (case, S)
+                checked[got] += 1
+    assert min(checked) > 500                 # both answers are exercised
+
+
+def test_minimal_backdoor_sets_match_per_subset_criterion():
+    with_descendant_candidates = 0
+    for case, g, cause, outcome in _backdoor_queries():
         everything = set(g.nodes) - {cause, outcome}
         # the graph as drawn, then the same graph fully observed, whose
         # pool holds every other node
