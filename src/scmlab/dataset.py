@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyFeatureListError, NonFiniteValueError
+from .errors import (DatasetShapeError, EmptyFeatureListError,
+                     NonFiniteValueError, UnknownColumnError)
 
 
 class Dataset:
@@ -13,8 +14,9 @@ class Dataset:
     Parameters
     ----------
     columns : mapping of str -> array-like
-        Column name to values; all columns must share one positive length,
-        and every value must be finite (else NonFiniteValueError).
+        Column name to values; all columns must be one-dimensional and
+        share one positive length (else DatasetShapeError), and every value
+        must be finite (else NonFiniteValueError).
     """
 
     def __init__(self, columns):
@@ -23,11 +25,11 @@ class Dataset:
         for name, values in columns.items():
             v = np.asarray(values, dtype=np.float64)
             if v.ndim != 1:
-                raise ValueError(f"column {name!r} is not 1-dimensional")
+                raise DatasetShapeError(f"column {name!r} is not 1-dimensional")
             if n is None:
                 n = v.shape[0]
             elif v.shape[0] != n:
-                raise ValueError(
+                raise DatasetShapeError(
                     f"column {name!r} has length {v.shape[0]}, expected {n}")
             if not np.isfinite(v).all():
                 raise NonFiniteValueError(
@@ -35,7 +37,8 @@ class Dataset:
             v.flags.writeable = False
             cols[name] = v
         if not cols or n == 0:
-            raise ValueError("a dataset needs at least one column and one row")
+            raise DatasetShapeError(
+                "a dataset needs at least one column and one row")
         self._cols = cols
         self.n_rows = n
 
@@ -50,10 +53,11 @@ class Dataset:
         return self.n_rows
 
     def column(self, name: str) -> np.ndarray:
+        """The named column; UnknownColumnError when there is none."""
         try:
             return self._cols[name]
         except KeyError:
-            raise KeyError(f"no column named {name!r}") from None
+            raise UnknownColumnError(f"no column named {name!r}") from None
 
     def matrix(self, names) -> np.ndarray:
         """Columns stacked as an (n_rows, len(names)) array, in given

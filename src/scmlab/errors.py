@@ -44,8 +44,9 @@ class SingularCovarianceError(ScmLabError):
 
 class ModelFileError(ScmLabError, ValueError):
     """A model exchange file lacks a section or key, or holds a value that
-    does not parse; the message gives the path.  Also a ``ValueError``, as
-    a malformed file raised before."""
+    does not parse, or a model with a custom assignment was to be written
+    to one; the message gives the path.  Also a ``ValueError``, as a
+    malformed file and an unwritable model raised before."""
 
 
 # --- graph layer --------------------------------------------------------
@@ -69,6 +70,24 @@ class GraphFileError(ScmLabError, ValueError):
     """A line of a graph exchange file is not a ``parent child`` pair; the
     message gives the path and the 1-based line number.  Also a
     ``ValueError``, as a malformed line raised before."""
+
+
+# --- data layer ---------------------------------------------------------
+
+class DatasetShapeError(ScmLabError, ValueError):
+    """Columns given to a ``Dataset`` are not one-dimensional, differ in
+    length, or make no column or no row; the message names the column.
+    Also a ``ValueError``, as these checks raised before."""
+
+
+class UnknownColumnError(ScmLabError, KeyError):
+    """A dataset has no column of the requested name (an estimator's
+    target or regressor, say).  Also a ``KeyError``, as it raised before.
+    """
+
+    def __str__(self):
+        # KeyError's own str() would quote the message
+        return str(self.args[0]) if self.args else ""
 
 
 # --- estimator layer ----------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
+from ..errors import ConfigValidationError
 from ..graph import Dag
 from ..scm import Assignment, NoiseSpec, StructuralModel
 
@@ -138,7 +139,7 @@ def shape_pair_model(shape, noise_sd=0.1):
     ``shape`` picks the deterministic skeleton: ``quadratic`` (y = x^2),
     ``sinusoid`` (y = sin(2 pi x)), ``circle`` (point on the unit circle),
     or ``cross`` (y = +-x with random sign); all get Gaussian jitter of
-    sd ``noise_sd``.
+    sd ``noise_sd``. Any other ``shape`` raises ConfigValidationError.
     """
     noise = NoiseSpec.gaussian(sd=noise_sd)
     if shape == "quadratic":
@@ -167,7 +168,9 @@ def shape_pair_model(shape, noise_sd=0.1):
                                     noise=noise)),
         ]
     else:
-        raise ValueError(f"unknown shape {shape!r}")
+        raise ConfigValidationError(
+            f"shape = {shape!r} must be one of quadratic, sinusoid, "
+            "circle, cross")
     return StructuralModel(pairs)
 
 

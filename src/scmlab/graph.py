@@ -17,7 +17,9 @@ its ancestors. The walk moves whole frontiers of nodes at once. Every
 node of an active trail is in X ∪ Y ∪ Z or one of their ancestors, and
 the walk descends only into Y ∪ Z and their ancestors, which keeps it
 exact (see ``_reaches``). The backdoor test runs the same walk with the
-cause's out-edges forbidden, so it needs no second graph.
+cause's out-edges forbidden, so it needs no second graph, and the backdoor
+search runs it once per subset, on masks OR-ed from its members' bits and
+ancestral closures.
 
 References
 ----------
@@ -128,18 +130,23 @@ class _NodeMasks:
 
     @staticmethod
     def of(g: "Dag") -> "_NodeMasks":
-        bit = {n: 1 << i for i, n in enumerate(g.nodes)}
-        parents = [sum(bit[p] for p in g._parents[n]) for n in g.nodes]
-        children = [sum(bit[c] for c in g._children[n]) for n in g.nodes]
-        # in topological order every parent's ancestors are final first
         index = {n: i for i, n in enumerate(g.nodes)}
-        ancestors = [0] * len(g.nodes)
+        bits = [1 << i for i in range(len(g.nodes))]
+        parents = [0] * len(bits)
+        children = [0] * len(bits)
+        for p, c in g.edges:
+            i, j = index[p], index[c]
+            parents[j] |= bits[i]
+            children[i] |= bits[j]
+        # in topological order every parent's ancestors are final first
+        ancestors = [0] * len(bits)
         for n in g.order:
-            a = 0
+            j = index[n]
+            a = parents[j]
             for p in g._parents[n]:
-                a |= ancestors[index[p]] | bit[p]
-            ancestors[index[n]] = a
-        return _NodeMasks(bit, parents, children, ancestors)
+                a |= ancestors[index[p]]
+            ancestors[j] = a
+        return _NodeMasks(dict(zip(g.nodes, bits)), parents, children, ancestors)
 
     def mask(self, names) -> int:
         return sum(self.bit[n] for n in names)
@@ -153,9 +160,10 @@ def _union(masks, m: int) -> int:
     """OR of ``masks[i]`` over the set bits i of ``m``."""
     out = 0
     while m:
-        low = m & -m
-        out |= masks[low.bit_length() - 1]
-        m ^= low
+        # from the highest bit down: no negation of a long mask per bit
+        i = m.bit_length() - 1
+        out |= masks[i]
+        m ^= 1 << i
     return out
 
 
@@ -219,16 +227,21 @@ def d_separated(g: Dag, X, Y, Z, method: str = "reachable") -> bool:
         return True
     if method == "reachable":
         m = g._masks
-        return not _reaches(m, m.mask(X), m.mask(Y), m.mask(Z))
+        x, y, z = m.mask(X), m.mask(Y), m.mask(Z)
+        anc_z = m.closure(z)
+        return not _reaches(m, x, y, z, anc_z, anc_z | m.closure(y))
     return _moral_separated(g, X, Y, Z)
 
 
-def _reaches(m: _NodeMasks, x: int, y: int, z: int, cut: int = 0) -> bool:
+def _reaches(m: _NodeMasks, x: int, y: int, z: int, anc_z: int, keep: int,
+             cut: int = 0) -> bool:
     """True iff some node of Y is reachable from X along an active path
     given Z, the three sets given as masks ``x``, ``y``, ``z`` of one
     graph's :class:`_NodeMasks` ``m``; stops at the first frontier that
-    holds a node of Y. ``cut``, the bit of a node of X, runs the walk on
-    the graph without the edges out of that node.
+    holds a node of Y. The caller passes the closures the walk reads:
+    ``anc_z``, Z and its ancestors (``m.closure(z)``), and ``keep``, that
+    mask together with Y and its ancestors. ``cut``, the bit of a node of
+    X, runs the walk on the graph without the edges out of that node.
 
     States are (node, direction of arrival), kept as one visited mask per
     direction: "down" = entered along an edge out of the previous node,
@@ -256,8 +269,6 @@ def _reaches(m: _NodeMasks, x: int, y: int, z: int, cut: int = 0) -> bool:
     graph only if no node of Z descends from ``cut`` (then no path to Z
     runs through a cut edge), which the backdoor test checks first.
     """
-    anc_z = m.closure(z)
-    keep = anc_z | m.closure(y)
     up_seen = down_seen = 0
     # the start nodes count as entered from a child ("up")
     up, down = x, 0
@@ -348,10 +359,11 @@ def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     if cause == outcome:
         raise OverlappingSetsError("cause and outcome must differ")
     m = g._masks
-    x, z = m.bit[cause], m.mask(Z)
-    if m.closure(z) & x:    # a node of Z descends from cause
+    x, y, z = m.bit[cause], m.bit[outcome], m.mask(Z)
+    anc_z = m.closure(z)
+    if anc_z & x:           # a node of Z descends from cause
         return False
-    return not _reaches(m, x, m.bit[outcome], z, cut=x)
+    return not _reaches(m, x, y, z, anc_z, anc_z | m.closure(y), cut=x)
 
 
 @dataclass
@@ -387,16 +399,31 @@ def minimal_backdoor_sets(g: Dag, cause: str, outcome: str) -> AdjustmentAnalysi
             f"cap of {_CANDIDATE_LIMIT}")
     usable = sorted(candidates - g.descendants_of(cause))
     paths = backdoor_paths(g, cause, outcome)
+    # each subset runs is_valid_backdoor_set's walk, with its masks formed
+    # from the members' bits and closures; no member descends from cause,
+    # so that test's first check always passes
+    m = g._masks
+    x, y = m.bit[cause], m.bit[outcome]
+    anc_y = m.closure(y)
+    bits = [m.bit[n] for n in usable]
+    closures = [m.closure(b) for b in bits]
     # sets are sorted name tuples generated by size, then lexicographically,
     # so output order never depends on hash order, and a valid set is
     # minimal iff no minimal set found before it is contained in it
-    valid, minimal = [], []
+    valid, minimal, minimal_masks = [], [], []
     for size in range(len(usable) + 1):
-        for subset in combinations(usable, size):
-            if is_valid_backdoor_set(g, cause, outcome, subset):
-                valid.append(subset)
-                if not any(set(subset).issuperset(m) for m in minimal):
-                    minimal.append(subset)
+        for members in combinations(range(len(usable)), size):
+            z = anc_z = 0
+            for i in members:
+                z |= bits[i]
+                anc_z |= closures[i]
+            if _reaches(m, x, y, z, anc_z, anc_z | anc_y, cut=x):
+                continue
+            subset = tuple(usable[i] for i in members)
+            valid.append(subset)
+            if not any(z & s == s for s in minimal_masks):
+                minimal.append(subset)
+                minimal_masks.append(z)
     return AdjustmentAnalysis(
         query=(cause, outcome),
         backdoor_paths=paths,

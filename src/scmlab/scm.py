@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .graph import Dag
 from .rng import normal_column, uniform_column
 
 _COND_LIMIT = 1e12  # condition-number guard for covariance solves
+_PERMUTE_ROWS = 32  # rows per block when the covariance's columns are permuted
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,103 @@ class StructuralModel:
         self._cov = None    # read-only moments, set on first use by
         self._mu = None     # population_covariance / population_mean
 
+    @cached_property
+    def _plan(self) -> "_LevelPlan":
+        """The analytic oracles' level plan, built on their first call, so
+        that a model that is only sampled never pays for it."""
+        return _LevelPlan.of(self)
+
     def __repr__(self):
         return f"StructuralModel({len(self.nodes)} nodes)"
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One topological level of a model: nodes whose parents all lie in
+    earlier levels, so the level is solved in one step.
+
+    ``nodes`` holds the nodes' declared positions in evaluation order;
+    they sit at ``start`` onwards in the plan's level order. ``parents``
+    and ``weights`` are (width, size) arrays, width the most parents any
+    node of the level has: column j holds node j's parents' declared
+    positions and weights, padded with its first parent at weight 0.0 (a
+    custom node's weights are all 0.0). ``custom`` flags the custom
+    nodes, or is None when the level has none.
+    """
+
+    start: int
+    nodes: np.ndarray
+    parents: np.ndarray
+    weights: np.ndarray
+    custom: np.ndarray
+
+
+@dataclass(frozen=True)
+class _LevelPlan:
+    """A model's nodes grouped by topological level (a node's level is one
+    more than its deepest parent's, 0 without parents), for the analytic
+    oracles.
+
+    ``order`` lists the declared positions level by level, and
+    ``position`` is its inverse: the permutation between level order and
+    declared order. ``index`` maps a name to its declared position, and
+    ``depth``, ``intercept``, ``noise_mean`` and ``noise_var`` are indexed
+    by declared position: each node's level and its assignment's
+    constants.
+    """
+
+    index: dict
+    depth: list
+    order: np.ndarray
+    position: np.ndarray
+    levels: tuple
+    intercept: np.ndarray
+    noise_mean: np.ndarray
+    noise_var: np.ndarray
+
+    @staticmethod
+    def of(model: "StructuralModel") -> "_LevelPlan":
+        index = {name: i for i, name in enumerate(model.nodes)}
+        depth = [0] * len(index)
+        groups = []     # per level: (declared position, parents, assignment)
+        # in evaluation order every parent's level is known first
+        for name in model._order:
+            a = model.assignments[name]
+            ps = [index[p] for p in a.parents]
+            d = 1 + max([depth[i] for i in ps], default=-1)
+            depth[index[name]] = d
+            if d == len(groups):
+                groups.append([])
+            groups[d].append((index[name], ps, a))
+        order = np.array([i for group in groups for i, _, _ in group],
+                         dtype=np.intp)
+        levels, start = [], 0
+        for group in groups:
+            width = max(len(ps) for _, ps, _ in group)
+            parents, weights = [], []
+            for _, ps, a in group:
+                ws = list(a.weights) if a.kind == "linear" else []
+                parents.append(ps + ps[:1] * (width - len(ps)))
+                weights.append(ws + [0.0] * (width - len(ws)))
+            custom = np.array([a.kind == "custom" for _, _, a in group])
+            levels.append(_Level(
+                start, order[start:start + len(group)],
+                _columns(parents, width, np.intp),
+                _columns(weights, width, np.float64),
+                custom if custom.any() else None))
+            start += len(group)
+        assignments = [model.assignments[name] for name in model.nodes]
+        return _LevelPlan(
+            index, depth, order, np.argsort(order), tuple(levels),
+            np.array([a.intercept for a in assignments]),
+            np.array([a.noise.mean() for a in assignments]),
+            np.array([a.noise.variance() for a in assignments]))
+
+
+def _columns(rows: list, width: int, dtype) -> np.ndarray:
+    """Equal-length lists, one per node, as a (width, nodes) array."""
+    return np.ascontiguousarray(
+        np.array(rows, dtype=dtype).reshape(len(rows), width).T)
 
 
 def validate_model(model: StructuralModel) -> StructuralModel:
@@ -208,9 +305,12 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
 
     Noise for each node comes from a substream keyed by the node's index in
     the declared order, so identical (model, n, seed) inputs give
-    bit-identical datasets regardless of evaluation order.
+    bit-identical datasets regardless of evaluation order. ``n`` must be a
+    positive and ``seed`` a non-negative integer (else
+    ConfigValidationError naming it).
     """
     n = check_value("n", n, 0, "[1, inf)")
+    seed = check_value("seed", seed, 0, "[0, inf)")
     order = model._order
     node_idx = {name: i for i, name in enumerate(model.nodes)}
     cols = {}
@@ -260,12 +360,18 @@ def _require_linear_gaussian(model: StructuralModel) -> None:
 
 
 def population_covariance(model: StructuralModel) -> np.ndarray:
-    """Exact covariance matrix over ``model.nodes`` by forward propagation.
+    """Exact covariance matrix over ``model.nodes`` by forward propagation,
+    one topological level at a time.
 
     Restricted to linear-additive assignments with Gaussian or constant
     noise. For node v with parents P and weights w:
-    Cov(v, u) = sum_p w_p Cov(p, u) for previously solved u, and
-    Var(v) = w' Sigma_PP w + Var(noise).
+    Cov(v, u) = sum_p w_p Cov(p, u) for u in an earlier level, and
+    Var(v) = w' Sigma_PP w + Var(noise). A level's rows over all earlier
+    levels are combined from its parents' rows, which are complete, and
+    written as one row block and its transpose; then the level's own block
+    is filled, each pair from the parents of the node later in evaluation
+    order. Every sum runs in parent order from +0.0, in numpy's
+    elementwise arithmetic, so no BLAS kernel decides the result's bits.
 
     The matrix is computed once per model, stored on it and returned
     read-only (writing into it raises ``ValueError``); copy it to modify.
@@ -275,29 +381,37 @@ def population_covariance(model: StructuralModel) -> np.ndarray:
     if model._cov is not None:
         return model._cov
     _require_linear_gaussian(model)
-    order = model._order
-    idx = {name: i for i, name in enumerate(model.nodes)}
+    plan = model._plan
     k = len(model.nodes)
+    # rows in declared order, columns in level order until the last step:
+    # a level's columns over earlier levels are then one slice
     cov = np.zeros((k, k))
-    for name in order:
-        a = model.assignments[name]
-        i = idx[name]
-        if a.parents:
-            pidx = [idx[p] for p in a.parents]
-            w = np.array(a.weights)
-            cross = cov[pidx, :] .T @ w          # Cov(v, everything solved)
-            cov[i, :] = cross
-            cov[:, i] = cross
-            cov[i, i] = w @ cov[np.ix_(pidx, pidx)] @ w + a.noise.variance()
-        else:
-            cov[i, i] = a.noise.variance()
+    for level in plan.levels:
+        nodes, a = level.nodes, level.start
+        b = a + len(nodes)
+        rows = _weighted_sum(level, cov[:, :a])
+        cov[nodes, :a] = rows
+        cov[plan.order[:a], a:b] = rows.T
+        own = _weighted_sum(level, cov[:, a:b])
+        # row j was combined from node j's parents: keep it for the pairs
+        # where node j comes later in evaluation order
+        own = np.tril(own) + np.tril(own, -1).T
+        own.flat[::len(nodes) + 1] += plan.noise_var[nodes]
+        cov[nodes, a:b] = own
+    for r in range(0, k, _PERMUTE_ROWS):
+        # position is a permutation, so no index needs a bounds check
+        cov[r:r + _PERMUTE_ROWS] = cov[r:r + _PERMUTE_ROWS].take(
+            plan.position, axis=1, mode="clip")
     cov.setflags(write=False)
     model._cov = cov
     return cov
 
 
 def population_mean(model: StructuralModel) -> np.ndarray:
-    """Exact mean vector over ``model.nodes`` (linear-Gaussian models).
+    """Exact mean vector over ``model.nodes`` (linear-Gaussian models),
+    propagated one topological level at a time: a node's mean is its
+    intercept, plus its weighted parent means summed in parent order from
+    +0.0, plus its noise mean.
 
     Computed once per model, stored on it and returned read-only, like
     :func:`population_covariance`.
@@ -305,17 +419,28 @@ def population_mean(model: StructuralModel) -> np.ndarray:
     if model._mu is not None:
         return model._mu
     _require_linear_gaussian(model)
-    order = model._order
-    idx = {name: i for i, name in enumerate(model.nodes)}
+    plan = model._plan
     mu = np.zeros(len(model.nodes))
-    for name in order:
-        a = model.assignments[name]
-        mu[idx[name]] = (a.intercept
-                         + sum(w * mu[idx[p]] for p, w in zip(a.parents, a.weights))
-                         + a.noise.mean())
+    for level in plan.levels:
+        nodes = level.nodes
+        mu[nodes] = ((plan.intercept[nodes] + _weighted_sum(level, mu))
+                     + plan.noise_mean[nodes])
     mu.setflags(write=False)
     model._mu = mu
     return mu
+
+
+def _weighted_sum(level: _Level, values: np.ndarray) -> np.ndarray:
+    """Per node of ``level``, its weights times its parents' entries of
+    ``values`` (or rows, for a matrix), added in parent order starting from
+    +0.0, as Python's ``sum`` adds. A padded slot adds 0.0 times a finite
+    value, which changes no sum that starts from +0.0."""
+    total = np.zeros((len(level.nodes),) + values.shape[1:])
+    for p, w in zip(level.parents, level.weights):
+        term = values[p]
+        term *= w.reshape((-1,) + (1,) * (values.ndim - 1))
+        total += term
+    return total
 
 
 def population_regression(model: StructuralModel, target: str,
@@ -332,7 +457,7 @@ def population_regression(model: StructuralModel, target: str,
             raise UnknownNodeError(f"no node named {name!r}")
     cov = population_covariance(model)
     mu = population_mean(model)
-    idx = {name: i for i, name in enumerate(model.nodes)}
+    idx = model._plan.index
     xi = [idx[r] for r in regressors]
     yi = idx[target]
     sxx = cov[np.ix_(xi, xi)]
@@ -353,28 +478,54 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
     """Sum over all directed cause->outcome paths of the edge-weight product.
 
     Equals the derivative of E[outcome] with respect to t under the
-    intervention cause := t, for linear models.
+    intervention cause := t, for linear models. The effects of cause on
+    every node are propagated one topological level at a time, over the
+    levels between cause and outcome only; each node's sum runs in parent
+    order from +0.0, so an outcome that does not descend from cause gets
+    +0.0. A custom node that descends from cause carries NaN, so a custom
+    node on a path to outcome raises NonlinearModelError and one off every
+    path does not.
     """
     for name in (cause, outcome):
         if name not in model.assignments:
             raise UnknownNodeError(f"no node named {name!r}")
     if cause == outcome:
         raise OverlappingSetsError("cause and outcome must differ")
-    order = model._order
-    effect = {cause: 1.0}
-    for name in order:
-        if name == cause:
-            continue
-        a = model.assignments[name]
-        contributions = [(p, w) for p, w in zip(a.parents, a.weights or ())
-                         if p in effect]
-        if a.kind == "custom" and any(p in effect for p in a.parents):
-            raise NonlinearModelError(
-                f"node {name!r} on a path from {cause!r} has a custom "
-                "assignment; path-product effects need linear weights")
-        if contributions:
-            effect[name] = sum(w * effect[p] for p, w in contributions)
-    return effect.get(outcome, 0.0)
+    plan = model._plan
+    c, o = plan.index[cause], plan.index[outcome]
+    effect = np.zeros(len(model.nodes))
+    effect[c] = 1.0
+    below = np.zeros(len(model.nodes), dtype=bool)   # descends from cause
+    below[c] = True
+    for level in plan.levels[plan.depth[c] + 1:plan.depth[o] + 1]:
+        total = _weighted_sum(level, effect)
+        reached = below[level.parents].any(axis=0)
+        if level.custom is not None:
+            total[level.custom & reached] = np.nan
+        effect[level.nodes] = total
+        below[level.nodes] = reached
+    if np.isnan(effect[o]):
+        raise NonlinearModelError(
+            f"node {_custom_on_path(model, effect, outcome)!r} on a path "
+            f"from {cause!r} has a custom assignment; path-product effects "
+            "need linear weights")
+    return float(effect[o])
+
+
+def _custom_on_path(model: StructuralModel, effect: np.ndarray,
+                    outcome: str) -> str:
+    """The first custom node, in evaluation order, that carries NaN in
+    ``effect`` and is ``outcome`` or one of its ancestors."""
+    above, stack = set(), [outcome]
+    while stack:
+        name = stack.pop()
+        if name not in above:
+            above.add(name)
+            stack.extend(model.assignments[name].parents)
+    index = model._plan.index
+    return next(name for name in model._order
+                if name in above and model.assignments[name].kind == "custom"
+                and np.isnan(effect[index[name]]))
 
 
 # --- model definition files ---------------------------------------------
@@ -392,15 +543,17 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
 #
 
 def save_model(model: StructuralModel, path: str) -> None:
-    """Write a linear-additive model to the INI schema above."""
+    """Write a linear-additive model to the INI schema above; a custom
+    assignment raises ModelFileError, naming the path and the node, before
+    the file is opened."""
     cp = configparser.ConfigParser()
     cp["model"] = {"nodes": " ".join(model.nodes)}
     for name in model.nodes:
         a = model.assignments[name]
         if a.kind != "linear":
-            raise ValueError(
-                f"node {name!r} has a custom assignment; model files hold "
-                "linear-additive assignments only")
+            raise ModelFileError(
+                f"{path}: node {name!r} has a custom assignment; model files "
+                "hold linear-additive assignments only")
         sec = {}
         if a.parents:
             sec["parents"] = " ".join(a.parents)

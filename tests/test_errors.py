@@ -1,0 +1,89 @@
+"""Bad library calls end in a named ScmLabError that is still the builtin
+exception the call raised before (``ValueError`` or ``KeyError``), with a
+message naming the fault."""
+
+import numpy as np
+import pytest
+
+from scmlab import (Assignment, Dataset, NoiseSpec, StructuralModel, ols_fit,
+                    sample, save_model, scm)
+from scmlab.errors import (ConfigValidationError, DatasetShapeError,
+                           ModelFileError, ScmLabError, UnknownColumnError)
+from scmlab.experiments.generators import shape_pair_model
+
+
+def _data():
+    return Dataset({"x": [0.0, 1.0, 2.0, 4.0], "y": [1.0, 0.0, 2.0, 3.0]})
+
+
+def _custom_model():
+    return StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.gaussian()),
+        "y": Assignment.custom(["x"], np.tanh, noise=NoiseSpec.gaussian()),
+    })
+
+
+BAD_CALLS = [
+    (lambda tmp: Dataset({"a": [[1.0, 2.0]]}), DatasetShapeError, ValueError,
+     "column 'a' is not 1-dimensional"),
+    (lambda tmp: Dataset({"a": [1.0, 2.0], "b": [1.0]}), DatasetShapeError,
+     ValueError, "column 'b' has length 1, expected 2"),
+    (lambda tmp: Dataset({}), DatasetShapeError, ValueError,
+     "at least one column and one row"),
+    (lambda tmp: Dataset({"a": []}), DatasetShapeError, ValueError,
+     "at least one column and one row"),
+    (lambda tmp: _data().column("q"), UnknownColumnError, KeyError,
+     "no column named 'q'"),
+    (lambda tmp: ols_fit(_data(), "y", ["q"]), UnknownColumnError, KeyError,
+     "no column named 'q'"),
+    (lambda tmp: save_model(_custom_model(), str(tmp / "m.model")),
+     ModelFileError, ValueError, "node 'y' has a custom assignment"),
+    (lambda tmp: shape_pair_model("spiral"), ConfigValidationError, ValueError,
+     "shape = 'spiral' must be one of"),
+    (lambda tmp: sample(_custom_model(), 10, -1), ConfigValidationError,
+     ValueError, "seed = -1 must lie in"),
+    (lambda tmp: sample(_custom_model(), 10, 1.5), ConfigValidationError,
+     ValueError, "could not parse seed = 1.5 as int"),
+]
+
+
+@pytest.mark.parametrize("call, error, builtin, message", BAD_CALLS, ids=[
+    "dataset-2d-column", "dataset-lengths", "dataset-no-column",
+    "dataset-no-row", "dataset-column", "ols-unknown-regressor",
+    "save-custom-model", "unknown-shape", "negative-seed", "fractional-seed"])
+def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
+                                              tmp_path):
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert isinstance(err.value, ScmLabError)
+    assert isinstance(err.value, builtin)
+    assert message in str(err.value)
+
+
+def test_unknown_column_message_is_not_quoted():
+    # KeyError's own str() quotes its message; the CLI prints str(exc)
+    with pytest.raises(UnknownColumnError) as err:
+        _data().column("q")
+    assert str(err.value) == "no column named 'q'"
+
+
+def test_save_model_writes_no_file_for_a_custom_model(tmp_path):
+    path = tmp_path / "m.model"
+    with pytest.raises(ModelFileError, match=f"^{path}: "):
+        save_model(_custom_model(), str(path))
+    assert not path.exists()
+
+
+def test_sample_checks_the_seed_once_per_call(monkeypatch):
+    labels = []
+    check = scm.check_value
+
+    def counted(label, *args, **kwargs):
+        labels.append(label)
+        return check(label, *args, **kwargs)
+
+    monkeypatch.setattr(scm, "check_value", counted)
+    model = StructuralModel({f"x{i}": Assignment.exogenous(NoiseSpec.gaussian())
+                             for i in range(5)})
+    sample(model, 10, 3)
+    assert labels.count("seed") == 1

@@ -402,6 +402,48 @@ def test_minimal_backdoor_sets_match_per_subset_criterion():
     assert with_descendant_candidates >= 6
 
 
+def _per_subset_search(g, cause, outcome):
+    """The backdoor search as one ``is_valid_backdoor_set`` call per subset
+    of the usable candidates, by size then name: every valid set, and each
+    one that contains no valid set found before it."""
+    usable = sorted(g.observed - {cause, outcome} - g.descendants_of(cause))
+    valid, minimal = [], []
+    for k in range(len(usable) + 1):
+        for S in itertools.combinations(usable, k):
+            if is_valid_backdoor_set(g, cause, outcome, S):
+                valid.append(S)
+                if not any(set(S) >= set(T) for T in minimal):
+                    minimal.append(S)
+    return valid, minimal
+
+
+def test_minimal_backdoor_sets_equal_a_per_subset_loop():
+    # test_graph's random DAGs as drawn and fully observed, then 16-node
+    # DAGs with 14 candidates, as many as the benchmark's search
+    queries = [(h, cause, outcome)
+               for _, g, cause, outcome in _backdoor_queries()
+               for h in (g, Dag(g.nodes, g.edges))]
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        # covariates c00..c13 form a random DAG, each feeds x and y with
+        # probability 0.3, and x -> y: all 14 are candidates
+        cov = [f"c{i:02d}" for i in range(14)]
+        edges = [(cov[j], cov[i]) for i in range(14) for j in range(i)
+                 if rng.random() < 0.2]
+        edges += [(c, v) for c in cov for v in "xy" if rng.random() < 0.3]
+        nodes = list(rng.permutation(cov + ["x", "y"]))
+        queries.append((Dag(nodes, edges + [("x", "y")]), "x", "y"))
+    searched = 0
+    for g, cause, outcome in queries:
+        got = minimal_backdoor_sets(g, cause, outcome)
+        valid, minimal = _per_subset_search(g, cause, outcome)
+        assert got.valid_sets == valid
+        assert got.minimal_sets == minimal
+        searched += 2 ** len(g.observed - {cause, outcome}
+                             - g.descendants_of(cause))
+    assert searched > 3 * 2 ** 14
+
+
 # --- files and export -----------------------------------------------------
 
 def test_graph_save_load_round_trip(tmp_path):

@@ -8,11 +8,13 @@ change that moves them on purpose rewrites the manifest in the same diff:
     PYTHONPATH=src python tests/test_report_digests.py
 
 runs the eight experiments at their registered defaults and writes the
-manifest, with the numpy, scipy and BLAS versions it was made with. Float
-results can differ in their last digits on another build of those, so
+manifest, with the numpy, scipy and BLAS versions it was made with and the
+OpenBLAS kernel numpy's BLAS picked for this CPU. Float results can differ
+in their last digits on another build of those or on another kernel, so
 there the comparison is skipped, with the versions named.
 """
 
+import ctypes
 import hashlib
 import json
 import tempfile
@@ -27,6 +29,21 @@ from scmlab.experiments import build_config, list_experiments, run
 MANIFEST = Path(__file__).with_name("report_digests.json")
 
 
+def blas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS picked at run time, read
+    from the library with ctypes; "unknown" for another BLAS."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            break
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def build_versions() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -34,7 +51,7 @@ def build_versions() -> dict:
     except (KeyError, TypeError):
         blas = "unknown"
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": blas}
+            "blas": blas, "blas_core": blas_core()}
 
 
 def file_digests(out_dir: Path) -> dict:

@@ -1,4 +1,9 @@
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +17,12 @@ from scmlab.errors import (ConfigValidationError, CycleError,
                            NonlinearModelError, OverlappingSetsError,
                            SingularCovarianceError, UnknownNodeError,
                            UnknownParentError)
-from sem_helpers import (dense_covariance, dense_mean, random_linear_model,
-                         total_effect_matrix)
+from scmlab import scm
+from scmlab.experiments.generators import (confounded_chain_model,
+                                           exogenous_predictor_model)
+from sem_helpers import (dense_covariance, dense_mean, forward_covariance,
+                         forward_mean, forward_total_effect, oracle_digest,
+                         random_linear_model, total_effect_matrix)
 
 
 def two_node(sd=0.5):
@@ -373,6 +382,127 @@ def test_linear_oracles_match_dense_matrix_form(n, seed):
         if c != o:
             assert abs(total_effect_linear(m, m.nodes[c], m.nodes[o])
                        - A[o, c]) <= 1e-10 * (1.0 + abs(A[o, c]))
+
+
+# --- level by level against node by node ---------------------------------
+
+def _all_effects(m, pairs=None):
+    """Every (cause, outcome) effect the package and the node-by-node twin
+    both give, as two float64 arrays; the twin refuses custom nodes."""
+    pairs = pairs or [(c, o) for c in m.nodes for o in m.nodes if c != o]
+    got = [total_effect_linear(m, c, o) for c, o in pairs]
+    ref = [forward_total_effect(m, c, o) for c, o in pairs]
+    return np.array(got), np.array(ref)
+
+
+@pytest.mark.parametrize("build", [
+    confounded_chain_model,
+    lambda: exogenous_predictor_model((1.0, 2.0, -0.5, 0.3)),
+    lambda: exogenous_predictor_model((0.1, 0.7, -1.3, 2.9)),
+    chain_model, out_of_order_model,
+], ids=["confounded-chain", "exogenous-predictor", "exogenous-predictor-2",
+        "chain", "out-of-order"])
+def test_level_oracles_bit_equal_node_by_node_on_report_models(build):
+    m = build()
+    assert population_covariance(m).tobytes() == forward_covariance(m).tobytes()
+    assert population_mean(m).tobytes() == forward_mean(m).tobytes()
+    got, ref = _all_effects(m)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (120, 2), (300, 3), (300, 4)])
+def test_level_oracles_match_node_by_node_on_random_models(n, seed):
+    # the covariance may pair a node with a deeper one from the other
+    # side than the node-by-node walk did, which moves the last digits
+    m = random_linear_model(n, seed)
+    cov, ref = population_covariance(m), forward_covariance(m)
+    sd = np.sqrt(np.diag(ref))
+    assert np.array_equal(cov, cov.T)
+    assert np.all(np.abs(cov - ref) <= 1e-15 * np.outer(sd, sd))
+    assert population_mean(m).tobytes() == forward_mean(m).tobytes()
+    g = np.random.default_rng(seed)
+    pairs = [(m.nodes[c], m.nodes[o]) for c, o in g.choice(n, size=(200, 2))
+             if c != o]
+    got, ref = _all_effects(m, pairs)
+    assert got.tobytes() == ref.tobytes()
+    assert (got == 0.0).sum() > 50          # most pairs have no path
+
+
+def test_total_effect_without_a_path_is_positive_zero():
+    # y's only parent z does not descend from x, and 0.0 times a negative
+    # weight is -0.0: the sum still starts from +0.0
+    m = StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.gaussian()),
+        "z": Assignment.linear(["x"], [0.0], noise=NoiseSpec.gaussian()),
+        "w": Assignment.exogenous(NoiseSpec.gaussian()),
+        "y": Assignment.linear(["w", "z"], [-2.0, -1.0],
+                               noise=NoiseSpec.gaussian()),
+    })
+    for cause, outcome in (("w", "z"), ("y", "x"), ("z", "w")):
+        effect = total_effect_linear(m, cause, outcome)
+        assert effect == 0.0 and math.copysign(1.0, effect) == 1.0
+    # a zero-weight path is still a path: +0.0 from x through z to y
+    effect = total_effect_linear(m, "x", "y")
+    assert effect == 0.0 and math.copysign(1.0, effect) == 1.0
+
+
+def test_total_effect_custom_nodes_on_and_off_the_paths():
+    m = StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.gaussian()),
+        "c": Assignment.custom(["x"], np.tanh),            # descends from x
+        "u": Assignment.custom([], lambda: 0.0, noise=NoiseSpec.gaussian()),
+        "m": Assignment.linear(["x", "u"], [2.0, 5.0]),
+        "y": Assignment.linear(["m", "u"], [3.0, 1.0], noise=NoiseSpec.gaussian()),
+        "d": Assignment.linear(["c", "y"], [1.0, 1.0]),
+    })
+    # c descends from x but no path to y runs through it, and u is no
+    # descendant of x: both are off every x -> y path
+    assert total_effect_linear(m, "x", "y") == 6.0
+    assert total_effect_linear(m, "u", "y") == 16.0
+    with pytest.raises(NonlinearModelError, match="node 'c' on a path from 'x'"):
+        total_effect_linear(m, "x", "d")
+    # a custom outcome that descends from the cause is on the path itself
+    with pytest.raises(NonlinearModelError, match="node 'c'"):
+        total_effect_linear(m, "x", "c")
+
+
+def test_level_plan_built_once_per_model_and_never_by_sample(monkeypatch):
+    built = []
+    build = scm._LevelPlan.of
+
+    def once(model):
+        if built:
+            raise AssertionError("level plan built a second time")
+        built.append(model)
+        return build(model)
+
+    monkeypatch.setattr(scm._LevelPlan, "of", staticmethod(once))
+    m = confounded_chain_model()
+    sample(m, 50, seed=1)
+    assert built == [] and "_plan" not in vars(m)
+    for _ in range(2):
+        total_effect_linear(m, "x0", "y")
+        population_covariance(m)
+        population_mean(m)
+        population_regression(m, "y", ["x0", "x2"])
+    assert built == [m]
+    sample(m, 50, seed=1)
+    assert built == [m]
+
+
+def test_linear_oracles_do_not_depend_on_the_openblas_kernel():
+    # the bundled OpenBLAS picks its kernel from the CPU; Nehalem's has no
+    # FMA, so any BLAS call in the oracles would move their last bits
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests),
+                            os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": path}
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "from sem_helpers import oracle_digest; print(oracle_digest())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == oracle_digest()
 
 
 # --- model files ----------------------------------------------------------
