@@ -151,7 +151,7 @@ class CellTables:
 def _cell_tables(model):
     """The model's :class:`CellTables`, or None when they would hold more
     than ``_MAX_CELLS`` cells."""
-    d, rate = len(model.feature_names), model.learning_rate
+    d = len(model.feature_names)
     grids = []        # per group, {feature of U: its sorted thresholds}
     for group in model.tree_groups:
         f = np.concatenate([model.trees[t].feature for t in group])
@@ -180,10 +180,7 @@ def _cell_tables(model):
             bits[g, f] = 1 << rank
             points[:, f] = np.tile(np.repeat(np.r_[-np.inf, th], stride),
                                    n // (stride * (th.size + 1)))
-        G = rate * model.trees[group[0]].predict(points)
-        for t in group[1:]:
-            G += rate * model.trees[t].predict(points)
-        values.append(G)
+        values.append(_group_sum(model, group, points))
     start = np.cumsum(sizes) - sizes
     return CellTables(thresholds, offset, lookup, start,
                       np.concatenate([[]] + values), bits)
@@ -410,13 +407,21 @@ def decision_function(model: GbtModel, X: np.ndarray) -> np.ndarray:
     # column-major, so each tree walk gathers a split's feature from one
     # contiguous column
     X = np.asfortranarray(X)
-    trees, rate = model.trees, model.learning_rate
     for group in model.tree_groups:
-        G = rate * trees[group[0]].predict(X)
-        for t in group[1:]:
-            G += rate * trees[t].predict(X)
-        F += G
+        F += _group_sum(model, group, X)
     return F
+
+
+def _group_sum(model: GbtModel, group: tuple, X: np.ndarray) -> np.ndarray:
+    """The sum of one of :attr:`GbtModel.tree_groups` at the rows of
+    ``X``: its trees' shrunk leaf values added in tree order, from the
+    first tree's. The cell tables and the tree walk both call it, so they
+    agree bit for bit."""
+    trees, rate = model.trees, model.learning_rate
+    G = rate * trees[group[0]].predict(X)
+    for t in group[1:]:
+        G += rate * trees[t].predict(X)
+    return G
 
 
 def predict_matrix(model: GbtModel, X: np.ndarray) -> np.ndarray:

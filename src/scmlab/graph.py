@@ -67,17 +67,17 @@ class Dag:
 
     def __init__(self, nodes, edges, observed=None):
         self.nodes = list(nodes)
-        declared = set(self.nodes)
-        if len(declared) != len(self.nodes):
+        self._index = {n: i for i, n in enumerate(self.nodes)}  # name -> position
+        if len(self._index) != len(self.nodes):
             raise DuplicateNodeError("duplicate node names")
         self.edges = set()
         for p, c in edges:
-            if p not in declared or c not in declared:
+            if p not in self._index or c not in self._index:
                 raise UnknownNodeError(f"edge ({p!r}, {c!r}) references an undeclared node")
             self.edges.add((p, c))
         self.observed = set(self.nodes) if observed is None else set(observed)
         for n in self.observed:
-            if n not in declared:
+            if n not in self._index:
                 raise UnknownNodeError(f"observed list names unknown node {n!r}")
         self._parents = {n: set() for n in self.nodes}
         self._children = {n: set() for n in self.nodes}
@@ -109,7 +109,7 @@ class Dag:
 
     def _check_nodes(self, *names):
         for n in names:
-            if n not in self._parents:
+            if n not in self._index:
                 raise UnknownNodeError(f"no node named {n!r}")
 
     def __repr__(self):
@@ -130,7 +130,7 @@ class _NodeMasks:
 
     @staticmethod
     def of(g: "Dag") -> "_NodeMasks":
-        index = {n: i for i, n in enumerate(g.nodes)}
+        index = g._index
         bits = [1 << i for i in range(len(g.nodes))]
         parents = [0] * len(bits)
         children = [0] * len(bits)
@@ -186,7 +186,7 @@ def topological_sort(g: Dag) -> list:
     Ties broken by declared node order; raises CycleError otherwise.
     """
     indeg = {n: len(g._parents[n]) for n in g.nodes}
-    pos = {n: i for i, n in enumerate(g.nodes)}
+    pos = g._index
     ready = [pos[n] for n in g.nodes if indeg[n] == 0]
     heapq.heapify(ready)
     order = []

@@ -36,14 +36,18 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     Use for shuffles, parameter initialization, subsampling — anything that
     consumes a stream sequentially. For a column of draws use
-    :func:`uniform_column` / :func:`normal_column`.
+    :func:`uniform_column` / :func:`normal_column`. ``seed`` must be a
+    non-negative integer (else ConfigValidationError naming it).
     """
+    seed = check_value("seed", seed, 0, "[0, inf)")
     return np.random.Generator(_bit_generator(seed, path))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """A 64-bit integer seed derived from (seed, path), for components that
-    take a scalar seed of their own."""
+    take a scalar seed of their own; ``seed`` is checked as in
+    :func:`substream`."""
+    seed = check_value("seed", seed, 0, "[0, inf)")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -5,8 +5,9 @@ A model is a set of nodes, each carrying exactly one assignment that
 computes the node from its parents plus independent noise. Assignments use
 assignment semantics (the value is *set* from the right-hand side, never
 solved for), so the induced parent graph must be acyclic. A model checks
-this when it is built and keeps the evaluation order its :class:`graph.Dag`
-computes with :func:`graph.topological_sort`.
+this when it is built by building its :class:`graph.Dag`, and keeps that
+graph: its order (:func:`graph.topological_sort`) is the evaluation order,
+and it answers the model's questions about node names and paths.
 
 Two assignment kinds exist:
 
@@ -36,7 +37,7 @@ from .dataset import Dataset
 from .errors import (ConfigValidationError, DuplicateAssignmentError,
                      ModelFileError, NonlinearModelError,
                      OverlappingSetsError, SingularCovarianceError,
-                     UnknownNodeError, UnknownParentError, check_value)
+                     UnknownParentError, check_value)
 from .graph import Dag
 from .rng import normal_column, uniform_column
 
@@ -149,9 +150,10 @@ class StructuralModel:
     pairs. Node order is the assignment order unless ``nodes`` gives it,
     and fixes the column order of samples and of the analytic covariance
     matrix. The model is checked when built and never changes afterwards
-    (:func:`intervene` builds a new one); ``_order`` holds its evaluation
-    order, the ``order`` of its :class:`graph.Dag`: parents before
-    children, ties broken by declared node order.
+    (:func:`intervene` builds a new one). ``_graph`` is its parent graph,
+    a :class:`graph.Dag`, and ``_order`` that graph's ``order``, the
+    evaluation order: parents before children, ties broken by declared
+    node order.
 
     Raises
     ------
@@ -187,7 +189,8 @@ class StructuralModel:
                 if p not in declared:
                     raise UnknownParentError(
                         f"node {name!r} references unknown parent {p!r}")
-        self._order = Dag.from_structural_model(self).order
+        self._graph = Dag.from_structural_model(self)
+        self._order = self._graph.order
         self._cov = None    # read-only moments, set on first use by
         self._mu = None     # population_covariance / population_mean
 
@@ -211,15 +214,13 @@ class _Level:
     and ``weights`` are (width, size) arrays, width the most parents any
     node of the level has: column j holds node j's parents' declared
     positions and weights, padded with its first parent at weight 0.0 (a
-    custom node's weights are all 0.0). ``custom`` flags the custom
-    nodes, or is None when the level has none.
+    custom node's weights are all 0.0).
     """
 
     start: int
     nodes: np.ndarray
     parents: np.ndarray
     weights: np.ndarray
-    custom: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -230,13 +231,12 @@ class _LevelPlan:
 
     ``order`` lists the declared positions level by level, and
     ``position`` is its inverse: the permutation between level order and
-    declared order. ``index`` maps a name to its declared position, and
-    ``depth``, ``intercept``, ``noise_mean`` and ``noise_var`` are indexed
-    by declared position: each node's level and its assignment's
-    constants.
+    declared order. ``depth``, ``intercept``, ``noise_mean`` and
+    ``noise_var`` are indexed by declared position: each node's level and
+    its assignment's constants. ``custom`` names the custom nodes in
+    evaluation order.
     """
 
-    index: dict
     depth: list
     order: np.ndarray
     position: np.ndarray
@@ -244,10 +244,11 @@ class _LevelPlan:
     intercept: np.ndarray
     noise_mean: np.ndarray
     noise_var: np.ndarray
+    custom: tuple
 
     @staticmethod
     def of(model: "StructuralModel") -> "_LevelPlan":
-        index = {name: i for i, name in enumerate(model.nodes)}
+        index = model._graph._index
         depth = [0] * len(index)
         groups = []     # per level: (declared position, parents, assignment)
         # in evaluation order every parent's level is known first
@@ -269,19 +270,19 @@ class _LevelPlan:
                 ws = list(a.weights) if a.kind == "linear" else []
                 parents.append(ps + ps[:1] * (width - len(ps)))
                 weights.append(ws + [0.0] * (width - len(ws)))
-            custom = np.array([a.kind == "custom" for _, _, a in group])
             levels.append(_Level(
                 start, order[start:start + len(group)],
                 _columns(parents, width, np.intp),
-                _columns(weights, width, np.float64),
-                custom if custom.any() else None))
+                _columns(weights, width, np.float64)))
             start += len(group)
         assignments = [model.assignments[name] for name in model.nodes]
         return _LevelPlan(
-            index, depth, order, np.argsort(order), tuple(levels),
+            depth, order, np.argsort(order), tuple(levels),
             np.array([a.intercept for a in assignments]),
             np.array([a.noise.mean() for a in assignments]),
-            np.array([a.noise.variance() for a in assignments]))
+            np.array([a.noise.variance() for a in assignments]),
+            tuple(name for name in model._order
+                  if model.assignments[name].kind == "custom"))
 
 
 def _columns(rows: list, width: int, dtype) -> np.ndarray:
@@ -311,12 +312,11 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     """
     n = check_value("n", n, 0, "[1, inf)")
     seed = check_value("seed", seed, 0, "[0, inf)")
-    order = model._order
-    node_idx = {name: i for i, name in enumerate(model.nodes)}
+    index = model._graph._index
     cols = {}
-    for name in order:
+    for name in model._order:
         a = model.assignments[name]
-        noise = a.noise.draw(seed, (node_idx[name],), n)
+        noise = a.noise.draw(seed, (index[name],), n)
         if a.kind == "linear":
             value = np.full(n, a.intercept, dtype=np.float64)
             for p, w in zip(a.parents, a.weights):
@@ -336,8 +336,7 @@ def intervene(model: StructuralModel, node: str, value) -> StructuralModel:
     (the node becomes exogenous with that distribution). Other assignments
     are untouched; a new model is returned.
     """
-    if node not in model.assignments:
-        raise UnknownNodeError(f"no node named {node!r}")
+    model._graph._check_nodes(node)
     if isinstance(value, NoiseSpec):
         new = Assignment.exogenous(value)
     else:
@@ -452,12 +451,10 @@ def population_regression(model: StructuralModel, target: str,
     only the regressor block's solve.
     """
     regressors = list(regressors)
-    for name in [target, *regressors]:
-        if name not in model.assignments:
-            raise UnknownNodeError(f"no node named {name!r}")
+    model._graph._check_nodes(target, *regressors)
     cov = population_covariance(model)
     mu = population_mean(model)
-    idx = model._plan.index
+    idx = model._graph._index
     xi = [idx[r] for r in regressors]
     yi = idx[target]
     sxx = cov[np.ix_(xi, xi)]
@@ -478,54 +475,34 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
     """Sum over all directed cause->outcome paths of the edge-weight product.
 
     Equals the derivative of E[outcome] with respect to t under the
-    intervention cause := t, for linear models. The effects of cause on
-    every node are propagated one topological level at a time, over the
-    levels between cause and outcome only; each node's sum runs in parent
-    order from +0.0, so an outcome that does not descend from cause gets
-    +0.0. A custom node that descends from cause carries NaN, so a custom
-    node on a path to outcome raises NonlinearModelError and one off every
-    path does not.
+    intervention cause := t, for linear models. A custom node that
+    descends from cause and is outcome or one of its ancestors lies on a
+    path: the first in evaluation order raises NonlinearModelError, read
+    from the model's graph masks (built only for a model with a custom
+    node). Otherwise the effects of cause on every node are propagated one
+    topological level at a time, over the levels between cause and
+    outcome only; each node's sum runs in parent order from +0.0, so an
+    outcome that does not descend from cause gets +0.0.
     """
-    for name in (cause, outcome):
-        if name not in model.assignments:
-            raise UnknownNodeError(f"no node named {name!r}")
+    g = model._graph
+    g._check_nodes(cause, outcome)
     if cause == outcome:
         raise OverlappingSetsError("cause and outcome must differ")
     plan = model._plan
-    c, o = plan.index[cause], plan.index[outcome]
+    c, o = g._index[cause], g._index[outcome]
+    if plan.custom:
+        m = g._masks
+        x, above = m.bit[cause], m.closure(m.bit[outcome])
+        for name in plan.custom:
+            if m.bit[name] & above and m.ancestors[g._index[name]] & x:
+                raise NonlinearModelError(
+                    f"node {name!r} on a path from {cause!r} has a custom "
+                    "assignment; path-product effects need linear weights")
     effect = np.zeros(len(model.nodes))
     effect[c] = 1.0
-    below = np.zeros(len(model.nodes), dtype=bool)   # descends from cause
-    below[c] = True
     for level in plan.levels[plan.depth[c] + 1:plan.depth[o] + 1]:
-        total = _weighted_sum(level, effect)
-        reached = below[level.parents].any(axis=0)
-        if level.custom is not None:
-            total[level.custom & reached] = np.nan
-        effect[level.nodes] = total
-        below[level.nodes] = reached
-    if np.isnan(effect[o]):
-        raise NonlinearModelError(
-            f"node {_custom_on_path(model, effect, outcome)!r} on a path "
-            f"from {cause!r} has a custom assignment; path-product effects "
-            "need linear weights")
+        effect[level.nodes] = _weighted_sum(level, effect)
     return float(effect[o])
-
-
-def _custom_on_path(model: StructuralModel, effect: np.ndarray,
-                    outcome: str) -> str:
-    """The first custom node, in evaluation order, that carries NaN in
-    ``effect`` and is ``outcome`` or one of its ancestors."""
-    above, stack = set(), [outcome]
-    while stack:
-        name = stack.pop()
-        if name not in above:
-            above.add(name)
-            stack.extend(model.assignments[name].parents)
-    index = model._plan.index
-    return next(name for name in model._order
-                if name in above and model.assignments[name].kind == "custom"
-                and np.isnan(effect[index[name]]))
 
 
 # --- model definition files ---------------------------------------------

@@ -5,11 +5,13 @@ message naming the fault."""
 import numpy as np
 import pytest
 
-from scmlab import (Assignment, Dataset, NoiseSpec, StructuralModel, ols_fit,
-                    sample, save_model, scm)
+from scmlab import (Assignment, Dataset, MlpConfig, NoiseSpec,
+                    StructuralModel, gradient_check, ols_fit, sample,
+                    save_model, scm, split)
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
                            ModelFileError, ScmLabError, UnknownColumnError)
 from scmlab.experiments.generators import shape_pair_model
+from scmlab.rng import derive_seed, substream
 
 
 def _data():
@@ -44,13 +46,23 @@ BAD_CALLS = [
      ValueError, "seed = -1 must lie in"),
     (lambda tmp: sample(_custom_model(), 10, 1.5), ConfigValidationError,
      ValueError, "could not parse seed = 1.5 as int"),
+    (lambda tmp: substream(-1), ConfigValidationError, ValueError,
+     "seed = -1 must lie in"),
+    (lambda tmp: derive_seed(-2, 0), ConfigValidationError, ValueError,
+     "seed = -2 must lie in"),
+    (lambda tmp: split(_data(), 0.5, seed=-1), ConfigValidationError,
+     ValueError, "seed = -1 must lie in"),
+    (lambda tmp: gradient_check(MlpConfig(hidden=(2,)), np.ones((4, 1)),
+                                np.ones(4), seed=-1),
+     ConfigValidationError, ValueError, "seed = -1 must lie in"),
 ]
 
 
 @pytest.mark.parametrize("call, error, builtin, message", BAD_CALLS, ids=[
     "dataset-2d-column", "dataset-lengths", "dataset-no-column",
     "dataset-no-row", "dataset-column", "ols-unknown-regressor",
-    "save-custom-model", "unknown-shape", "negative-seed", "fractional-seed"])
+    "save-custom-model", "unknown-shape", "negative-seed", "fractional-seed",
+    "substream-seed", "derive-seed", "split-seed", "gradient-check-seed"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scmlab import (Assignment, NoiseSpec, StructuralModel, intervene,
+from scmlab import (Assignment, Dag, NoiseSpec, StructuralModel, intervene,
                     load_model, population_covariance, population_mean,
                     population_regression, sample, save_model,
                     total_effect_linear, validate_model)
@@ -488,6 +488,88 @@ def test_level_plan_built_once_per_model_and_never_by_sample(monkeypatch):
     assert built == [m]
     sample(m, 50, seed=1)
     assert built == [m]
+
+
+def _tanh_sum(*columns):
+    return np.tanh(sum(columns))
+
+
+def random_custom_model(n, seed, share=0.15):
+    """``random_linear_model(n, seed)`` with about ``share`` of its
+    non-root nodes made custom functions of the same parents."""
+    m = random_linear_model(n, seed)
+    g = np.random.default_rng(seed)
+    pairs = []
+    for name in m.nodes:
+        a = m.assignments[name]
+        if a.parents and g.random() < share:
+            a = Assignment.custom(a.parents, _tanh_sum, noise=a.noise)
+        pairs.append((name, a))
+    return StructuralModel(pairs)
+
+
+def test_total_effect_custom_rule_on_random_models():
+    # reference from the set-based walks: a custom node that descends from
+    # the cause and is the outcome or one of its ancestors raises, the
+    # first in evaluation order named; otherwise the effect is the one of
+    # the model with every custom node cut
+    raised = values = 0
+    for seed in range(30):
+        m = random_custom_model(60, seed)
+        g = Dag.from_structural_model(m)
+        custom = [n for n in m._order if m.assignments[n].kind == "custom"]
+        cut = m
+        for name in custom:
+            cut = intervene(cut, name, 0.0)
+        pairs = np.random.default_rng(seed).choice(60, size=(150, 2))
+        for cause, outcome in ((m.nodes[c], m.nodes[o]) for c, o in pairs
+                               if c != o):
+            below = g.descendants_of(cause)
+            above = g.ancestors_of([outcome]) | {outcome}
+            hit = [n for n in custom if n in below and n in above]
+            if hit:
+                with pytest.raises(NonlinearModelError, match=re.escape(
+                        f"node {hit[0]!r} on a path from {cause!r} ")):
+                    total_effect_linear(m, cause, outcome)
+                raised += 1
+            else:
+                got = total_effect_linear(m, cause, outcome)
+                ref = forward_total_effect(cut, cause, outcome)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+                values += 1
+    assert raised > 100 and values > 4000
+
+
+def test_a_model_builds_one_graph_and_its_oracles_none(monkeypatch):
+    built = []
+    init = Dag.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dag, "__init__", counted)
+    m = confounded_chain_model()
+    assert built == [m._graph]
+    for _ in range(2):
+        sample(m, 50, seed=1)
+        population_covariance(m)
+        population_mean(m)
+        population_regression(m, "y", ["x0", "x2"])
+        total_effect_linear(m, "x0", "y")
+    assert built == [m._graph]
+    assert "_masks" not in vars(m._graph)     # a linear model never needs them
+    c = StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.gaussian()),
+        "c": Assignment.custom(["x"], np.tanh),
+        "y": Assignment.linear(["x"], [2.0], noise=NoiseSpec.gaussian()),
+    })
+    assert built == [m._graph, c._graph]
+    sample(c, 50, seed=1)
+    assert "_masks" not in vars(c._graph)
+    assert total_effect_linear(c, "x", "y") == 2.0
+    assert "_masks" in vars(c._graph)
+    assert built == [m._graph, c._graph]
 
 
 def test_linear_oracles_do_not_depend_on_the_openblas_kernel():
