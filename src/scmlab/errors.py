@@ -193,8 +193,19 @@ class ConfigValidationError(ScmLabError, ValueError):
     so callers catching that still catch it."""
 
 
-class IoError(ScmLabError):
-    """Reading or writing an experiment artifact failed."""
+class IoError(ScmLabError, OSError):
+    """Reading or writing a file failed; the message names the path.  Also
+    an ``OSError``, as these calls raised before."""
+
+
+def open_file(path, what: str, mode: str = "r"):
+    """``path`` opened as UTF-8 text; an ``OSError`` raises IoError,
+    ``cannot read <what> <path>: …`` (or ``write``)."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        doing = "write" if "w" in mode else "read"
+        raise IoError(f"cannot {doing} {what} {path}: {exc}") from exc
 
 
 # --- the settings rule --------------------------------------------------

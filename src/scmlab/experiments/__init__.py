@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from ..errors import (ConfigValidationError, IoError, UnknownExperimentError,
-                      check_value)
+from ..errors import (ConfigValidationError, UnknownExperimentError,
+                      check_value, open_file)
 from ..explain import _MAX_FEATURES
 from .curves import run_fig3_fit
 from .generators import blended_logit_features
@@ -144,11 +144,8 @@ class ExperimentConfig:
 def parse_config_file(path: str) -> dict:
     """Read a ``key = value`` file (``#`` comments, blank lines allowed)
     into a string-to-string dict; a key may appear once."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read config file {path}: {exc}") from exc
+    with open_file(path, "config file") as fh:
+        lines = fh.readlines()
     overrides = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -10,22 +10,11 @@ values are computed, and
 
 A black-box model (a callable, or the MLP) is evaluated on every
 coalition-masked row, in blocks of the coalition grid. A boosted-tree
-ensemble is read from its cell tables instead (``GbtModel.cell_tables``):
-the trees that split on one feature set U form one summation group, whose
-sum is one value per cell of the grid its thresholds cut on U. The group
-needs just the 2^|U| patterns of which U-features come from x, and
-coalition S takes the pattern of S ∩ U (the interventional TreeSHAP
-observation of Lundberg et al., Nat. Mach. Intell. 2020). A coalition then
-adds one cell value per group, in the ensemble's one summation order
-(``GbtModel.tree_groups``), which its own prediction follows too, so the
-outputs, and the Shapley values, are bit-identical to enumerating every
-coalition row; the result is still exact. The tables are built once per
-model and nothing is held per background, so a background changed between
-calls is simply read again. A model whose tables would exceed the cell
-budget has none and is explained on the coalition grid, as a black box.
-For every model the prediction is the full-coalition output of that same
-call, so it equals a batch prediction, and the rows explained are checked
-as the background rows are.
+ensemble with cell tables is handed to ``gbt.coalition_outputs``, whose
+outputs equal its predictions on that grid bit for bit. For every model
+the prediction is the full-coalition output of that same call, so it
+equals a batch prediction, and the rows explained are checked as the
+background rows are.
 
 Exact enumeration is refused beyond 12 features; every experiment here
 uses at most 10.
@@ -34,24 +23,24 @@ uses at most 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import factorial
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
                      FeatureMismatchError, NonFiniteValueError,
-                     RowShapeError, TooManyFeaturesError)
-from .flexfit import GbtModel, predict_on_matrix
+                     RowShapeError, TooManyFeaturesError,
+                     UnknownColumnError)
+from .flexfit import GbtModel, gbt, predict_on_matrix
 
 _MAX_FEATURES = 12
 # cache budget, in elements, of one explain step: a chunk of evaluation rows
 # has at most this many coalition outputs (8 rows x 256 coalitions x 64
-# background rows), and a block of the coalition grid or of a GBT's
-# gathered group rows at most this many elements
+# background rows), and a block of the coalition grid at most this many
+# elements
 _CHUNK_ROWS = 131_072
 
 
@@ -92,7 +81,7 @@ def _coalition_outputs(model):
     ``model``: the model output for every (coalition, evaluation row,
     background row), shape (n_coal, ec, n_bg)."""
     if isinstance(model, GbtModel) and model.cell_tables is not None:
-        return lambda masks, Ec, B: _gbt_coalition_outputs(model, masks, Ec, B)
+        return partial(gbt.coalition_outputs, model)
 
     def grid_outputs(masks, Ec, B):
         n_coal, d = masks.shape
@@ -109,54 +98,6 @@ def _coalition_outputs(model):
             out[lo:lo + block] = rows.reshape(-1, Ec.shape[0], B.shape[0])
         return out
     return grid_outputs
-
-
-def _gbt_coalition_outputs(model, masks, Ec, B):
-    """A GBT's outputs for every (coalition, evaluation row, background
-    row), read from its :class:`~scmlab.flexfit.gbt.CellTables`. ``masks``
-    must be every coalition, in the order of :func:`_coalition_tables`.
-
-    A group g reads only its feature set U_g, so it needs only the 2^|U_g|
-    patterns of which U-features come from the evaluation row; coalition S
-    takes the pattern S ∩ U_g. Under pattern p a (row, background row)
-    pair lies in the cell whose coordinates come from the row on p's
-    features and from the background row on the others, so one ``take``
-    gives every (group, pattern, pair) its group sum. The slots of these
-    sums run group by group, each group's patterns in order of their bits.
-    Each coalition then takes one slot per group, and the groups are added
-    from ``base_score`` in group order, which is the element-wise
-    arithmetic of ``decision_function`` on the expanded coalition grid, so
-    the outputs are bit-identical to it.
-    """
-    tables = model.cell_tables
-    n_coal, ec, n_bg = masks.shape[0], Ec.shape[0], B.shape[0]
-    patterns = 1 << np.count_nonzero(tables.bits, axis=1)
-    first = np.cumsum(patterns) - patterns
-    group = np.repeat(np.arange(patterns.size), patterns)
-    from_row = (tables.bits[group]
-                & (np.arange(group.size) - first[group])[:, None]) != 0
-    # (slot, row, feature): the slot's group's lookup at each row's
-    # coordinate, the evaluation rows first
-    picked = tables.lookup.take(tables.columns(np.vstack((Ec, B))),
-                                axis=1)[group]
-    cell = (np.einsum("srf,sf->sr", picked[:, :ec], from_row)[:, :, None]
-            + (tables.start[group, None]
-               + np.einsum("srf,sf->sr", picked[:, ec:], ~from_row))[:, None])
-    sums = tables.values.take(cell).reshape(group.size, ec * n_bg)
-    codes = first[:, None] + tables.bits @ masks.T     # (group, coalition)
-    F = np.full((n_coal, ec * n_bg), model.base_score)
-    # the group rows of each coalition, gathered in blocks within the budget
-    block = max(1, _CHUNK_ROWS // F.size)
-    for lo in range(0, patterns.size, block):
-        G = sums[codes[lo:lo + block]]      # (group, coalition, pair)
-        G[0] += F
-        # n_coal >= 2, so the group axis is not the fast one, and reduce
-        # adds along it in order, never pairwise; a single group's sum is
-        # its own row, without reduce's copy
-        F = G[0] if G.shape[0] == 1 else np.add.reduce(G, axis=0)
-        del G
-    F = F.reshape(n_coal, ec, n_bg)
-    return expit(F) if model.loss == "logistic" else F
 
 
 def _feature_list(model, features):
@@ -196,6 +137,17 @@ def _row_matrix(rows, features, what):
     if not np.isfinite(M).all():
         raise NonFiniteValueError(f"{what}: a value is NaN or infinite")
     return M
+
+
+def _instance_value(instance: dict, f: str) -> float:
+    """A mapping instance's value of feature ``f``, as a float."""
+    if f not in instance:
+        raise UnknownColumnError(f"instance has no feature {f!r}")
+    try:
+        return float(instance[f])
+    except ValueError:
+        raise RowShapeError(f"instance feature {f!r} is not a number: "
+                            f"{instance[f]!r}") from None
 
 
 def _features_and_background(model, features, background):
@@ -278,7 +230,7 @@ def shapley_exact(model, instance, background, features=None) -> Attribution:
     """
     features, B = _features_and_background(model, features, background)
     if isinstance(instance, dict):
-        instance = [float(instance[f]) for f in features]
+        instance = [_instance_value(instance, f) for f in features]
     x = _row_matrix(np.reshape(instance, (1, -1)), features, "instance")
     phi, base, full = _phi_matrix(_coalition_outputs(model), x, B)
     phi = phi[0]
@@ -292,11 +244,16 @@ def attribution_summary(model, eval_set, background, relevant,
     """Mean |phi| per feature over an evaluation set, plus the aggregate
     attribution mass on the relevant / irrelevant feature partition.
     ``eval_set`` (a Dataset or an (m, d) array) is checked against the
-    features as the background is; zero rows raise EmptyEvaluationError."""
+    features as the background is; zero rows raise EmptyEvaluationError,
+    and a ``relevant`` name that is not a feature FeatureMismatchError."""
     features, B = _features_and_background(model, features, background)
     E = _row_matrix(eval_set, features, "evaluation rows")
     if E.shape[0] == 0:
         raise EmptyEvaluationError("evaluation rows: none to explain")
+    unknown = sorted(set(relevant) - set(features))
+    if unknown:
+        raise FeatureMismatchError(f"relevant names {unknown} are not "
+                                   f"among the features {features}")
     relevant = [f for f in features if f in set(relevant)]
     irrelevant = [f for f in features if f not in set(relevant)]
     phi, _, _ = _phi_matrix(_coalition_outputs(model), E, B)

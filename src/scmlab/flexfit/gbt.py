@@ -25,9 +25,10 @@ partition rows with ``compress``, as the tree walk does.
 
 A fitted model predicts from its :class:`CellTables`: the trees that split
 on one feature set form one summation group, whose sum takes one value per
-cell of the grid cut by the group's thresholds, so a row's margin is the
-base score plus one looked-up value per group. A model whose tables would
-hold more than ``_MAX_CELLS`` values has none and walks its trees.
+cell of the grid cut by the group's thresholds. A model whose tables would
+hold more than ``_MAX_CELLS`` values has none and walks its trees. Exact
+Shapley values read their coalition outputs from the same tables, and
+prediction and Shapley both add the group sums up in ``_output``.
 """
 
 from __future__ import annotations
@@ -203,10 +204,7 @@ class GbtModel:
         """The order in which the margin adds the trees up: one tuple of
         tree indices per feature set U that a tree splits on, the groups in
         the order in which each U first appears and the trees in their
-        order within a group. A group's sum runs in tree order from its
-        first tree's shrunk leaf value, and the margin is ``base_score``
-        plus the group sums, in group order. Prediction and explanation
-        both add up in this order, so they agree bit for bit."""
+        order within a group (:func:`_group_sum`, :func:`_output`)."""
         groups = {}
         for t, tree in enumerate(self.trees):
             key = frozenset(tree.feature[tree.feature >= 0].tolist())
@@ -390,26 +388,76 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
 
 
 def decision_function(model: GbtModel, X: np.ndarray) -> np.ndarray:
-    """Raw additive score (margin for logistic loss, mean for squared):
-    ``base_score`` plus each group's sum, in the order of
-    :attr:`GbtModel.tree_groups`. The group sums are read from the model's
-    :class:`CellTables`; a model over the cell budget walks its trees."""
+    """Raw additive score: the margin for logistic loss, the mean for
+    squared loss."""
+    return _row_outputs(model, X, link=False)
+
+
+def predict_matrix(model: GbtModel, X: np.ndarray) -> np.ndarray:
+    """Model output on a raw feature matrix: probabilities for logistic
+    loss, real values for squared loss."""
+    return _row_outputs(model, X, link=True)
+
+
+def _row_outputs(model: GbtModel, X, link: bool) -> np.ndarray:
+    """:func:`_output` at the rows of ``X``, each group's sum read from the
+    model's :class:`CellTables`, or, over the cell budget, from a walk of
+    its trees."""
     X = np.asarray(X, dtype=np.float64)
     tables = model.cell_tables
-    F = np.full(X.shape[0], model.base_score)
     if tables is not None:
         cell = np.repeat(tables.start[:, None], X.shape[0], axis=1)
         for c in tables.columns(X).T:
             cell += tables.lookup.take(c, axis=1)
-        for G in tables.values.take(cell):
-            F += G
-        return F
-    # column-major, so each tree walk gathers a split's feature from one
-    # contiguous column
-    X = np.asfortranarray(X)
-    for group in model.tree_groups:
-        F += _group_sum(model, group, X)
-    return F
+        sums = tables.values.take(cell)
+    else:
+        # column-major, so each tree walk gathers a split's feature from
+        # one contiguous column
+        X = np.asfortranarray(X)
+        sums = (_group_sum(model, group, X) for group in model.tree_groups)
+    return _output(model, X.shape[0], sums, link)
+
+
+def _output(model: GbtModel, shape, group_sums, link: bool) -> np.ndarray:
+    """``base_score`` plus ``group_sums`` (one array of ``shape`` per group,
+    in :attr:`GbtModel.tree_groups` order, added one at a time), through
+    the logistic link for a logistic model when ``link`` is set. Prediction
+    and :func:`coalition_outputs` both end here, so they agree bit for bit."""
+    F = np.full(shape, model.base_score)
+    for G in group_sums:
+        F += G
+    return expit(F) if link and model.loss == "logistic" else F
+
+
+def coalition_outputs(model: GbtModel, masks: np.ndarray, E: np.ndarray,
+                      B: np.ndarray) -> np.ndarray:
+    """The prediction, read from the model's :class:`CellTables`, at every
+    (coalition c, evaluation row, background row), shape (n_coal, ec, n_bg):
+    the row takes E's values on the features in ``masks[c]`` and B's
+    elsewhere. Group g reads only its features U_g, so it needs just the
+    2^|U_g| patterns of which of them come from E, and coalition S takes
+    pattern S ∩ U_g (interventional TreeSHAP, Lundberg et al., Nat. Mach.
+    Intell. 2020). One ``take`` gives every (group, pattern, pair) its
+    group sum, in slots that run group by group, each group's patterns in
+    order of their bits; each coalition takes one slot per group."""
+    tables = model.cell_tables
+    ec = E.shape[0]
+    patterns = 1 << np.count_nonzero(tables.bits, axis=1)
+    first = np.cumsum(patterns) - patterns
+    group = np.repeat(np.arange(patterns.size), patterns)
+    from_row = (tables.bits[group]
+                & (np.arange(group.size) - first[group])[:, None]) != 0
+    # (slot, row, feature): the slot's group's lookup at each row's
+    # coordinate, the evaluation rows first
+    picked = tables.lookup.take(tables.columns(np.vstack((E, B))),
+                                axis=1)[group]
+    cell = (np.einsum("srf,sf->sr", picked[:, :ec], from_row)[:, :, None]
+            + (tables.start[group, None]
+               + np.einsum("srf,sf->sr", picked[:, ec:], ~from_row))[:, None])
+    sums = tables.values.take(cell)             # (slot, row, background row)
+    codes = first[:, None] + tables.bits @ masks.T     # (group, coalition)
+    return _output(model, (masks.shape[0],) + cell.shape[1:],
+                   (sums[c] for c in codes), link=True)
 
 
 def _group_sum(model: GbtModel, group: tuple, X: np.ndarray) -> np.ndarray:
@@ -422,10 +470,3 @@ def _group_sum(model: GbtModel, group: tuple, X: np.ndarray) -> np.ndarray:
     for t in group[1:]:
         G += rate * trees[t].predict(X)
     return G
-
-
-def predict_matrix(model: GbtModel, X: np.ndarray) -> np.ndarray:
-    """Model output on a raw feature matrix: probabilities for logistic
-    loss, real values for squared loss."""
-    F = decision_function(model, X)
-    return expit(F) if model.loss == "logistic" else F

@@ -40,7 +40,7 @@ from itertools import combinations
 
 from .errors import (ConfigValidationError, CycleError, DuplicateNodeError,
                      GraphFileError, OverlappingSetsError,
-                     TooManyCandidatesError, UnknownNodeError)
+                     TooManyCandidatesError, UnknownNodeError, open_file)
 
 _CANDIDATE_LIMIT = 20
 
@@ -447,7 +447,7 @@ def save_graph(g: Dag, path: str) -> None:
     lines = [f"# nodes: {' '.join(g.nodes)}",
              f"# observed: {' '.join(n for n in g.nodes if n in g.observed)}"]
     lines += [f"{p} {c}" for p, c in sorted(g.edges)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_file(path, "graph file", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -460,7 +460,7 @@ def load_graph(path: str) -> Dag:
     declare; and, naming the path, for an edge list with a cycle.
     """
     nodes, observed, observed_line, edges = None, None, 0, []
-    with open(path, encoding="utf-8") as fh:
+    with open_file(path, "graph file") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -34,10 +34,11 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (ConfigValidationError, DuplicateAssignmentError,
-                     ModelFileError, NonlinearModelError,
-                     OverlappingSetsError, SingularCovarianceError,
-                     UnknownParentError, check_value)
+from .errors import (ConfigValidationError, DatasetShapeError,
+                     DuplicateAssignmentError, ModelFileError,
+                     NonlinearModelError, OverlappingSetsError,
+                     SingularCovarianceError, UnknownParentError,
+                     check_value, open_file)
 from .graph import Dag
 from .rng import normal_column, uniform_column
 
@@ -308,7 +309,8 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     the declared order, so identical (model, n, seed) inputs give
     bit-identical datasets regardless of evaluation order. ``n`` must be a
     positive and ``seed`` a non-negative integer (else
-    ConfigValidationError naming it).
+    ConfigValidationError naming it). A custom assignment must return one
+    value, or one per row (else DatasetShapeError naming the node).
     """
     n = check_value("n", n, 0, "[1, inf)")
     seed = check_value("seed", seed, 0, "[0, inf)")
@@ -324,7 +326,12 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
             value += noise
         else:
             value = np.asarray(a.func(*[cols[p] for p in a.parents]),
-                               dtype=np.float64) + noise
+                               dtype=np.float64)
+            if value.shape not in ((), (1,), (n,)):
+                raise DatasetShapeError(
+                    f"node {name!r}: custom assignment gave shape "
+                    f"{value.shape}, not ({n},)")
+            value = value + noise
         cols[name] = value
     return Dataset({name: cols[name] for name in model.nodes})
 
@@ -539,7 +546,7 @@ def save_model(model: StructuralModel, path: str) -> None:
             sec["intercept"] = repr(a.intercept)
         sec["noise"] = f"{a.noise.kind} " + " ".join(repr(p) for p in a.noise.params)
         cp[f"node {name}"] = sec
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_file(path, "model file", "w") as fh:
         cp.write(fh)
 
 
@@ -558,7 +565,7 @@ def load_model(path: str) -> StructuralModel:
     """
     cp = configparser.ConfigParser()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_file(path, "model file") as fh:
             cp.read_file(fh)
     except configparser.Error as exc:
         raise ModelFileError(f"{path}: not a model file: {exc}") from None

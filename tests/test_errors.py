@@ -1,15 +1,17 @@
 """Bad library calls end in a named ScmLabError that is still the builtin
-exception the call raised before (``ValueError`` or ``KeyError``), with a
-message naming the fault."""
+exception the call raised before (``ValueError``, ``KeyError`` or
+``OSError``), with a message naming the fault."""
 
 import numpy as np
 import pytest
 
-from scmlab import (Assignment, Dataset, MlpConfig, NoiseSpec,
-                    StructuralModel, gradient_check, ols_fit, sample,
-                    save_model, scm, split)
+from scmlab import (Assignment, Dag, Dataset, MlpConfig, NoiseSpec,
+                    StructuralModel, attribution_summary, gradient_check,
+                    load_graph, load_model, ols_fit, sample, save_graph,
+                    save_model, scm, shapley_exact, split)
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
-                           ModelFileError, ScmLabError, UnknownColumnError)
+                           FeatureMismatchError, IoError, ModelFileError,
+                           RowShapeError, ScmLabError, UnknownColumnError)
 from scmlab.experiments.generators import shape_pair_model
 from scmlab.rng import derive_seed, substream
 
@@ -18,11 +20,22 @@ def _data():
     return Dataset({"x": [0.0, 1.0, 2.0, 4.0], "y": [1.0, 0.0, 2.0, 3.0]})
 
 
-def _custom_model():
+def _custom_model(func=np.tanh):
     return StructuralModel({
         "x": Assignment.exogenous(NoiseSpec.gaussian()),
-        "y": Assignment.custom(["x"], np.tanh, noise=NoiseSpec.gaussian()),
+        "y": Assignment.custom(["x"], func, noise=NoiseSpec.gaussian()),
     })
+
+
+def _linear_model():
+    return StructuralModel({"x": Assignment.exogenous(NoiseSpec.gaussian())})
+
+
+def _sum(X):
+    return X[:, 0] + X[:, 1]
+
+
+_BACKGROUND = np.array([[0.0, 1.0], [2.0, -1.0]])
 
 
 BAD_CALLS = [
@@ -55,6 +68,30 @@ BAD_CALLS = [
     (lambda tmp: gradient_check(MlpConfig(hidden=(2,)), np.ones((4, 1)),
                                 np.ones(4), seed=-1),
      ConfigValidationError, ValueError, "seed = -1 must lie in"),
+    (lambda tmp: load_model(str(tmp / "none.model")), IoError, OSError,
+     "cannot read model file "),
+    (lambda tmp: load_model(str(tmp)), IoError, OSError,
+     "cannot read model file "),
+    (lambda tmp: load_graph(str(tmp / "none.graph")), IoError, OSError,
+     "cannot read graph file "),
+    (lambda tmp: load_graph(str(tmp)), IoError, OSError,
+     "cannot read graph file "),
+    (lambda tmp: save_model(_linear_model(), str(tmp / "no" / "m.model")),
+     IoError, OSError, "cannot write model file "),
+    (lambda tmp: save_graph(Dag(["a"], []), str(tmp / "no" / "g.graph")),
+     IoError, OSError, "cannot write graph file "),
+    (lambda tmp: shapley_exact(_sum, {"x1": 1.0}, _BACKGROUND,
+                               features=["x1", "x2"]),
+     UnknownColumnError, KeyError, "instance has no feature 'x2'"),
+    (lambda tmp: shapley_exact(_sum, {"x1": 1.0, "x2": "abc"}, _BACKGROUND,
+                               features=["x1", "x2"]),
+     RowShapeError, ValueError, "instance feature 'x2' is not a number"),
+    (lambda tmp: attribution_summary(_sum, _BACKGROUND, _BACKGROUND,
+                                     ["x1", "x9"], features=["x1", "x2"]),
+     FeatureMismatchError, ValueError, "relevant names ['x9'] are not"),
+    (lambda tmp: sample(_custom_model(lambda x: x[:-1]), 10, 0),
+     DatasetShapeError, ValueError,
+     "node 'y': custom assignment gave shape (9,), not (10,)"),
 ]
 
 
@@ -62,7 +99,12 @@ BAD_CALLS = [
     "dataset-2d-column", "dataset-lengths", "dataset-no-column",
     "dataset-no-row", "dataset-column", "ols-unknown-regressor",
     "save-custom-model", "unknown-shape", "negative-seed", "fractional-seed",
-    "substream-seed", "derive-seed", "split-seed", "gradient-check-seed"])
+    "substream-seed", "derive-seed", "split-seed", "gradient-check-seed",
+    "load-model-missing", "load-model-directory", "load-graph-missing",
+    "load-graph-directory", "save-model-missing-directory",
+    "save-graph-missing-directory", "shapley-instance-missing-feature",
+    "shapley-instance-string-value", "summary-unknown-relevant",
+    "sample-custom-wrong-length"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:

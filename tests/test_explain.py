@@ -479,6 +479,26 @@ def test_gbt_cell_tables_built_once_per_model(monkeypatch):
     assert np.array_equal(predicted, predict_on_matrix(fresh, E))
 
 
+@pytest.mark.parametrize("ec, n_bg", [(8, 64), (1, 16)])
+def test_gbt_coalition_outputs_match_the_grid(ec, n_bg):
+    # gbt.coalition_outputs against the expanded grid at the two sizes
+    # where explain once gathered the group sums in blocks: a fig5 chunk
+    # (8 rows x 256 coalitions x 64 background rows, one group per block)
+    # and one instance (every group in one block)
+    model, _, _ = gbt_fixture(8, loss="logistic", depth=2, n_trees=60)
+    groups = len(model.tree_groups)
+    assert groups >= 2
+    if ec == 1:
+        assert groups * 256 * n_bg <= explain._CHUNK_ROWS
+    else:
+        assert ec * 256 * n_bg == explain._CHUNK_ROWS
+    masks, _, _ = explain._coalition_tables(8)
+    E = random_background(41, ec, 8)
+    B = random_background(42, n_bg, 8)
+    assert np.array_equal(gbt_module.coalition_outputs(model, masks, E, B),
+                          grid_coalition_outputs(model, masks, E, B))
+
+
 def rows_on_thresholds(model, X):
     """Copies of X's rows with one split feature set exactly to a split
     threshold, cycling through the model's split nodes."""
@@ -526,8 +546,8 @@ def test_gbt_at_the_cell_budget(monkeypatch, over):
 
 @pytest.mark.parametrize("budget", [1, 16_000])
 def test_gbt_path_with_small_row_budgets(monkeypatch, budget):
-    # 1: one evaluation row, one coalition of the grid and one group per
-    # step; 16 000: one chunk of evaluation rows, groups in blocks of a few
+    # 1: one evaluation row per chunk and one coalition of the grid per
+    # block; 16 000: one chunk of evaluation rows
     model, E, B = gbt_fixture(4, loss="logistic", depth=3)
     full = attribution_summary(model, E, B, relevant=["x0"])
     monkeypatch.setattr(explain, "_CHUNK_ROWS", budget)
@@ -585,7 +605,8 @@ def test_gbt_single_leaf_trees_add_in_order(n_bg):
 def test_gbt_interleaved_groups_add_in_order(monkeypatch, budget):
     # three feature sets of 41, 12 and 5 trees, interleaved, so the groups
     # run out of trees at different ranks; the first two groups' sums in
-    # order differ from pairwise ones, and budget 1 takes one group per block
+    # order differ from pairwise ones, and budget 1 takes one evaluation row
+    # per chunk
     opposite = [-1e16] + [1.0] * 11
     assert sum(opposite) == -1e16 != np.sum(opposite)
     trees = []

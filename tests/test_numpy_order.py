@@ -1,13 +1,13 @@
-"""The numpy behaviours that keep a GBT's prediction and its exact Shapley
-values adding up in one order.
+"""The numpy behaviours that keep the package's sums in one order.
 
-A group's cell values and ``decision_function`` add one array at a time,
-explain adds each coalition's group sums by reducing blocks of them along
-a leading axis, and ``_phi_matrix`` sums its Shapley terms with
-``cumsum``. Each test below pins one of the numpy behaviours behind that
-on a value whose in-order sum, 1e16, differs from any regrouping, so that
-a numpy upgrade that changes a summation order fails here, by name, and
-not as an unexplained move of a report digest.
+A GBT's group sums, in its cell values, its prediction and its exact
+Shapley coalition outputs alike, are added one array at a time, and
+``_phi_matrix`` sums its Shapley terms with ``cumsum``. ``np.add.reduce``
+along a leading axis, which the MLP uses for its bias gradients, adds in
+order when the trailing size is at least two. Each test below pins one of
+these numpy behaviours on a value whose in-order sum, 1e16, differs from
+any regrouping, so that a numpy upgrade that changes a summation order
+fails here, by name, and not as an unexplained move of a report digest.
 
 What the code avoids, as measured on numpy 2.4: a 1-D ``sum`` (or
 ``np.add.reduce``) and a reduce whose trailing size is one add pairwise,

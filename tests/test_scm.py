@@ -13,7 +13,8 @@ from scmlab import (Assignment, Dag, NoiseSpec, StructuralModel, intervene,
                     population_regression, sample, save_model,
                     total_effect_linear, validate_model)
 from scmlab.errors import (ConfigValidationError, CycleError,
-                           DuplicateAssignmentError, ModelFileError,
+                           DatasetShapeError, DuplicateAssignmentError,
+                           ModelFileError,
                            NonlinearModelError, OverlappingSetsError,
                            SingularCovarianceError, UnknownNodeError,
                            UnknownParentError)
@@ -163,6 +164,27 @@ def test_sample_custom_assignment():
     }))
     d = sample(m, 40, seed=0)
     assert np.allclose(d.column("y"), d.column("x") ** 2)
+
+
+@pytest.mark.parametrize("func, shape", [
+    (lambda x: 2.0, ()), (lambda x: np.array([2.0]), (1,)),
+    (lambda x: x + 2.0, (40,)), (lambda x: x[:-1], None),
+    (lambda x: x[:, None], None)])
+def test_sample_custom_assignment_result_shapes(func, shape):
+    # one value, or one per row, is added to the node's noise; any other
+    # shape names the node instead of failing inside numpy's broadcast
+    m = StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.gaussian()),
+        "y": Assignment.custom(["x"], func, noise=NoiseSpec.gaussian()),
+    })
+    if shape is None:
+        with pytest.raises(DatasetShapeError, match="node 'y': custom "
+                           "assignment gave shape .*, not \\(40,\\)"):
+            sample(m, 40, seed=0)
+        return
+    d = sample(m, 40, seed=0)
+    noise = NoiseSpec.gaussian().draw(0, (1,), 40)
+    assert np.array_equal(d.column("y"), func(d.column("x")) + noise)
 
 
 def test_sample_rejects_empty():
