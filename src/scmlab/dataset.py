@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DatasetShapeError, EmptyFeatureListError,
-                     NonFiniteValueError, UnknownColumnError)
+                     NonFiniteValueError, RowShapeError, UnknownColumnError)
 
 
 class Dataset:
@@ -74,3 +74,18 @@ class Dataset:
 
     def __repr__(self):
         return f"Dataset({self.n_rows} rows x {len(self._cols)} cols: {', '.join(self._cols)})"
+
+
+def _row_matrix(rows, features, what):
+    """``rows`` (a Dataset, or an (m, d) array in ``features`` order) as
+    an (m, d) float matrix of finite values (a Dataset holds only those);
+    RowShapeError or NonFiniteValueError names them as ``what``."""
+    if isinstance(rows, Dataset):
+        return rows.matrix(features)
+    M = np.asarray(rows, dtype=np.float64)
+    if M.ndim != 2 or M.shape[1] != len(features):
+        raise RowShapeError(f"{what} must be rows over the {len(features)} "
+                            f"feature columns, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonFiniteValueError(f"{what}: a value is NaN or infinite")
+    return M

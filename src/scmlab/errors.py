@@ -102,8 +102,8 @@ class InsufficientDataError(ScmLabError):
 
 
 class NonFiniteValueError(ScmLabError, ValueError):
-    """A dataset column or a report result holds NaN or an infinity; the
-    message names the column or the result key."""
+    """A dataset column, rows to explain or predict, or a report result
+    hold NaN or an infinity; the message names them or the result key."""
 
 
 class EmptyFeatureListError(ScmLabError, ValueError):
@@ -166,9 +166,9 @@ class FeatureListRequiredError(ScmLabError, ValueError):
 
 class RowShapeError(ScmLabError, ValueError):
     """Rows handed to explain (the instance, the evaluation rows or the
-    background) are not rows over the feature columns; the message names
-    them and gives their shape.  Also a ``ValueError``, as this check
-    raised before."""
+    background) or to ``predict_on_matrix`` are not rows over the feature
+    columns; the message names them and gives their shape.  Also a
+    ``ValueError``, as this check raised before."""
 
 
 class EmptyBackgroundError(ScmLabError, ValueError):
@@ -251,13 +251,14 @@ def check_value(label: str, value, like, accepts: str = "", n: int = None):
 
     A tuple ``like`` takes a tuple (or a string of comma- or space-separated
     items) whose items each take the type of ``like[0]``.  ``accepts`` is ""
-    for any value, ``length K`` for a tuple of K items, or an interval such
-    as ``[1, inf)`` that the value, or each item, lies in; "(" and ")"
-    exclude a bound, and a bound ``n`` is the ``n`` given.  Every float must
-    be finite.  Raises :class:`ConfigValidationError` naming ``label``, or
-    the item (``hidden[0]``): ``could not parse <label> = <value> as int``,
-    ``... must hold K values``, ``... must be finite`` or ``... must lie in
-    <accepts>``."""
+    for any value, ``length K`` for a tuple of K items, ``one of a, b`` for
+    a string that is one of the listed choices, or an interval such as
+    ``[1, inf)`` that the value, or each item, lies in; "(" and ")" exclude
+    a bound, and a bound ``n`` is the ``n`` given.  Every float must be
+    finite.  Raises :class:`ConfigValidationError` naming ``label``, or the
+    item (``hidden[0]``): ``could not parse <label> = <value> as int``,
+    ``... must hold K values``, ``... must be finite``, ``... must be one of
+    a, b`` or ``... must lie in <accepts>``."""
     many = type(like) is tuple
     kind = type(like[0] if many else like)
     items = (value,)
@@ -269,6 +270,7 @@ def check_value(label: str, value, like, accepts: str = "", n: int = None):
             raise ConfigValidationError(
                 f"could not parse {label} = {value!r} as tuple") from None
     bounds = _bounds(accepts, n) if accepts else None
+    _, one_of, choices = accepts.partition("one of ")
     out = []
     for i, item in enumerate(items):
         v = _cast(item, kind)
@@ -276,6 +278,8 @@ def check_value(label: str, value, like, accepts: str = "", n: int = None):
             head, tail = "could not parse ", f" = {item!r} as {kind.__name__}"
         elif isinstance(v, float) and not math.isfinite(v):
             head, tail = "", f" = {v!r} must be finite"
+        elif one_of and v not in choices.split(", "):
+            head, tail = "", f" = {v!r} must be {accepts}"
         elif bounds is not None and not _inside(v, *bounds):
             head, tail = "", (f" = {v!r} must lie in "
                               + re.sub(r"\bn\b", str(n), accepts))

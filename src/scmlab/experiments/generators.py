@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from ..errors import ConfigValidationError
+from ..errors import check_value
 from ..graph import Dag
 from ..scm import Assignment, NoiseSpec, StructuralModel
 
@@ -141,6 +141,8 @@ def shape_pair_model(shape, noise_sd=0.1):
     or ``cross`` (y = +-x with random sign); all get Gaussian jitter of
     sd ``noise_sd``. Any other ``shape`` raises ConfigValidationError.
     """
+    shape = check_value("shape", shape, "quadratic",
+                        "one of quadratic, sinusoid, circle, cross")
     noise = NoiseSpec.gaussian(sd=noise_sd)
     if shape == "quadratic":
         pairs = [
@@ -159,7 +161,7 @@ def shape_pair_model(shape, noise_sd=0.1):
             ("x", Assignment.custom(["t"], np.cos, noise=noise)),
             ("y", Assignment.custom(["t"], np.sin, noise=noise)),
         ]
-    elif shape == "cross":
+    else:                                  # cross
         pairs = [
             ("s", Assignment.exogenous(NoiseSpec.uniform(0.0, 1.0))),
             ("x", Assignment.exogenous(NoiseSpec.gaussian())),
@@ -167,10 +169,6 @@ def shape_pair_model(shape, noise_sd=0.1):
                                     lambda s, x: np.where(s < 0.5, x, -x),
                                     noise=noise)),
         ]
-    else:
-        raise ConfigValidationError(
-            f"shape = {shape!r} must be one of quadratic, sinusoid, "
-            "circle, cross")
     return StructuralModel(pairs)
 
 

@@ -28,12 +28,11 @@ from math import factorial
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import _row_matrix
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
-                     FeatureMismatchError, NonFiniteValueError,
-                     RowShapeError, TooManyFeaturesError,
-                     UnknownColumnError)
+                     FeatureMismatchError, RowShapeError,
+                     TooManyFeaturesError, UnknownColumnError)
 from .flexfit import GbtModel, gbt, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -122,21 +121,6 @@ def _feature_list(model, features):
             f"{len(features)} features exceed the exact-enumeration cap "
             f"of {_MAX_FEATURES}")
     return features
-
-
-def _row_matrix(rows, features, what):
-    """``rows`` (a Dataset, or an (m, d) array in ``features`` order) as
-    an (m, d) float matrix of finite values (a Dataset holds only
-    those)."""
-    if isinstance(rows, Dataset):
-        return rows.matrix(features)
-    M = np.asarray(rows, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] != len(features):
-        raise RowShapeError(f"{what} must be rows over the {len(features)} "
-                            f"feature columns, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise NonFiniteValueError(f"{what}: a value is NaN or infinite")
-    return M
 
 
 def _instance_value(instance: dict, f: str) -> float:

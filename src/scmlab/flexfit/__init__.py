@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import Dataset
-from ..errors import MissingFeatureError, NotAModelError, RowShapeError
+from ..dataset import Dataset, _row_matrix
+from ..errors import MissingFeatureError, NotAModelError
 from . import gbt as _gbt
 from . import mlp as _mlp
 from .gbt import GbtConfig, GbtModel, gbt_train
@@ -40,11 +40,10 @@ def predict(model, data: Dataset) -> np.ndarray:
 
 
 def predict_on_matrix(model, X: np.ndarray) -> np.ndarray:
-    """Evaluate on a raw matrix whose columns follow model.feature_names."""
+    """Evaluate on a raw matrix whose columns follow model.feature_names;
+    its rows are checked as explain checks its rows (RowShapeError,
+    NonFiniteValueError)."""
     _check_model(model)
-    if np.ndim(X) != 2 or np.shape(X)[1] != len(model.feature_names):
-        raise RowShapeError(
-            f"rows must be a matrix over the {len(model.feature_names)} "
-            f"feature columns, got shape {np.shape(X)}")
+    X = _row_matrix(X, model.feature_names, "model rows")
     module = _mlp if isinstance(model, MlpModel) else _gbt
     return module.predict_matrix(model, X)

@@ -40,13 +40,13 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from ..errors import (ConfigValidationError, DegenerateTargetError,
-                      NonBinaryTargetError, check_value)
+from ..errors import (DegenerateTargetError, NonBinaryTargetError,
+                      check_value)
 
 _MAX_BINS = 64
 _RANGES = {"n_trees": "[0, inf)", "depth": "[1, inf)",
            "learning_rate": "(0, inf)", "min_leaf": "[1, inf)",
-           "n_bins": f"[1, {_MAX_BINS}]"}
+           "n_bins": f"[1, {_MAX_BINS}]", "loss": "one of squared, logistic"}
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,13 @@ class GbtConfig:
     learning_rate: float = 0.1
     min_leaf: int = 20
     n_bins: int = 64
-    loss: str = "squared"          # "squared" | "logistic"
+    loss: str = "squared"
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, check_value(
                 f.name, getattr(self, f.name), f.default,
                 _RANGES.get(f.name, "")))
-        if self.loss not in ("squared", "logistic"):
-            raise ConfigValidationError(
-                f"loss = {self.loss!r} must be 'squared' or 'logistic'")
 
 
 @dataclass

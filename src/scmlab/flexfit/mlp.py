@@ -31,13 +31,14 @@ _DIVERGENCE_FACTOR = 1e6
 _FD_STEP = 1e-5       # gradient_check's central-difference step
 _RANGES = {"hidden": "[1, inf)", "learning_rate": "(0, inf)",
            "epochs": "[0, inf)", "momentum": "[0, 1)",
-           "init_scale": "(0, inf)", "seed": "[0, inf)"}
+           "init_scale": "(0, inf)", "seed": "[0, inf)",
+           "activation": "one of tanh, relu"}
 
 
 @dataclass(frozen=True)
 class MlpConfig:
     hidden: tuple = (32,)
-    activation: str = "tanh"       # hidden layers: "tanh" | "relu"
+    activation: str = "tanh"       # of the hidden layers
     learning_rate: float = 0.01
     epochs: int = 20000
     momentum: float = 0.0
@@ -52,9 +53,6 @@ class MlpConfig:
         if not self.hidden:
             raise ConfigValidationError(
                 f"hidden = {self.hidden!r} must list one or more layer sizes")
-        if self.activation not in ("tanh", "relu"):
-            raise ConfigValidationError(
-                f"activation = {self.activation!r} must be 'tanh' or 'relu'")
 
 
 @dataclass

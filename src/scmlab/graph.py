@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import (ConfigValidationError, CycleError, DuplicateNodeError,
-                     GraphFileError, OverlappingSetsError,
-                     TooManyCandidatesError, UnknownNodeError, open_file)
+from .errors import (CycleError, DuplicateNodeError, GraphFileError,
+                     OverlappingSetsError, TooManyCandidatesError,
+                     UnknownNodeError, check_value, open_file)
 
 _CANDIDATE_LIMIT = 20
 
@@ -111,6 +111,13 @@ class Dag:
         for n in names:
             if n not in self._index:
                 raise UnknownNodeError(f"no node named {n!r}")
+
+    def _check_query(self, cause, outcome):
+        """A (cause, outcome) query's check: both are nodes (else
+        UnknownNodeError), and they differ (else OverlappingSetsError)."""
+        self._check_nodes(cause, outcome)
+        if cause == outcome:
+            raise OverlappingSetsError("cause and outcome must differ")
 
     def __repr__(self):
         return f"Dag({len(self.nodes)} nodes, {len(self.edges)} edges)"
@@ -219,9 +226,8 @@ def d_separated(g: Dag, X, Y, Z, method: str = "reachable") -> bool:
     or ``"moral"`` — they always agree and exist for cross-checking; any
     other value raises ConfigValidationError.
     """
-    if method not in ("reachable", "moral"):
-        raise ConfigValidationError(
-            f"method = {method!r} must be 'reachable' or 'moral'")
+    method = check_value("method", method, "reachable",
+                         "one of reachable, moral")
     X, Y, Z = _as_sets(g, X, Y, Z)
     if not X or not Y:
         return True
@@ -323,9 +329,7 @@ def backdoor_paths(g: Dag, cause: str, outcome: str) -> list:
     Returned as node-name sequences, sorted lexicographically for
     reproducible output. Blocking status is not evaluated here.
     """
-    g._check_nodes(cause, outcome)
-    if cause == outcome:
-        raise OverlappingSetsError("cause and outcome must differ")
+    g._check_query(cause, outcome)
     paths = []
 
     def extend(path, last):
@@ -353,11 +357,10 @@ def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     edges out of cause forbidden (``_reaches``'s ``cut``).
     """
     Z = set(Z)
-    g._check_nodes(cause, outcome, *Z)
+    g._check_query(cause, outcome)
+    g._check_nodes(*Z)
     if cause in Z or outcome in Z:
         raise OverlappingSetsError("cause and outcome cannot be in the adjustment set")
-    if cause == outcome:
-        raise OverlappingSetsError("cause and outcome must differ")
     m = g._masks
     x, y, z = m.bit[cause], m.bit[outcome], m.mask(Z)
     anc_z = m.closure(z)
@@ -389,9 +392,7 @@ def minimal_backdoor_sets(g: Dag, cause: str, outcome: str) -> AdjustmentAnalysi
     pruned first since no valid set may contain them. When no backdoor
     path exists the empty set is the unique minimal set.
     """
-    g._check_nodes(cause, outcome)
-    if cause == outcome:
-        raise OverlappingSetsError("cause and outcome must differ")
+    g._check_query(cause, outcome)
     candidates = g.observed - {cause, outcome}
     if len(candidates) > _CANDIDATE_LIMIT:
         raise TooManyCandidatesError(

@@ -36,9 +36,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (ConfigValidationError, DatasetShapeError,
                      DuplicateAssignmentError, ModelFileError,
-                     NonlinearModelError, OverlappingSetsError,
-                     SingularCovarianceError, UnknownParentError,
-                     check_value, open_file)
+                     NonlinearModelError, SingularCovarianceError,
+                     UnknownParentError, check_value, open_file)
 from .graph import Dag
 from .rng import normal_column, uniform_column
 
@@ -492,9 +491,7 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
     outcome that does not descend from cause gets +0.0.
     """
     g = model._graph
-    g._check_nodes(cause, outcome)
-    if cause == outcome:
-        raise OverlappingSetsError("cause and outcome must differ")
+    g._check_query(cause, outcome)
     plan = model._plan
     c, o = g._index[cause], g._index[outcome]
     if plan.custom:
