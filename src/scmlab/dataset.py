@@ -14,16 +14,21 @@ class Dataset:
     Parameters
     ----------
     columns : mapping of str -> array-like
-        Column name to values; all columns must be one-dimensional and
-        share one positive length (else DatasetShapeError), and every value
-        must be finite (else NonFiniteValueError).
+        Column name to values; all columns must hold numbers, be
+        one-dimensional and share one positive length (else
+        DatasetShapeError), and every value must be finite (else
+        NonFiniteValueError).
     """
 
     def __init__(self, columns):
         cols = {}
         n = None
         for name, values in columns.items():
-            v = np.asarray(values, dtype=np.float64)
+            try:
+                v = np.asarray(values, dtype=np.float64)
+            except ValueError as exc:
+                raise DatasetShapeError(
+                    f"column {name!r} does not hold numbers: {exc}") from None
             if v.ndim != 1:
                 raise DatasetShapeError(f"column {name!r} is not 1-dimensional")
             if n is None:
@@ -76,13 +81,23 @@ class Dataset:
         return f"Dataset({self.n_rows} rows x {len(self._cols)} cols: {', '.join(self._cols)})"
 
 
+def _float_rows(rows, what):
+    """``rows`` as a float array; RowShapeError names them as ``what`` when
+    a value is not a number or their lengths differ."""
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise RowShapeError(f"{what} must hold numbers in rows of one "
+                            f"length: {exc}") from None
+
+
 def _row_matrix(rows, features, what):
     """``rows`` (a Dataset, or an (m, d) array in ``features`` order) as
     an (m, d) float matrix of finite values (a Dataset holds only those);
     RowShapeError or NonFiniteValueError names them as ``what``."""
     if isinstance(rows, Dataset):
         return rows.matrix(features)
-    M = np.asarray(rows, dtype=np.float64)
+    M = _float_rows(rows, what)
     if M.ndim != 2 or M.shape[1] != len(features):
         raise RowShapeError(f"{what} must be rows over the {len(features)} "
                             f"feature columns, got shape {M.shape}")

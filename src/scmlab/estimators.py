@@ -20,6 +20,7 @@ from .errors import (DegenerateColumnError, InsufficientDataError,
 from .rng import substream
 
 _RANK_TOL = 1e-10          # singular values below tol*s_max are rank loss
+_INFO_RIDGE = 1e-10        # added to the logistic information's diagonal
 _GRAD_TOL = 1e-8           # logistic convergence: max |gradient|
 _MAX_NEWTON_ITER = 200     # logistic Newton steps before giving up
 _MI_JITTER = 1e-10         # relative tie-breaking jitter for the MI estimator
@@ -81,6 +82,13 @@ def _t_pvalue(t, dof):
 def _z_pvalue(z):
     """Two-sided p-value of standard normal statistics: 2 P(Z > |z|)."""
     return 2.0 * ndtr(-np.abs(z))
+
+
+def _information(X, prob) -> np.ndarray:
+    """The logistic information matrix X' diag(prob (1 - prob)) X, plus
+    _INFO_RIDGE on its diagonal."""
+    w = prob * (1.0 - prob)
+    return X.T @ (X * w[:, None]) + _INFO_RIDGE * np.eye(X.shape[1])
 
 
 def _design(data: Dataset, regressors) -> np.ndarray:
@@ -190,10 +198,8 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
         if np.max(np.abs(grad)) < _GRAD_TOL:
             converged = True
             break
-        w = prob * (1.0 - prob)
-        H = X.T @ (X * w[:, None]) + 1e-10 * np.eye(p)
         try:
-            step = np.linalg.solve(H, grad)
+            step = np.linalg.solve(_information(X, prob), grad)
         except np.linalg.LinAlgError:
             raise SeparationError("information matrix became singular") from None
         # damping: halve until the objective stops increasing
@@ -220,10 +226,7 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
         raise SeparationError(
             "fitted coefficients separate the classes perfectly; "
             "the maximum-likelihood estimate does not exist")
-    prob = expit(X @ beta)
-    w = prob * (1.0 - prob)
-    H = X.T @ (X * w[:, None]) + 1e-10 * np.eye(p)
-    cov = np.linalg.inv(H)
+    cov = np.linalg.inv(_information(X, expit(X @ beta)))
     se = np.sqrt(np.diag(cov))
     z = beta / se
     pvals = _z_pvalue(z)

@@ -12,7 +12,6 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import check_value
-from ..graph import Dag
 from ..scm import Assignment, NoiseSpec, StructuralModel
 
 
@@ -58,13 +57,6 @@ def confounded_chain_model():
     ]
     nodes = [f"x{k}" for k in range(8)] + ["y"]
     return StructuralModel(pairs, nodes=nodes)
-
-
-def hidden_confounder_graph():
-    """x -> y confounded by an unobserved z: the textbook unidentifiable
-    query when z cannot be adjusted for."""
-    return Dag(["x", "y", "z"], [("z", "x"), ("z", "y"), ("x", "y")],
-               observed={"x", "y"})
 
 
 def sine_trend_model(trend, amplitude, frequency, x_lo, x_hi, noise_sd):

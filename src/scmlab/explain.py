@@ -28,7 +28,7 @@ from math import factorial
 
 import numpy as np
 
-from .dataset import _row_matrix
+from .dataset import _float_rows, _row_matrix
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
                      FeatureMismatchError, RowShapeError,
@@ -215,7 +215,8 @@ def shapley_exact(model, instance, background, features=None) -> Attribution:
     features, B = _features_and_background(model, features, background)
     if isinstance(instance, dict):
         instance = [_instance_value(instance, f) for f in features]
-    x = _row_matrix(np.reshape(instance, (1, -1)), features, "instance")
+    x = _row_matrix(_float_rows(instance, "instance").reshape(1, -1),
+                    features, "instance")
     phi, base, full = _phi_matrix(_coalition_outputs(model), x, B)
     phi = phi[0]
     prediction = float(full[0])

@@ -377,7 +377,6 @@ class AdjustmentAnalysis:
     size, then lexicographically.
     """
 
-    query: tuple
     backdoor_paths: list
     valid_sets: list
     minimal_sets: list
@@ -426,7 +425,6 @@ def minimal_backdoor_sets(g: Dag, cause: str, outcome: str) -> AdjustmentAnalysi
                 minimal.append(subset)
                 minimal_masks.append(z)
     return AdjustmentAnalysis(
-        query=(cause, outcome),
         backdoor_paths=paths,
         valid_sets=valid,
         minimal_sets=minimal,

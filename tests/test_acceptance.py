@@ -24,7 +24,6 @@ from scmlab.experiments import build_config, run
 from scmlab.experiments.generators import (confounded_chain_model,
                                            correlated_pair_model,
                                            exogenous_predictor_model,
-                                           hidden_confounder_graph,
                                            shape_pair_model)
 from scmlab.graph import d_separated, minimal_backdoor_sets
 from scmlab.rng import normal_column, substream
@@ -99,6 +98,13 @@ def test_criterion_03_adjustment_strategies_hit_population_values():
 
     mediator = ols_fit(data, "y", ["x0", "x1"])
     assert abs(mediator.coefficients[2] - (-1.0)) <= 3.0 * mediator.stderr[2]
+
+
+def hidden_confounder_graph():
+    """x -> y confounded by an unobserved z: the textbook unidentifiable
+    query when z cannot be adjusted for."""
+    return Dag(["x", "y", "z"], [("z", "x"), ("z", "y"), ("x", "y")],
+               observed={"x", "y"})
 
 
 def test_criterion_04_backdoor_sets_and_exhaustive_dsep_agreement():

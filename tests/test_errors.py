@@ -5,14 +5,17 @@ exception the call raised before (``ValueError``, ``KeyError`` or
 import numpy as np
 import pytest
 
-from scmlab import (Assignment, Dag, Dataset, MlpConfig, NoiseSpec,
-                    StructuralModel, attribution_summary, gradient_check,
-                    load_graph, load_model, ols_fit, sample, save_graph,
-                    save_model, scm, shapley_exact, split)
+from scmlab import (Assignment, Dag, Dataset, GbtConfig, MlpConfig,
+                    NoiseSpec, StructuralModel, attribution_summary,
+                    d_separated, gbt_train, gradient_check, load_graph,
+                    load_model, ols_fit, sample, save_graph, save_model, scm,
+                    shapley_exact, split)
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
                            FeatureMismatchError, IoError, ModelFileError,
                            RowShapeError, ScmLabError, UnknownColumnError)
+from scmlab.experiments import build_config, parse_config_file, run
 from scmlab.experiments.generators import shape_pair_model
+from scmlab.flexfit import predict_on_matrix
 from scmlab.rng import derive_seed, substream
 
 
@@ -33,6 +36,11 @@ def _linear_model():
 
 def _sum(X):
     return X[:, 0] + X[:, 1]
+
+
+def _gbt():
+    return gbt_train(_data(), "y", ["x"],
+                     GbtConfig(n_trees=1, depth=1, min_leaf=1))
 
 
 _BACKGROUND = np.array([[0.0, 1.0], [2.0, -1.0]])
@@ -92,6 +100,19 @@ BAD_CALLS = [
     (lambda tmp: sample(_custom_model(lambda x: x[:-1]), 10, 0),
      DatasetShapeError, ValueError,
      "node 'y': custom assignment gave shape (9,), not (10,)"),
+    (lambda tmp: shapley_exact(_sum, ["abc", 1.0], _BACKGROUND,
+                               features=["a", "b"]),
+     RowShapeError, ValueError, "instance must hold numbers"),
+    (lambda tmp: attribution_summary(_sum, [[1.0, 2.0], [3.0]], _BACKGROUND,
+                                     [], features=["a", "b"]),
+     RowShapeError, ValueError, "evaluation rows must hold numbers"),
+    (lambda tmp: shapley_exact(_sum, [[1.0], 2.0], _BACKGROUND,
+                               features=["a", "b"]),
+     RowShapeError, ValueError, "instance must hold numbers"),
+    (lambda tmp: predict_on_matrix(_gbt(), [["a"]]),
+     RowShapeError, ValueError, "model rows must hold numbers"),
+    (lambda tmp: Dataset({"a": ["x", "y"]}), DatasetShapeError, ValueError,
+     "column 'a' does not hold numbers"),
 ]
 
 
@@ -104,7 +125,9 @@ BAD_CALLS = [
     "load-graph-directory", "save-model-missing-directory",
     "save-graph-missing-directory", "shapley-instance-missing-feature",
     "shapley-instance-string-value", "summary-unknown-relevant",
-    "sample-custom-wrong-length"])
+    "sample-custom-wrong-length", "shapley-instance-string",
+    "summary-ragged-rows", "shapley-ragged-instance",
+    "predict-string-rows", "dataset-string-column"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:
@@ -112,6 +135,34 @@ def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
     assert isinstance(err.value, ScmLabError)
     assert isinstance(err.value, builtin)
     assert message in str(err.value)
+
+
+def _fig3_config_file(tmp, line):
+    path = tmp / "fig3.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    return run(build_config("fig3_fit", str(tmp / "out"),
+                            overrides=parse_config_file(str(path))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: GbtConfig(loss="huber"),
+     "loss = 'huber' must be one of squared, logistic"),
+    (lambda tmp: MlpConfig(activation="sigmoid"),
+     "activation = 'sigmoid' must be one of tanh, relu"),
+    (lambda tmp: d_separated(Dag(["a", "b"], []), {"a"}, {"b"}, set(),
+                             method="bfs"),
+     "method = 'bfs' must be one of reachable, moral"),
+    (lambda tmp: shape_pair_model("spiral"),
+     "shape = 'spiral' must be one of quadratic, sinusoid, circle, cross"),
+    (lambda tmp: _fig3_config_file(tmp, "activation = sigmoid"),
+     "activation = 'sigmoid' must be one of tanh, relu"),
+], ids=["gbt-loss", "mlp-activation", "dsep-method", "pair-shape",
+        "fig3-config-activation"])
+def test_a_choice_outside_its_list_names_the_setting_and_the_choices(
+        call, message, tmp_path):
+    with pytest.raises(ConfigValidationError) as err:
+        call(tmp_path)
+    assert str(err.value) == message
 
 
 def test_unknown_column_message_is_not_quoted():

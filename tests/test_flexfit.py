@@ -10,7 +10,8 @@ from scmlab import (Dataset, GbtConfig, MlpConfig, gbt_train, gradient_check,
 from scmlab.errors import (ConfigValidationError, DegenerateTargetError,
                            DivergenceError, EmptyFeatureListError,
                            InsufficientDataError, MissingFeatureError,
-                           NonBinaryTargetError, NotAModelError, ScmLabError)
+                           NonBinaryTargetError, NonFiniteValueError,
+                           NotAModelError, ScmLabError)
 from scmlab.experiments import build_config
 from scmlab.experiments.generators import (blended_logit_features,
                                            blended_logit_model)
@@ -108,6 +109,18 @@ def test_predict_on_matrix_rejects_what_is_not_a_trained_model():
                            ) as err:
             predict_on_matrix(thing, np.zeros((2, 1)))
         assert isinstance(err.value, TypeError)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("train", [gbt_train, mlp_train], ids=["gbt", "mlp"])
+def test_predict_on_matrix_rejects_non_finite_rows(train, value):
+    # a GBT sent NaN right at every split and predicted a number
+    config = (GbtConfig(n_trees=2, depth=1, min_leaf=2) if train is gbt_train
+              else MlpConfig(hidden=(2,), epochs=5))
+    model = train(sine_data(n=20), "y", ["x"], config)
+    with pytest.raises(NonFiniteValueError,
+                       match="model rows: a value is NaN or infinite"):
+        predict_on_matrix(model, np.array([[0.5], [value]]))
 
 
 def test_predict_rejects_what_is_not_a_trained_model():
