@@ -6,6 +6,7 @@ so callers can catch toolkit failures with a single except clause.
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 
@@ -296,3 +297,11 @@ def check_value(label: str, value, like, accepts: str = "", n: int = None):
         raise ConfigValidationError(
             f"{label} = {out!r} must hold {length} values")
     return out
+
+
+def check_fields(config, ranges: dict):
+    """Set each field of the dataclass ``config`` to its value checked by
+    :func:`check_value` against its default and ``ranges[name]``."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, check_value(
+            f.name, getattr(config, f.name), f.default, ranges[f.name]))

@@ -17,6 +17,7 @@ from types import MappingProxyType
 from ..errors import (ConfigValidationError, UnknownExperimentError,
                       check_value, open_file)
 from ..explain import _MAX_FEATURES
+from ..flexfit import gbt, mlp
 from .curves import run_fig3_fit
 from .generators import blended_logit_features
 from .identify import run_backdoor_report
@@ -65,9 +66,12 @@ _REGISTRY = {
         run_fig3_fit, 7, 400,
         {"trend": (0.5, ""), "amplitude": (2.0, ""), "frequency": (3.0, ""),
          "x_lo": (-4.0, ""), "x_hi": (4.0, ""), "noise_sd": (0.3, "[0, inf)"),
-         "hidden": ((32,), ""), "activation": ("tanh", ""),
-         "learning_rate": (0.05, ""), "epochs": (20000, ""),
-         "momentum": (0.9, ""), "init_scale": (1.5, ""),
+         "hidden": ((32,), mlp._RANGES["hidden"]),
+         "activation": ("tanh", mlp._RANGES["activation"]),
+         "learning_rate": (0.05, mlp._RANGES["learning_rate"]),
+         "epochs": (20000, mlp._RANGES["epochs"]),
+         "momentum": (0.9, mlp._RANGES["momentum"]),
+         "init_scale": (1.5, mlp._RANGES["init_scale"]),
          "grid_step": (0.02, "(0, inf)")},
         (("x_lo", "be below x_hi", lambda p: p["x_lo"] < p["x_hi"]),),
         "linear regression vs. MLP on a sinusoid-over-trend target"),
@@ -78,9 +82,11 @@ _REGISTRY = {
                           "length 6"),
          "proxy_sd": (3.5, "[0, inf)"),
          "n_noise_features": (4, f"[0, {_MAX_NOISE_FEATURES}]"),
-         "gbt_trees": (500, ""), "gbt_depth": (2, ""),
-         "gbt_learning_rate": (0.08, ""), "gbt_min_leaf": (80, ""),
-         "gbt_bins": (64, ""),
+         "gbt_trees": (500, gbt._RANGES["n_trees"]),
+         "gbt_depth": (2, gbt._RANGES["depth"]),
+         "gbt_learning_rate": (0.08, gbt._RANGES["learning_rate"]),
+         "gbt_min_leaf": (80, gbt._RANGES["min_leaf"]),
+         "gbt_bins": (64, gbt._RANGES["n_bins"]),
          "eval_rows": (100, "[1, n]"), "background_rows": (64, "[1, n]")},
         (("q_grid", "hold two distinct values",
           lambda p: len(set(p["q_grid"])) >= 2),),

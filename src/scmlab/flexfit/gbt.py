@@ -34,14 +34,14 @@ prediction and Shapley both add the group sums up in ``_output``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 
 from ..errors import (DegenerateTargetError, NonBinaryTargetError,
-                      check_value)
+                      check_fields)
 
 _MAX_BINS = 64
 _RANGES = {"n_trees": "[0, inf)", "depth": "[1, inf)",
@@ -59,10 +59,7 @@ class GbtConfig:
     loss: str = "squared"
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, check_value(
-                f.name, getattr(self, f.name), f.default,
-                _RANGES.get(f.name, "")))
+        check_fields(self, _RANGES)
 
 
 @dataclass

@@ -20,11 +20,11 @@ whose summation order the trained bits depend on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigValidationError, DivergenceError, check_value
+from ..errors import ConfigValidationError, DivergenceError, check_fields
 from ..rng import substream
 
 _DIVERGENCE_FACTOR = 1e6
@@ -46,10 +46,7 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, check_value(
-                f.name, getattr(self, f.name), f.default,
-                _RANGES.get(f.name, "")))
+        check_fields(self, _RANGES)
         if not self.hidden:
             raise ConfigValidationError(
                 f"hidden = {self.hidden!r} must list one or more layer sizes")

@@ -107,6 +107,14 @@ class Dag:
         evaluation order) does not pay for them."""
         return _NodeMasks.of(self)
 
+    def _first_on_path(self, cause, outcome, names):
+        """The first of ``names`` that descends from ``cause`` and is
+        ``outcome`` or one of its ancestors (so lies on a path), or None."""
+        m = self._masks
+        x, above = m.mask([cause]), m.closure(m.mask([outcome]))
+        return next((n for n in names if m.mask([n]) & above
+                     and m.ancestors[self._index[n]] & x), None)
+
     def _check_nodes(self, *names):
         for n in names:
             if n not in self._index:
@@ -125,12 +133,12 @@ class Dag:
 
 @dataclass(frozen=True)
 class _NodeMasks:
-    """A graph's nodes as bits: ``bit[name]`` is ``1 << i`` for
-    ``Dag.nodes[i]``, and ``parents[i]``, ``children[i]`` and
-    ``ancestors[i]`` are the masks of node i's parents, children and
-    (strict) ancestors."""
+    """A graph's nodes as bits, bit ``index[name]`` standing for the node
+    (``index`` is the graph's own ``Dag._index``): ``parents[i]``,
+    ``children[i]`` and ``ancestors[i]`` are the masks of node i's
+    parents, children and (strict) ancestors."""
 
-    bit: dict
+    index: dict
     parents: list
     children: list
     ancestors: list
@@ -138,25 +146,21 @@ class _NodeMasks:
     @staticmethod
     def of(g: "Dag") -> "_NodeMasks":
         index = g._index
-        bits = [1 << i for i in range(len(g.nodes))]
-        parents = [0] * len(bits)
-        children = [0] * len(bits)
+        parents = [0] * len(index)
+        children = [0] * len(index)
         for p, c in g.edges:
             i, j = index[p], index[c]
-            parents[j] |= bits[i]
-            children[i] |= bits[j]
+            parents[j] |= 1 << i
+            children[i] |= 1 << j
         # in topological order every parent's ancestors are final first
-        ancestors = [0] * len(bits)
+        ancestors = [0] * len(index)
         for n in g.order:
             j = index[n]
-            a = parents[j]
-            for p in g._parents[n]:
-                a |= ancestors[index[p]]
-            ancestors[j] = a
-        return _NodeMasks(dict(zip(g.nodes, bits)), parents, children, ancestors)
+            ancestors[j] = parents[j] | _union(ancestors, parents[j])
+        return _NodeMasks(index, parents, children, ancestors)
 
     def mask(self, names) -> int:
-        return sum(self.bit[n] for n in names)
+        return sum(1 << self.index[n] for n in names)
 
     def closure(self, m: int) -> int:
         """The nodes of mask ``m`` and all their ancestors."""
@@ -362,7 +366,7 @@ def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     if cause in Z or outcome in Z:
         raise OverlappingSetsError("cause and outcome cannot be in the adjustment set")
     m = g._masks
-    x, y, z = m.bit[cause], m.bit[outcome], m.mask(Z)
+    x, y, z = m.mask([cause]), m.mask([outcome]), m.mask(Z)
     anc_z = m.closure(z)
     if anc_z & x:           # a node of Z descends from cause
         return False
@@ -397,15 +401,15 @@ def minimal_backdoor_sets(g: Dag, cause: str, outcome: str) -> AdjustmentAnalysi
         raise TooManyCandidatesError(
             f"{len(candidates)} candidates exceed the exhaustive-search "
             f"cap of {_CANDIDATE_LIMIT}")
-    usable = sorted(candidates - g.descendants_of(cause))
-    paths = backdoor_paths(g, cause, outcome)
-    # each subset runs is_valid_backdoor_set's walk, with its masks formed
-    # from the members' bits and closures; no member descends from cause,
-    # so that test's first check always passes
     m = g._masks
-    x, y = m.bit[cause], m.bit[outcome]
+    x, y = m.mask([cause]), m.mask([outcome])
+    # each subset runs is_valid_backdoor_set's walk, with its masks formed
+    # from the members' bits and closures; a candidate that descends from
+    # cause fails that test's first check in every subset, so it is pruned
+    usable = [n for n in sorted(candidates) if not m.ancestors[m.index[n]] & x]
+    paths = backdoor_paths(g, cause, outcome)
     anc_y = m.closure(y)
-    bits = [m.bit[n] for n in usable]
+    bits = [1 << m.index[n] for n in usable]
     closures = [m.closure(b) for b in bits]
     # sets are sorted name tuples generated by size, then lexicographically,
     # so output order never depends on hash order, and a valid set is

@@ -53,8 +53,8 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def uniform_column(seed: int, path: tuple[int, ...], n: int) -> np.ndarray:
-    """The first ``n`` uniforms in [0, 1) of the (seed, path) stream."""
-    n = check_value("n", n, 0, "[0, inf)")
+    """The first ``n`` uniforms in [0, 1) of the (seed, path) stream
+    (``sample`` checks ``n`` once for all its columns)."""
     return np.random.Generator(_bit_generator(seed, path)).random(n)
 
 

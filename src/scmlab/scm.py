@@ -481,11 +481,10 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
     """Sum over all directed cause->outcome paths of the edge-weight product.
 
     Equals the derivative of E[outcome] with respect to t under the
-    intervention cause := t, for linear models. A custom node that
-    descends from cause and is outcome or one of its ancestors lies on a
-    path: the first in evaluation order raises NonlinearModelError, read
-    from the model's graph masks (built only for a model with a custom
-    node). Otherwise the effects of cause on every node are propagated one
+    intervention cause := t, for linear models. A model with a custom
+    node asks its graph for the first, in evaluation order, on a directed
+    path from cause to outcome, and raises NonlinearModelError naming it.
+    Otherwise the effects of cause on every node are propagated one
     topological level at a time, over the levels between cause and
     outcome only; each node's sum runs in parent order from +0.0, so an
     outcome that does not descend from cause gets +0.0.
@@ -495,13 +494,11 @@ def total_effect_linear(model: StructuralModel, cause: str, outcome: str) -> flo
     plan = model._plan
     c, o = g._index[cause], g._index[outcome]
     if plan.custom:
-        m = g._masks
-        x, above = m.bit[cause], m.closure(m.bit[outcome])
-        for name in plan.custom:
-            if m.bit[name] & above and m.ancestors[g._index[name]] & x:
-                raise NonlinearModelError(
-                    f"node {name!r} on a path from {cause!r} has a custom "
-                    "assignment; path-product effects need linear weights")
+        name = g._first_on_path(cause, outcome, plan.custom)
+        if name is not None:
+            raise NonlinearModelError(
+                f"node {name!r} on a path from {cause!r} has a custom "
+                "assignment; path-product effects need linear weights")
     effect = np.zeros(len(model.nodes))
     effect[c] = 1.0
     for level in plan.levels[plan.depth[c] + 1:plan.depth[o] + 1]:

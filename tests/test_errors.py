@@ -8,8 +8,8 @@ import pytest
 from scmlab import (Assignment, Dag, Dataset, GbtConfig, MlpConfig,
                     NoiseSpec, StructuralModel, attribution_summary,
                     d_separated, gbt_train, gradient_check, load_graph,
-                    load_model, ols_fit, sample, save_graph, save_model, scm,
-                    shapley_exact, split)
+                    load_model, ols_fit, rng, sample, save_graph, save_model,
+                    scm, shapley_exact, split)
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
                            FeatureMismatchError, IoError, ModelFileError,
                            RowShapeError, ScmLabError, UnknownColumnError)
@@ -192,3 +192,20 @@ def test_sample_checks_the_seed_once_per_call(monkeypatch):
                              for i in range(5)})
     sample(model, 10, 3)
     assert labels.count("seed") == 1
+
+
+def test_sample_checks_n_once_per_call(monkeypatch):
+    labels = []
+
+    def counted(check):
+        def wrapper(label, *args, **kwargs):
+            labels.append(label)
+            return check(label, *args, **kwargs)
+        return wrapper
+
+    for module in (scm, rng):
+        monkeypatch.setattr(module, "check_value", counted(module.check_value))
+    model = StructuralModel({f"x{i}": Assignment.exogenous(NoiseSpec.gaussian())
+                             for i in range(5)})
+    sample(model, 10, 3)
+    assert labels.count("n") == 1

@@ -451,11 +451,11 @@ def test_fig5_gbt_settings_checked_before_sampling(tmp_path, monkeypatch):
     def no_sampling(*args, **kwargs):
         pytest.fail("fig5_sweep sampled before checking its GBT settings")
     monkeypatch.setattr(sweep, "sample", no_sampling)
-    cfg = build_config("fig5_sweep", out_dir=str(tmp_path / "out"), n=50,
-                       overrides={"eval_rows": "10", "background_rows": "10",
-                                  "gbt_depth": "0"})
     with pytest.raises(ConfigValidationError, match="depth"):
-        run(cfg)
+        run(build_config("fig5_sweep", out_dir=str(tmp_path / "out"), n=50,
+                         overrides={"eval_rows": "10",
+                                    "background_rows": "10",
+                                    "gbt_depth": "0"}))
 
 
 FIG5_ROWS = "eval_rows = 10\nbackground_rows = 10\n"
