@@ -14,10 +14,10 @@ class Dataset:
     Parameters
     ----------
     columns : mapping of str -> array-like
-        Column name to values; all columns must hold numbers, be
-        one-dimensional and share one positive length (else
-        DatasetShapeError), and every value must be finite (else
-        NonFiniteValueError).
+        Column name to values; all columns must hold real numbers (a
+        complex array does not), be one-dimensional and share one positive
+        length (else DatasetShapeError), and every value must be finite
+        (else NonFiniteValueError).
     """
 
     def __init__(self, columns):
@@ -25,7 +25,7 @@ class Dataset:
         n = None
         for name, values in columns.items():
             try:
-                v = np.asarray(values, dtype=np.float64)
+                v = _as_real(values)
             except ValueError as exc:
                 raise DatasetShapeError(
                     f"column {name!r} does not hold numbers: {exc}") from None
@@ -81,11 +81,20 @@ class Dataset:
         return f"Dataset({self.n_rows} rows x {len(self._cols)} cols: {', '.join(self._cols)})"
 
 
+def _as_real(values) -> np.ndarray:
+    """``values`` as a float64 array. A complex numpy array raises
+    ValueError, as a value that is not a number does, where numpy would
+    only warn and drop the imaginary part."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "c":
+        raise ValueError(f"{values.dtype} values are not real numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _float_rows(rows, what):
     """``rows`` as a float array; RowShapeError names them as ``what`` when
-    a value is not a number or their lengths differ."""
+    a value is not a real number or their lengths differ."""
     try:
-        return np.asarray(rows, dtype=np.float64)
+        return _as_real(rows)
     except ValueError as exc:
         raise RowShapeError(f"{what} must hold numbers in rows of one "
                             f"length: {exc}") from None

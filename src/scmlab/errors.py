@@ -76,8 +76,9 @@ class GraphFileError(ScmLabError, ValueError):
 # --- data layer ---------------------------------------------------------
 
 class DatasetShapeError(ScmLabError, ValueError):
-    """Columns given to a ``Dataset`` are not one-dimensional, differ in
-    length, or make no column or no row; the message names the column.
+    """Columns given to a ``Dataset`` do not hold real numbers, are not
+    one-dimensional, differ in length, or make no column or no row; the
+    message names the column.
     Also a ``ValueError``, as these checks raised before."""
 
 
@@ -155,8 +156,9 @@ class TooManyFeaturesError(ScmLabError):
 
 class FeatureMismatchError(ScmLabError, ValueError):
     """An explicit feature list given for a trained model differs from the
-    feature names it was trained on (in names or order).  Also a
-    ``ValueError``, like the other checks on explain's inputs."""
+    feature names it was trained on (in names or order), or names a
+    feature twice.  Also a ``ValueError``, like the other checks on
+    explain's inputs."""
 
 
 class FeatureListRequiredError(ScmLabError, ValueError):

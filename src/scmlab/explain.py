@@ -102,7 +102,7 @@ def _coalition_outputs(model):
 def _feature_list(model, features):
     """The features to explain: a trained model's own feature names, which
     an explicit list must repeat in order; a bare callable needs the
-    list."""
+    list, and no name may appear twice."""
     trained = getattr(model, "feature_names", None)
     if features is None:
         if trained is None:
@@ -120,6 +120,9 @@ def _feature_list(model, features):
         raise TooManyFeaturesError(
             f"{len(features)} features exceed the exact-enumeration cap "
             f"of {_MAX_FEATURES}")
+    for i, f in enumerate(features):
+        if f in features[:i]:
+            raise FeatureMismatchError(f"feature {f!r} is listed twice")
     return features
 
 

@@ -113,6 +113,16 @@ BAD_CALLS = [
      RowShapeError, ValueError, "model rows must hold numbers"),
     (lambda tmp: Dataset({"a": ["x", "y"]}), DatasetShapeError, ValueError,
      "column 'a' does not hold numbers"),
+    (lambda tmp: Dataset({"a": np.array([1 + 1j, 2.0])}), DatasetShapeError,
+     ValueError, "column 'a' does not hold numbers: complex128"),
+    (lambda tmp: shapley_exact(_sum, np.array([1 + 2j, 1.0]), _BACKGROUND,
+                               features=["a", "b"]),
+     RowShapeError, ValueError, "instance must hold numbers"),
+    (lambda tmp: predict_on_matrix(_gbt(), np.array([[1 + 2j]])),
+     RowShapeError, ValueError, "model rows must hold numbers"),
+    (lambda tmp: shapley_exact(_sum, [1.0, 2.0], _BACKGROUND,
+                               features=["a", "a"]),
+     FeatureMismatchError, ValueError, "feature 'a' is listed twice"),
 ]
 
 
@@ -127,7 +137,9 @@ BAD_CALLS = [
     "shapley-instance-string-value", "summary-unknown-relevant",
     "sample-custom-wrong-length", "shapley-instance-string",
     "summary-ragged-rows", "shapley-ragged-instance",
-    "predict-string-rows", "dataset-string-column"])
+    "predict-string-rows", "dataset-string-column", "dataset-complex-column",
+    "shapley-complex-instance", "predict-complex-rows",
+    "shapley-repeated-feature"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:
@@ -163,6 +175,14 @@ def test_a_choice_outside_its_list_names_the_setting_and_the_choices(
     with pytest.raises(ConfigValidationError) as err:
         call(tmp_path)
     assert str(err.value) == message
+
+
+def test_a_list_of_complex_values_keeps_its_type_error():
+    # numpy raises TypeError for a Python complex; the builtin stays
+    for call in (lambda: Dataset({"a": [1 + 1j, 2.0]}),
+                 lambda: predict_on_matrix(_gbt(), [[1 + 2j]])):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_unknown_column_message_is_not_quoted():

@@ -176,6 +176,13 @@ def test_logistic_rejects_nonbinary_target():
         logistic_fit(d, "y", ["x"])
 
 
+def test_logistic_needs_more_rows_than_coefficients():
+    d = make_data(x1=[0.0, 1.0], x2=[1.0, 3.0], y=[0.0, 1.0])
+    with pytest.raises(InsufficientDataError,
+                       match="2 rows cannot support 3 coefficients"):
+        logistic_fit(d, "y", ["x1", "x2"])
+
+
 def test_logistic_separation_paths():
     x = np.linspace(-1.0, 1.0, 40)
     with pytest.raises(SeparationError):                 # all one class

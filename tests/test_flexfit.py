@@ -249,6 +249,12 @@ def test_gbt_degenerate_logistic_target():
         gbt_train(d, "y", ["x"], GbtConfig(loss="logistic"))
 
 
+def test_gbt_degenerate_squared_target():
+    d = make_data(x=np.arange(20.0), y=np.full(20, 3.0))
+    with pytest.raises(DegenerateTargetError, match="zero variance"):
+        gbt_train(d, "y", ["x"], GbtConfig())
+
+
 @pytest.mark.parametrize("settings, field", [
     (dict(loss="huber"), "loss"),                  # fitted squared loss
     (dict(depth=0), "depth"),

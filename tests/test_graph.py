@@ -43,6 +43,11 @@ def test_dag_rejects_unknown_edge_endpoint():
         Dag(["a"], [("a", "b")])
 
 
+def test_dag_rejects_unknown_observed_node():
+    with pytest.raises(UnknownNodeError, match="unknown node 'b'"):
+        Dag(["a"], [], observed=["b"])
+
+
 def test_dag_rejects_duplicate_node_names():
     with pytest.raises(DuplicateNodeError, match="duplicate node names") as err:
         Dag(["a", "b", "a"], [("a", "b")])
@@ -455,6 +460,15 @@ def test_graph_save_load_round_trip(tmp_path):
     assert g2.nodes == g.nodes
     assert set(g2.edges) == set(g.edges)
     assert g2.observed == g.observed
+
+
+def test_load_graph_without_nodes_line_takes_sorted_edge_ends(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# an edge list\ny x\nx w\n", encoding="utf-8")
+    g = load_graph(str(path))
+    assert g.nodes == ["w", "x", "y"]
+    assert g.edges == {("y", "x"), ("x", "w")}
+    assert g.observed == {"w", "x", "y"}
 
 
 @pytest.mark.parametrize("bad", ["x", "x y z"])

@@ -102,6 +102,17 @@ def test_constructor_checks_model_without_validate(pairs, error):
         StructuralModel(pairs)
 
 
+@pytest.mark.parametrize("nodes, error, message", [
+    (["x", "y", "z"], DuplicateAssignmentError, "offending: ['z']"),
+    (["y"], UnknownParentError, "assignment for undeclared node 'x'"),
+])
+def test_declared_nodes_and_assignments_must_match(nodes, error, message):
+    assignments = {"x": Assignment.exogenous(NoiseSpec.gaussian()),
+                   "y": Assignment.exogenous(NoiseSpec.gaussian())}
+    with pytest.raises(error, match=re.escape(message)):
+        StructuralModel(assignments, nodes=nodes)
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: NoiseSpec.gaussian(sd=float("nan")), "sd"),  # [[nan]] covariance
     (lambda: NoiseSpec.gaussian(sd=-0.1), "sd"),
@@ -262,6 +273,15 @@ def test_population_mean_propagates_intercepts():
                                noise=NoiseSpec.gaussian()),
     }))
     assert np.allclose(population_mean(m), [2.0, 5.0])
+
+
+def test_population_regression_on_no_regressors_is_the_mean():
+    m = StructuralModel({
+        "x": Assignment.exogenous(NoiseSpec.gaussian(mean=2.0)),
+        "y": Assignment.linear(["x"], [3.0], intercept=-1.0,
+                               noise=NoiseSpec.gaussian()),
+    })
+    assert population_regression(m, "y", []).tolist() == [5.0]
 
 
 def test_population_covariance_rejects_custom_and_uniform():
