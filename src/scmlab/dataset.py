@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .errors import (DatasetShapeError, EmptyFeatureListError,
-                     NonFiniteValueError, RowShapeError, UnknownColumnError)
+                     FeatureMismatchError, NonFiniteValueError, RowShapeError,
+                     UnknownColumnError)
 
 
 class Dataset:
@@ -82,12 +86,32 @@ class Dataset:
 
 
 def _as_real(values) -> np.ndarray:
-    """``values`` as a float64 array. A complex numpy array raises
-    ValueError, as a value that is not a number does, where numpy would
-    only warn and drop the imaginary part."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "c":
-        raise ValueError(f"{values.dtype} values are not real numbers")
-    return np.asarray(values, dtype=np.float64)
+    """``values`` as a float64 array. Complex values raise ValueError, as
+    a value that is not a number does, where numpy would only warn and
+    drop the imaginary part: a numpy array by its dtype, other input
+    (such as a list of numpy complex scalars) by numpy's ComplexWarning.
+    A Python ``complex`` keeps numpy's TypeError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        if values.dtype.kind == "c":
+            raise ValueError(f"{values.dtype} values are not real numbers")
+        return np.asarray(values, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        try:
+            return np.asarray(values, dtype=np.float64)
+        except ComplexWarning:
+            raise ValueError(f"{np.asarray(values).dtype} values are not "
+                             f"real numbers") from None
+
+
+def _distinct_features(features) -> list:
+    """``features`` as a list; FeatureMismatchError names the first
+    feature that is listed twice."""
+    features = list(features)
+    for i, f in enumerate(features):
+        if f in features[:i]:
+            raise FeatureMismatchError(f"feature {f!r} is listed twice")
+    return features
 
 
 def _float_rows(rows, what):

@@ -95,8 +95,8 @@ class UnknownColumnError(ScmLabError, KeyError):
 # --- estimator layer ----------------------------------------------------
 
 class RankDeficientError(ScmLabError):
-    """Design matrix is rank deficient (smallest singular value below
-    1e-10 times the largest)."""
+    """The design matrix of an OLS or logistic fit is rank deficient
+    (smallest singular value below 1e-10 times the largest)."""
 
 
 class InsufficientDataError(ScmLabError):
@@ -156,9 +156,9 @@ class TooManyFeaturesError(ScmLabError):
 
 class FeatureMismatchError(ScmLabError, ValueError):
     """An explicit feature list given for a trained model differs from the
-    feature names it was trained on (in names or order), or names a
-    feature twice.  Also a ``ValueError``, like the other checks on
-    explain's inputs."""
+    feature names it was trained on (in names or order), or a feature
+    list given to explain or to a GBT or MLP fit names a feature twice.
+    Also a ``ValueError``, like the other checks on explain's inputs."""
 
 
 class FeatureListRequiredError(ScmLabError, ValueError):
@@ -307,3 +307,9 @@ def check_fields(config, ranges: dict):
     for f in fields(config):
         object.__setattr__(config, f.name, check_value(
             f.name, getattr(config, f.name), f.default, ranges[f.name]))
+
+
+def name_set(names) -> set:
+    """The set of names in ``names``: a bare string is one name, not the
+    letters it is spelled with; any other iterable lists names."""
+    return {names} if isinstance(names, str) else set(names)

@@ -20,6 +20,7 @@ from .errors import (DegenerateColumnError, InsufficientDataError,
 from .rng import substream
 
 _RANK_TOL = 1e-10          # singular values below tol*s_max are rank loss
+_GRAM_CLEAR = 1e-8         # X'X eigenvalues above this*max: full rank
 _INFO_RIDGE = 1e-10        # added to the logistic information's diagonal
 _GRAD_TOL = 1e-8           # logistic convergence: max |gradient|
 _MAX_NEWTON_ITER = 200     # logistic Newton steps before giving up
@@ -97,6 +98,16 @@ def _design(data: Dataset, regressors) -> np.ndarray:
     return X
 
 
+def _check_rank(s) -> None:
+    """RankDeficientError unless a design matrix with singular values
+    ``s`` (largest first) has full rank: the smallest must be at least
+    _RANK_TOL times the largest."""
+    if s[0] == 0 or s[-1] < _RANK_TOL * s[0]:
+        raise RankDeficientError(
+            "design matrix is rank deficient "
+            f"(singular value ratio {s[-1] / max(s[0], 1e-300):.2e})")
+
+
 def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     """Ordinary least squares of ``target`` on ``regressors`` plus an
     intercept; classical standard errors and t-test p-values.
@@ -114,10 +125,7 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     X = _design(data, regressors)
     y = data.column(target)
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if s[0] == 0 or s[-1] < _RANK_TOL * s[0]:
-        raise RankDeficientError(
-            "design matrix is rank deficient "
-            f"(singular value ratio {s[-1] / max(s[0], 1e-300):.2e})")
+    _check_rank(s)
     beta = Vt.T @ ((U.T @ y) / s)
     resid = y - X @ beta
     dof = n - p
@@ -169,7 +177,9 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     Converged when the score's max component drops below 1e-8. Degenerate
     targets and perfectly separated data never converge — they drive the
     coefficients off to infinity — and raise SeparationError via the
-    divergence guard. Standard errors come from the observed information;
+    divergence guard. A design matrix that loses rank raises
+    RankDeficientError before the first step, by the rule ``ols_fit``
+    applies. Standard errors come from the observed information;
     p-values are two-sided Wald z-tests.
     """
     regressors = list(regressors)
@@ -183,6 +193,13 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     n, p = X.shape
     if n <= p:
         raise InsufficientDataError(f"{n} rows cannot support {p} coefficients")
+    # X'X's eigenvalues settle a design that is clearly of full rank
+    # (singular values within 1e-4 of each other) without a LAPACK call on
+    # the tall X, which wakes OpenBLAS's threads to spin for about 0.13 s
+    # of CPU; any other design is judged on X's own singular values
+    eig = np.linalg.eigvalsh(X.T @ X)
+    if eig[0] < _GRAM_CLEAR * eig[-1]:
+        _check_rank(np.linalg.svd(X, compute_uv=False))
     beta = np.zeros(p)
 
     def nll(b):

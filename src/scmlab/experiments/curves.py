@@ -11,7 +11,6 @@ from ..flexfit import MlpConfig, mlp_train, predict_on_matrix
 from ..rng import derive_seed
 from ..scm import sample
 from .generators import sine_trend_mean, sine_trend_model
-from .report import write_run
 
 
 def _mse(y, pred):
@@ -67,10 +66,7 @@ def run_fig3_fit(cfg):
     results = dict(metrics)
     results["linear_coefficients"] = [float(c) for c in lin.coefficients]
     results["mlp_final_loss"] = float(mlp.loss_history[-1])
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={
-                         "fit": (["model", "train_mse", "test_mse"], fit_rows),
-                         "curve": (["x", "true_mean", "linear_pred",
-                                    "mlp_pred"], curve_rows),
-                     })
+    return results, {
+        "fit": (["model", "train_mse", "test_mse"], fit_rows),
+        "curve": (["x", "true_mean", "linear_pred", "mlp_pred"], curve_rows),
+    }

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from ..graph import Dag, minimal_backdoor_sets
 from .generators import confounded_chain_model
-from .report import write_run
 
 
 def run_backdoor_report(cfg):
@@ -28,10 +27,7 @@ def run_backdoor_report(cfg):
         "n_valid_sets": len(analysis.valid_sets),
         "minimal_sets": [list(s) for s in analysis.minimal_sets],
     }
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={
-                         "paths": (["path", "length"], path_rows),
-                         "adjustment_sets": (["set", "size", "minimal"],
-                                             set_rows),
-                     })
+    return results, {
+        "paths": (["path", "length"], path_rows),
+        "adjustment_sets": (["set", "size", "minimal"], set_rows),
+    }

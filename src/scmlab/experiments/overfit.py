@@ -7,7 +7,6 @@ from ..flexfit import split, stepwise_forward
 from ..rng import derive_seed
 from ..scm import sample
 from .generators import noise_candidates_model
-from .report import write_run
 
 
 def run_overfit_demo(cfg):
@@ -33,8 +32,5 @@ def run_overfit_demo(cfg):
         "in_r2_monotone": bool(all(b.in_r2 >= a.in_r2 for a, b
                                    in zip(trace, trace[1:]))),
     }
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={"trace": (
-                         ["step", "feature", "in_sample_r2", "held_out_r2"],
-                         rows)})
+    return results, {"trace": (
+        ["step", "feature", "in_sample_r2", "held_out_r2"], rows)}

@@ -13,7 +13,6 @@ from ..estimators import mutual_information, pearson
 from ..rng import derive_seed
 from ..scm import sample
 from .generators import correlated_pair_model, shape_pair_model
-from .report import write_run
 
 _SHAPES = ("quadratic", "sinusoid", "circle", "cross")
 
@@ -40,8 +39,5 @@ def run_fig2_panels(cfg):
         "shape_max_abs_r": max(abs(summary[s]["r"]) for s in _SHAPES),
         "shape_min_mi": min(summary[s]["mi_nats"] for s in _SHAPES),
     }
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={"panels": (
-                         ["panel", "rho", "r", "p_value", "mi_nats", "n"],
-                         rows)})
+    return results, {"panels": (
+        ["panel", "rho", "r", "p_value", "mi_nats", "n"], rows)}

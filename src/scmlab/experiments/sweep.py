@@ -26,7 +26,6 @@ from ..flexfit.gbt import predict_matrix as _gbt_predict
 from ..rng import derive_seed, substream
 from ..scm import sample
 from .generators import blended_logit_features, blended_logit_model
-from .report import write_run
 
 # the features that drive the outcome; attribution mass elsewhere is leakage
 RELEVANT = ("x1", "x2")
@@ -140,10 +139,7 @@ def run_fig5_sweep(cfg):
         last["gbt_irrelevant_mass"] / last["logit_irrelevant_mass"],
         "bayes_logloss_at_qmax": last["bayes_logloss"],
     }
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={
-                         "sweep": (list(last),
-                                   [list(pt.values()) for pt in points]),
-                         "masses": (["q", "model"] + features, mass_rows),
-                     })
+    return results, {
+        "sweep": (list(last), [list(pt.values()) for pt in points]),
+        "masses": (["q", "model"] + features, mass_rows),
+    }

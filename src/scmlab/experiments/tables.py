@@ -9,7 +9,6 @@ from ..estimators import ols_fit, pearson
 from ..scm import (population_covariance, population_regression, sample,
                    total_effect_linear)
 from .generators import confounded_chain_model, exogenous_predictor_model
-from .report import write_run
 
 
 def run_table2(cfg):
@@ -31,11 +30,9 @@ def run_table2(cfg):
         "max_abs_error": float(np.max(np.abs(fit.coefficients - np.asarray(theta)))),
         "residual_variance": fit.residual_variance,
     }
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={"coefficients": (
-                         ["parameter", "term", "estimate", "stderr",
-                          "p_value", "truth", "abs_error"], rows)})
+    return results, {"coefficients": (
+        ["parameter", "term", "estimate", "stderr", "p_value", "truth",
+         "abs_error"], rows)}
 
 
 def run_table3(cfg):
@@ -59,11 +56,8 @@ def run_table3(cfg):
         "pairs": [f"x{k}~y" for k in range(8)],
         "max_abs_error": float(max(errs)),
     }
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={"correlations": (
-                         ["predictor", "r", "p_value", "analytic_r",
-                          "abs_error", "n"], rows)})
+    return results, {"correlations": (
+        ["predictor", "r", "p_value", "analytic_r", "abs_error", "n"], rows)}
 
 
 _SCENARIOS = [
@@ -110,9 +104,6 @@ def run_part2_regressions(cfg):
         "flagged": flagged,
         "any_flagged": bool(flagged),
     }
-    return write_run(cfg.out_dir, name=cfg.name, seed=cfg.seed, n=cfg.n,
-                     params=cfg.params, results=results,
-                     tables={"regressions": (
-                         ["scenario", "term", "estimate", "stderr", "p_value",
-                          "population_value", "abs_error", "n_stderr",
-                          "flagged"], rows)})
+    return results, {"regressions": (
+        ["scenario", "term", "estimate", "stderr", "p_value",
+         "population_value", "abs_error", "n_stderr", "flagged"], rows)}

@@ -28,11 +28,11 @@ from math import factorial
 
 import numpy as np
 
-from .dataset import _float_rows, _row_matrix
+from .dataset import _distinct_features, _float_rows, _row_matrix
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
                      FeatureMismatchError, RowShapeError,
-                     TooManyFeaturesError, UnknownColumnError)
+                     TooManyFeaturesError, UnknownColumnError, name_set)
 from .flexfit import GbtModel, gbt, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -120,10 +120,7 @@ def _feature_list(model, features):
         raise TooManyFeaturesError(
             f"{len(features)} features exceed the exact-enumeration cap "
             f"of {_MAX_FEATURES}")
-    for i, f in enumerate(features):
-        if f in features[:i]:
-            raise FeatureMismatchError(f"feature {f!r} is listed twice")
-    return features
+    return _distinct_features(features)
 
 
 def _instance_value(instance: dict, f: str) -> float:
@@ -233,17 +230,19 @@ def attribution_summary(model, eval_set, background, relevant,
     attribution mass on the relevant / irrelevant feature partition.
     ``eval_set`` (a Dataset or an (m, d) array) is checked against the
     features as the background is; zero rows raise EmptyEvaluationError,
-    and a ``relevant`` name that is not a feature FeatureMismatchError."""
+    and a ``relevant`` name that is not a feature FeatureMismatchError.
+    A bare string ``relevant`` is one name."""
     features, B = _features_and_background(model, features, background)
     E = _row_matrix(eval_set, features, "evaluation rows")
     if E.shape[0] == 0:
         raise EmptyEvaluationError("evaluation rows: none to explain")
-    unknown = sorted(set(relevant) - set(features))
+    relevant = name_set(relevant)
+    unknown = sorted(relevant - set(features))
     if unknown:
         raise FeatureMismatchError(f"relevant names {unknown} are not "
                                    f"among the features {features}")
-    relevant = [f for f in features if f in set(relevant)]
-    irrelevant = [f for f in features if f not in set(relevant)]
+    irrelevant = [f for f in features if f not in relevant]
+    relevant = [f for f in features if f in relevant]
     phi, _, _ = _phi_matrix(_coalition_outputs(model), E, B)
     mean_abs = np.abs(phi).mean(axis=0)
     idx = {f: i for i, f in enumerate(features)}

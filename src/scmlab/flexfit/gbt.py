@@ -40,6 +40,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
+from ..dataset import _distinct_features
 from ..errors import (DegenerateTargetError, NonBinaryTargetError,
                       check_fields)
 
@@ -352,9 +353,10 @@ def _grow_tree(bins, resid, depth, min_leaf, train_pred):
 
 def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtModel:
     """Fit the boosted ensemble on a dataset.  The settings are checked
-    when the :class:`GbtConfig` is built."""
+    when the :class:`GbtConfig` is built; a feature listed twice raises
+    FeatureMismatchError."""
     cfg = config or GbtConfig()
-    features = list(features)
+    features = _distinct_features(features)
     X = train.matrix(features)
     y = train.column(target).astype(np.float64)
     if cfg.loss == "logistic":

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dataset import _distinct_features
 from ..errors import ConfigValidationError, DivergenceError, check_fields
 from ..rng import substream
 
@@ -152,10 +153,11 @@ def mlp_train(train, target: str, features, config: MlpConfig = None) -> MlpMode
     Inputs and target are standardized first; the model keeps the affine
     maps.  Raises DivergenceError as soon as the loss is non-finite or
     exceeds 1e6 times its initial value.  The settings are checked when
-    the :class:`MlpConfig` is built.
+    the :class:`MlpConfig` is built; a feature listed twice raises
+    FeatureMismatchError.
     """
     cfg = config or MlpConfig()
-    features = list(features)
+    features = _distinct_features(features)
     X = train.matrix(features)
     y = train.column(target).astype(np.float64)
     x_mean, x_scale = X.mean(axis=0), X.std(axis=0)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import (ConfigValidationError, InsufficientDataError,
-                      check_value)
+from ..errors import (ConfigValidationError, DegenerateColumnError,
+                      InsufficientDataError, check_value)
 from ..estimators import ols_fit
 from ..rng import substream
 
@@ -64,7 +64,8 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     model if the improvement exceeds ``min_improvement``; the trace records
     in-sample and held-out R² after every accepted step. Held-out R² uses
     the training-rows fit evaluated on the test rows and may be negative;
-    it needs at least 2 test rows (else InsufficientDataError).
+    it needs at least 2 test rows (else InsufficientDataError), and the
+    target must vary on each side (else DegenerateColumnError).
     ``min_improvement`` may be infinite (nothing joins), but not NaN.
     """
     if math.isnan(min_improvement):
@@ -79,6 +80,11 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     test = data.take(plan.test_idx)
     y_tr = train.column(target)
     y_te = test.column(target)
+    for side, y in (("training", y_tr), ("test", y_te)):
+        if y.min() == y.max():
+            raise DegenerateColumnError(
+                f"target {target!r} does not vary on the {side} rows, so "
+                f"its R^2 is undefined")
     selected = []
     trace = []
     current_r2 = 0.0

@@ -40,7 +40,7 @@ from itertools import combinations
 
 from .errors import (CycleError, DuplicateNodeError, GraphFileError,
                      OverlappingSetsError, TooManyCandidatesError,
-                     UnknownNodeError, check_value, open_file)
+                     UnknownNodeError, check_value, name_set, open_file)
 
 _CANDIDATE_LIMIT = 20
 
@@ -214,7 +214,7 @@ def topological_sort(g: Dag) -> list:
 
 
 def _as_sets(g, X, Y, Z):
-    X, Y, Z = set(X), set(Y), set(Z)
+    X, Y, Z = name_set(X), name_set(Y), name_set(Z)
     g._check_nodes(*X, *Y, *Z)
     if X & Y or X & Z or Y & Z:
         raise OverlappingSetsError("X, Y, Z must be pairwise disjoint")
@@ -226,7 +226,8 @@ def d_separated(g: Dag, X, Y, Z, method: str = "reachable") -> bool:
 
     Blocking follows the standard rules: a chain or fork node blocks when
     it is in Z; a collider blocks unless it or one of its descendants is
-    in Z. ``method`` selects the implementation: ``"reachable"`` (default)
+    in Z. X, Y and Z each hold node names; a bare string is one name.
+    ``method`` selects the implementation: ``"reachable"`` (default)
     or ``"moral"`` — they always agree and exist for cross-checking; any
     other value raises ConfigValidationError.
     """
@@ -356,11 +357,12 @@ def backdoor_paths(g: Dag, cause: str, outcome: str) -> list:
 def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     """Backdoor criterion: no member of Z descends from cause, and Z
     d-separates cause from outcome once cause's outgoing edges are cut.
+    A bare string Z is one name.
 
     The second step is the reachability walk on ``g`` itself with the
     edges out of cause forbidden (``_reaches``'s ``cut``).
     """
-    Z = set(Z)
+    Z = name_set(Z)
     g._check_query(cause, outcome)
     g._check_nodes(*Z)
     if cause in Z or outcome in Z:

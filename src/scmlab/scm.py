@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _as_real
 from .errors import (ConfigValidationError, DatasetShapeError,
                      DuplicateAssignmentError, ModelFileError,
                      NonlinearModelError, SingularCovarianceError,
@@ -309,7 +309,7 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     bit-identical datasets regardless of evaluation order. ``n`` must be a
     positive and ``seed`` a non-negative integer (else
     ConfigValidationError naming it). A custom assignment must return one
-    value, or one per row (else DatasetShapeError naming the node).
+    real number, or one per row (else DatasetShapeError naming the node).
     """
     n = check_value("n", n, 0, "[1, inf)")
     seed = check_value("seed", seed, 0, "[0, inf)")
@@ -324,8 +324,13 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
                 value += w * cols[p]
             value += noise
         else:
-            value = np.asarray(a.func(*[cols[p] for p in a.parents]),
-                               dtype=np.float64)
+            value = a.func(*[cols[p] for p in a.parents])
+            try:
+                value = _as_real(value)
+            except ValueError as exc:
+                raise DatasetShapeError(
+                    f"node {name!r}: custom assignment did not give real "
+                    f"numbers: {exc}") from None
             if value.shape not in ((), (1,), (n,)):
                 raise DatasetShapeError(
                     f"node {name!r}: custom assignment gave shape "

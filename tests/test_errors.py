@@ -1,6 +1,7 @@
 """Bad library calls end in a named ScmLabError that is still the builtin
 exception the call raised before (``ValueError``, ``KeyError`` or
-``OSError``), with a message naming the fault."""
+``OSError``), with a message naming the fault.  A call that raised no
+error before, or a ``ZeroDivisionError``, raises a plain ScmLabError."""
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ import pytest
 from scmlab import (Assignment, Dag, Dataset, GbtConfig, MlpConfig,
                     NoiseSpec, StructuralModel, attribution_summary,
                     d_separated, gbt_train, gradient_check, load_graph,
-                    load_model, ols_fit, rng, sample, save_graph, save_model,
-                    scm, shapley_exact, split)
+                    load_model, logistic_fit, mlp_train, ols_fit, rng, sample,
+                    save_graph, save_model, scm, shapley_exact, split,
+                    stepwise_forward)
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
-                           FeatureMismatchError, IoError, ModelFileError,
+                           DegenerateColumnError, FeatureMismatchError,
+                           IoError, ModelFileError, RankDeficientError,
                            RowShapeError, ScmLabError, UnknownColumnError)
 from scmlab.experiments import build_config, parse_config_file, run
 from scmlab.experiments.generators import shape_pair_model
-from scmlab.flexfit import predict_on_matrix
+from scmlab.flexfit import SplitPlan, predict_on_matrix
 from scmlab.rng import derive_seed, substream
 
 
@@ -44,6 +47,21 @@ def _gbt():
 
 
 _BACKGROUND = np.array([[0.0, 1.0], [2.0, -1.0]])
+
+
+def _logistic(regressors, **columns):
+    # the classes overlap on x, so only the design's rank can fail
+    data = Dataset({"x": np.arange(6.0), "y": [0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+                    **columns})
+    return logistic_fit(data, "y", regressors)
+
+
+def _stepwise(y, test_rows):
+    # test_rows: the last rows, held out
+    n = len(y)
+    data = Dataset({"c1": np.arange(n) % 3, "c2": np.arange(n) % 2, "y": y})
+    plan = SplitPlan(np.arange(n - test_rows), np.arange(n - test_rows, n))
+    return stepwise_forward(data, "y", ["c1", "c2"], plan)
 
 
 BAD_CALLS = [
@@ -123,6 +141,36 @@ BAD_CALLS = [
     (lambda tmp: shapley_exact(_sum, [1.0, 2.0], _BACKGROUND,
                                features=["a", "a"]),
      FeatureMismatchError, ValueError, "feature 'a' is listed twice"),
+    (lambda tmp: Dataset({"a": [np.complex128(1 + 1j), 2.0]}),
+     DatasetShapeError, ValueError,
+     "column 'a' does not hold numbers: complex128 values are not real"),
+    (lambda tmp: shapley_exact(_sum, [np.complex128(1 + 2j), 1.0],
+                               _BACKGROUND, features=["a", "b"]),
+     RowShapeError, ValueError, "instance must hold numbers"),
+    (lambda tmp: sample(_custom_model(lambda x: x + 1j), 10, 0),
+     DatasetShapeError, ValueError, "node 'y': custom assignment did not "
+     "give real numbers: complex128 values are not real numbers"),
+    (lambda tmp: sample(_custom_model(lambda x: "x"), 10, 0),
+     DatasetShapeError, ValueError,
+     "node 'y': custom assignment did not give real numbers"),
+    # the rows below raised no error, or ZeroDivisionError, before
+    (lambda tmp: _logistic(["x", "c"], c=np.full(6, 2.0)),
+     RankDeficientError, ScmLabError, "design matrix is rank deficient"),
+    (lambda tmp: _logistic(["x", "x"]),
+     RankDeficientError, ScmLabError, "design matrix is rank deficient"),
+    (lambda tmp: _logistic(["x", "x2"], x2=2.0 * np.arange(6.0)),
+     RankDeficientError, ScmLabError, "design matrix is rank deficient"),
+    (lambda tmp: _stepwise(np.ones(8), 3), DegenerateColumnError,
+     ScmLabError, "target 'y' does not vary on the training rows"),
+    (lambda tmp: _stepwise(np.r_[np.arange(5.0), 1.0, 1.0, 1.0], 3),
+     DegenerateColumnError, ScmLabError,
+     "target 'y' does not vary on the test rows"),
+    (lambda tmp: gbt_train(_data(), "y", ["x", "x"],
+                           GbtConfig(n_trees=1, depth=1, min_leaf=1)),
+     FeatureMismatchError, ValueError, "feature 'x' is listed twice"),
+    (lambda tmp: mlp_train(_data(), "y", ["x", "x"],
+                           MlpConfig(hidden=(2,), epochs=1)),
+     FeatureMismatchError, ValueError, "feature 'x' is listed twice"),
 ]
 
 
@@ -139,7 +187,12 @@ BAD_CALLS = [
     "summary-ragged-rows", "shapley-ragged-instance",
     "predict-string-rows", "dataset-string-column", "dataset-complex-column",
     "shapley-complex-instance", "predict-complex-rows",
-    "shapley-repeated-feature"])
+    "shapley-repeated-feature", "dataset-complex-scalar-list",
+    "shapley-complex-scalar-instance", "sample-custom-complex",
+    "sample-custom-string", "logistic-constant-regressor",
+    "logistic-repeated-regressor", "logistic-collinear-regressors",
+    "stepwise-constant-training-target", "stepwise-constant-test-target",
+    "gbt-repeated-feature", "mlp-repeated-feature"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:

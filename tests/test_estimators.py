@@ -90,6 +90,25 @@ def test_ols_rank_deficient_design():
         ols_fit(d, "y", ["x", "x_copy"])
 
 
+@pytest.mark.parametrize("eps, ratio", [(1e-2, 4.9e-3), (1e-9, 4.9e-10),
+                                        (1e-11, 4.9e-12)])
+def test_ols_and_logistic_share_one_rank_rule(eps, ratio):
+    # w = x + eps*z: X'X's eigenvalues settle the first design; the others
+    # fall to X's singular values, whose ratio sits just above and just
+    # below the 1e-10 rule
+    rng = np.random.default_rng(3)
+    x, z, noise = rng.standard_normal((3, 400))
+    d = make_data(x=x, w=x + eps * z, y=(x + noise > 0).astype(float))
+    s = np.linalg.svd(estimators._design(d, ["x", "w"]), compute_uv=False)
+    assert s[-1] / s[0] == pytest.approx(ratio, rel=0.05)
+    for fit in (ols_fit, logistic_fit):
+        if ratio < estimators._RANK_TOL:
+            with pytest.raises(RankDeficientError):
+                fit(d, "y", ["x", "w"])
+        else:
+            fit(d, "y", ["x", "w"])
+
+
 # --- p-values: scipy.special forms of the scipy.stats survival functions --
 
 def test_t_and_z_pvalues_equal_scipy_stats_bit_for_bit():

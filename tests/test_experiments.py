@@ -253,6 +253,20 @@ def test_backdoor_report_contents(tmp_path):
     assert report["results"]["identifiable"] is True
 
 
+@pytest.mark.parametrize("experiment", [
+    name for name in ALL_EXPERIMENTS if name not in ("fig3_fit", "fig5_sweep")])
+def test_a_runner_returns_results_and_tables_and_run_alone_writes(
+        tmp_path, monkeypatch, experiment):
+    monkeypatch.chdir(tmp_path)
+    cfg = build_config(experiment, out_dir=str(tmp_path / "out"))
+    results, tables = _REGISTRY[experiment][0](cfg)
+    assert type(results) is dict and type(tables) is dict
+    assert all(len(table) == 2 for table in tables.values())  # columns, rows
+    assert list(tmp_path.iterdir()) == []
+    assert run(cfg) == sorted(["meta.json", "report.json",
+                               *(f"{stem}.csv" for stem in tables)])
+
+
 def test_rerun_is_byte_identical(tmp_path):
     for d in ["a", "b"]:
         cfg = build_config("overfit_demo", out_dir=str(tmp_path / d), n=60,

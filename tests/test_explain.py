@@ -352,6 +352,20 @@ def test_summary_masses_partition_total():
     assert s.mean_abs("x1") > s.mean_abs("x3") > 0.0
 
 
+def test_summary_reads_a_bare_string_as_one_relevant_name():
+    B = random_background(14, 10, 3)
+    E = random_background(15, 6, 3)
+    f = partial(np.sum, axis=1)
+    features = ["ab", "a", "b"]
+    s = attribution_summary(f, E, B, "ab", features=features)
+    listed = attribution_summary(f, E, B, ["ab"], features=features)
+    assert s.relevant == listed.relevant == ["ab"]
+    assert s.irrelevant == ["a", "b"]
+    assert s.relevant_mass == listed.relevant_mass
+    with pytest.raises(TypeError):
+        attribution_summary(f, E, B, None, features=features)
+
+
 def test_summary_mean_abs_matches_per_instance_values():
     B = random_background(12, 10, 2)
     E = random_background(13, 6, 2)

@@ -270,6 +270,18 @@ def test_valid_backdoor_set_rules():
         is_valid_backdoor_set(g, "x", "y", {"x"})
 
 
+@pytest.mark.parametrize("method", ["reachable", "moral"])
+def test_a_bare_string_is_one_node_name(method):
+    # read letter by letter, "ab" would be {a, b} and "x1" {x, 1}
+    g = Dag(["ab", "a", "b", "c", "x1", "z1"],
+            [("a", "c"), ("z1", "x1"), ("z1", "c"), ("x1", "c")])
+    assert d_separated(g, "ab", "c", [], method=method)
+    assert not d_separated(g, "x1", "c", "z1", method=method)
+    assert d_separated(g, "ab", ["c", "x1"], "z1", method=method)
+    assert is_valid_backdoor_set(g, "x1", "c", "z1")
+    assert not is_valid_backdoor_set(g, "x1", "c", "ab")
+
+
 @pytest.mark.parametrize("Z", [{"x"}, {"y", "z"}])
 def test_valid_backdoor_set_rejects_cause_or_outcome_in_set(Z):
     with pytest.raises(OverlappingSetsError,
