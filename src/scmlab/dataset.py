@@ -9,7 +9,7 @@ from numpy.exceptions import ComplexWarning
 
 from .errors import (DatasetShapeError, EmptyFeatureListError,
                      FeatureMismatchError, NonFiniteValueError, RowShapeError,
-                     UnknownColumnError)
+                     UnknownColumnError, names)
 
 
 class Dataset:
@@ -68,13 +68,13 @@ class Dataset:
         except KeyError:
             raise UnknownColumnError(f"no column named {name!r}") from None
 
-    def matrix(self, names) -> np.ndarray:
-        """Columns stacked as an (n_rows, len(names)) array, in given
+    def matrix(self, columns) -> np.ndarray:
+        """The named columns stacked as an (n_rows, k) array, in given
         order; at least one name is needed."""
-        names = list(names)
-        if not names:
+        columns = names(columns)
+        if not columns:
             raise EmptyFeatureListError("no columns named for the matrix")
-        return np.column_stack([self.column(n) for n in names])
+        return np.column_stack([self.column(n) for n in columns])
 
     def take(self, rows) -> "Dataset":
         """Row subset (by index array), keeping all columns."""
@@ -107,7 +107,7 @@ def _as_real(values) -> np.ndarray:
 def _distinct_features(features) -> list:
     """``features`` as a list; FeatureMismatchError names the first
     feature that is listed twice."""
-    features = list(features)
+    features = names(features)
     for i, f in enumerate(features):
         if f in features[:i]:
             raise FeatureMismatchError(f"feature {f!r} is listed twice")

@@ -309,7 +309,8 @@ def check_fields(config, ranges: dict):
             f.name, getattr(config, f.name), f.default, ranges[f.name]))
 
 
-def name_set(names) -> set:
-    """The set of names in ``names``: a bare string is one name, not the
-    letters it is spelled with; any other iterable lists names."""
-    return {names} if isinstance(names, str) else set(names)
+def names(x) -> list:
+    """The one rule for reading a list of names: a bare string is one name,
+    not the letters it is spelled with; any other iterable lists its names
+    in order (``None`` keeps ``list()``'s TypeError)."""
+    return [x] if isinstance(x, str) else list(x)

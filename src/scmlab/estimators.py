@@ -16,7 +16,8 @@ from scipy.special import digamma, expit, ndtr, stdtr
 from .dataset import Dataset
 from .errors import (DegenerateColumnError, InsufficientDataError,
                      NonBinaryTargetError, NonFiniteValueError,
-                     RankDeficientError, SeparationError, check_value)
+                     RankDeficientError, SeparationError, check_value,
+                     names)
 from .rng import substream
 
 _RANK_TOL = 1e-10          # singular values below tol*s_max are rank loss
@@ -117,7 +118,7 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     value below 1e-10 times the largest), and NonFiniteValueError when the
     residual variance overflows the float range.
     """
-    regressors = list(regressors)
+    regressors = names(regressors)
     n, p = data.n_rows, len(regressors) + 1
     if n <= p:
         raise InsufficientDataError(
@@ -182,7 +183,7 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     applies. Standard errors come from the observed information;
     p-values are two-sided Wald z-tests.
     """
-    regressors = list(regressors)
+    regressors = names(regressors)
     y = data.column(target)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise NonBinaryTargetError("target must contain only 0 and 1")

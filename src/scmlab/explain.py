@@ -28,11 +28,11 @@ from math import factorial
 
 import numpy as np
 
-from .dataset import _distinct_features, _float_rows, _row_matrix
+from .dataset import _as_real, _distinct_features, _float_rows, _row_matrix
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
                      FeatureMismatchError, RowShapeError,
-                     TooManyFeaturesError, UnknownColumnError, name_set)
+                     TooManyFeaturesError, UnknownColumnError, names)
 from .flexfit import GbtModel, gbt, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -109,7 +109,7 @@ def _feature_list(model, features):
             raise FeatureListRequiredError(
                 "pass `features` explicitly for a bare callable")
         features = trained
-    features = list(features)
+    features = names(features)
     if not features:
         raise EmptyFeatureListError("the feature list is empty")
     if trained is not None and features != list(trained):
@@ -124,14 +124,17 @@ def _feature_list(model, features):
 
 
 def _instance_value(instance: dict, f: str) -> float:
-    """A mapping instance's value of feature ``f``, as a float."""
+    """A mapping instance's value of feature ``f``, as a real number by
+    ``_as_real``'s rule; ``None``, which numpy would read as NaN, keeps
+    ``float()``'s TypeError."""
     if f not in instance:
         raise UnknownColumnError(f"instance has no feature {f!r}")
+    value = instance[f]
     try:
-        return float(instance[f])
+        return float(value if value is None else _as_real(value))
     except ValueError:
         raise RowShapeError(f"instance feature {f!r} is not a number: "
-                            f"{instance[f]!r}") from None
+                            f"{value!r}") from None
 
 
 def _features_and_background(model, features, background):
@@ -230,13 +233,12 @@ def attribution_summary(model, eval_set, background, relevant,
     attribution mass on the relevant / irrelevant feature partition.
     ``eval_set`` (a Dataset or an (m, d) array) is checked against the
     features as the background is; zero rows raise EmptyEvaluationError,
-    and a ``relevant`` name that is not a feature FeatureMismatchError.
-    A bare string ``relevant`` is one name."""
+    and a ``relevant`` name that is not a feature FeatureMismatchError."""
     features, B = _features_and_background(model, features, background)
     E = _row_matrix(eval_set, features, "evaluation rows")
     if E.shape[0] == 0:
         raise EmptyEvaluationError("evaluation rows: none to explain")
-    relevant = name_set(relevant)
+    relevant = set(names(relevant))
     unknown = sorted(relevant - set(features))
     if unknown:
         raise FeatureMismatchError(f"relevant names {unknown} are not "

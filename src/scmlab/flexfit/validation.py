@@ -10,7 +10,7 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import (ConfigValidationError, DegenerateColumnError,
-                      InsufficientDataError, check_value)
+                      InsufficientDataError, check_value, names)
 from ..estimators import ols_fit
 from ..rng import substream
 
@@ -70,7 +70,7 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     """
     if math.isnan(min_improvement):
         raise ConfigValidationError("min_improvement = nan must be a number")
-    candidates = list(candidates)
+    candidates = names(candidates)
     check_value("len(candidates)", len(candidates), 0, "[2, inf)")
     if plan.test_idx.size < 2:
         raise InsufficientDataError(

@@ -40,7 +40,7 @@ from itertools import combinations
 
 from .errors import (CycleError, DuplicateNodeError, GraphFileError,
                      OverlappingSetsError, TooManyCandidatesError,
-                     UnknownNodeError, check_value, name_set, open_file)
+                     UnknownNodeError, check_value, names, open_file)
 
 _CANDIDATE_LIMIT = 20
 
@@ -66,7 +66,7 @@ class Dag:
     """
 
     def __init__(self, nodes, edges, observed=None):
-        self.nodes = list(nodes)
+        self.nodes = names(nodes)
         self._index = {n: i for i, n in enumerate(self.nodes)}  # name -> position
         if len(self._index) != len(self.nodes):
             raise DuplicateNodeError("duplicate node names")
@@ -75,7 +75,7 @@ class Dag:
             if p not in self._index or c not in self._index:
                 raise UnknownNodeError(f"edge ({p!r}, {c!r}) references an undeclared node")
             self.edges.add((p, c))
-        self.observed = set(self.nodes) if observed is None else set(observed)
+        self.observed = set(self.nodes if observed is None else names(observed))
         for n in self.observed:
             if n not in self._index:
                 raise UnknownNodeError(f"observed list names unknown node {n!r}")
@@ -94,11 +94,15 @@ class Dag:
 
     def ancestors_of(self, seeds) -> set:
         """All ancestors of the seed set (not including the seeds
-        themselves unless reachable)."""
-        return _closure(self._parents, seeds)
-
-    def descendants_of(self, node) -> set:
-        return _closure(self._children, [node])
+        themselves unless reachable), by one stack walk."""
+        out = set()
+        stack = [p for s in names(seeds) for p in self._parents[s]]
+        while stack:
+            n = stack.pop()
+            if n not in out:
+                out.add(n)
+                stack.extend(self._parents[n])
+        return out
 
     @cached_property
     def _masks(self) -> "_NodeMasks":
@@ -178,19 +182,6 @@ def _union(masks, m: int) -> int:
     return out
 
 
-def _closure(step, start) -> set:
-    """Every node one or more ``step`` moves (a parent or child map) from
-    a node of ``start``, by one stack walk."""
-    out = set()
-    stack = [m for s in start for m in step[s]]
-    while stack:
-        n = stack.pop()
-        if n not in out:
-            out.add(n)
-            stack.extend(step[n])
-    return out
-
-
 def topological_sort(g: Dag) -> list:
     """Node list with every edge pointing from earlier to later.
 
@@ -214,7 +205,7 @@ def topological_sort(g: Dag) -> list:
 
 
 def _as_sets(g, X, Y, Z):
-    X, Y, Z = name_set(X), name_set(Y), name_set(Z)
+    X, Y, Z = set(names(X)), set(names(Y)), set(names(Z))
     g._check_nodes(*X, *Y, *Z)
     if X & Y or X & Z or Y & Z:
         raise OverlappingSetsError("X, Y, Z must be pairwise disjoint")
@@ -226,7 +217,7 @@ def d_separated(g: Dag, X, Y, Z, method: str = "reachable") -> bool:
 
     Blocking follows the standard rules: a chain or fork node blocks when
     it is in Z; a collider blocks unless it or one of its descendants is
-    in Z. X, Y and Z each hold node names; a bare string is one name.
+    in Z. X, Y and Z each hold node names, read by ``errors.names``.
     ``method`` selects the implementation: ``"reachable"`` (default)
     or ``"moral"`` — they always agree and exist for cross-checking; any
     other value raises ConfigValidationError.
@@ -357,12 +348,11 @@ def backdoor_paths(g: Dag, cause: str, outcome: str) -> list:
 def is_valid_backdoor_set(g: Dag, cause: str, outcome: str, Z) -> bool:
     """Backdoor criterion: no member of Z descends from cause, and Z
     d-separates cause from outcome once cause's outgoing edges are cut.
-    A bare string Z is one name.
 
     The second step is the reachability walk on ``g`` itself with the
     edges out of cause forbidden (``_reaches``'s ``cut``).
     """
-    Z = name_set(Z)
+    Z = set(names(Z))
     g._check_query(cause, outcome)
     g._check_nodes(*Z)
     if cause in Z or outcome in Z:

@@ -37,7 +37,7 @@ from .dataset import Dataset, _as_real
 from .errors import (ConfigValidationError, DatasetShapeError,
                      DuplicateAssignmentError, ModelFileError,
                      NonlinearModelError, SingularCovarianceError,
-                     UnknownParentError, check_value, open_file)
+                     UnknownParentError, check_value, names, open_file)
 from .graph import Dag
 from .rng import normal_column, uniform_column
 
@@ -123,7 +123,7 @@ class Assignment:
     @staticmethod
     def linear(parents, weights, intercept: float = 0.0,
                noise: NoiseSpec = None) -> "Assignment":
-        parents = tuple(parents)
+        parents = tuple(names(parents))
         weights = check_value("weights", weights, (0.0,))
         if len(parents) != len(weights):
             raise ConfigValidationError(
@@ -139,7 +139,7 @@ class Assignment:
     @staticmethod
     def custom(parents, func, noise: NoiseSpec = None) -> "Assignment":
         """Opaque deterministic function of the parents plus additive noise."""
-        return Assignment(tuple(parents), "custom",
+        return Assignment(tuple(names(parents)), "custom",
                           noise or NoiseSpec.constant(0.0), func=func)
 
 
@@ -175,7 +175,7 @@ class StructuralModel:
                 raise DuplicateAssignmentError(
                     f"node {k!r} assigned more than once")
             self.assignments[k] = v
-        self.nodes = list(nodes) if nodes is not None else list(self.assignments)
+        self.nodes = names(nodes if nodes is not None else self.assignments)
         declared = set(self.nodes)
         missing = [n for n in self.nodes if n not in self.assignments]
         if missing or len(declared) != len(self.nodes):
@@ -461,7 +461,7 @@ def population_regression(model: StructuralModel, target: str,
     Reads the model's stored moments, so repeated calls on one model cost
     only the regressor block's solve.
     """
-    regressors = list(regressors)
+    regressors = names(regressors)
     model._graph._check_nodes(target, *regressors)
     cov = population_covariance(model)
     mu = population_mean(model)

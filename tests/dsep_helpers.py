@@ -8,6 +8,9 @@ rows per query, and the package implementations are cross-checked against
 the stack on a random subsample.
 
 Adjacency convention: ``A[d, i, j]`` is True iff DAG d has the edge i -> j.
+
+``descendants_of`` is the set-based reference for one ``Dag``, read from
+its edge list alone.
 """
 
 from __future__ import annotations
@@ -150,3 +153,13 @@ def all_queries(m: int) -> list:
             for Z in itertools.combinations(rest, size):
                 queries.append((x, y, Z))
     return queries
+
+
+def descendants_of(g, node) -> set:
+    """Every node that ``node`` reaches along one or more edges of the
+    ``Dag`` ``g``."""
+    out, frontier = set(), {node}
+    while frontier:
+        frontier = {c for p, c in g.edges if p in frontier} - out
+        out |= frontier
+    return out

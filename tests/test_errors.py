@@ -8,14 +8,16 @@ import pytest
 
 from scmlab import (Assignment, Dag, Dataset, GbtConfig, MlpConfig,
                     NoiseSpec, StructuralModel, attribution_summary,
-                    d_separated, gbt_train, gradient_check, load_graph,
-                    load_model, logistic_fit, mlp_train, ols_fit, rng, sample,
-                    save_graph, save_model, scm, shapley_exact, split,
-                    stepwise_forward)
+                    d_separated, gbt_train, gradient_check,
+                    is_valid_backdoor_set, load_graph, load_model,
+                    logistic_fit, mlp_train, ols_fit, population_regression,
+                    rng, sample, save_graph, save_model, scm, shapley_exact,
+                    split, stepwise_forward)
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
                            DegenerateColumnError, FeatureMismatchError,
                            IoError, ModelFileError, RankDeficientError,
-                           RowShapeError, ScmLabError, UnknownColumnError)
+                           RowShapeError, ScmLabError, UnknownColumnError,
+                           names)
 from scmlab.experiments import build_config, parse_config_file, run
 from scmlab.experiments.generators import shape_pair_model
 from scmlab.flexfit import SplitPlan, predict_on_matrix
@@ -171,6 +173,10 @@ BAD_CALLS = [
     (lambda tmp: mlp_train(_data(), "y", ["x", "x"],
                            MlpConfig(hidden=(2,), epochs=1)),
      FeatureMismatchError, ValueError, "feature 'x' is listed twice"),
+    (lambda tmp: shapley_exact(_sum, {"a": np.complex128(1 + 2j), "b": 1.0},
+                               _BACKGROUND, features=["a", "b"]),
+     RowShapeError, ValueError,
+     "instance feature 'a' is not a number: np.complex128(1+2j)"),
 ]
 
 
@@ -192,7 +198,8 @@ BAD_CALLS = [
     "sample-custom-string", "logistic-constant-regressor",
     "logistic-repeated-regressor", "logistic-collinear-regressors",
     "stepwise-constant-training-target", "stepwise-constant-test-target",
-    "gbt-repeated-feature", "mlp-repeated-feature"])
+    "gbt-repeated-feature", "mlp-repeated-feature",
+    "shapley-complex-dict-value"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:
@@ -236,6 +243,13 @@ def test_a_list_of_complex_values_keeps_its_type_error():
                  lambda: predict_on_matrix(_gbt(), [[1 + 2j]])):
         with pytest.raises(TypeError):
             call()
+
+
+def test_a_none_instance_value_keeps_its_type_error():
+    # numpy would read None as NaN; float()'s TypeError stays
+    with pytest.raises(TypeError, match="not 'NoneType'"):
+        shapley_exact(_sum, {"a": None, "b": 1.0}, _BACKGROUND,
+                      features=["a", "b"])
 
 
 def test_unknown_column_message_is_not_quoted():
@@ -282,3 +296,87 @@ def test_sample_checks_n_once_per_call(monkeypatch):
                              for i in range(5)})
     sample(model, 10, 3)
     assert labels.count("n") == 1
+
+
+# --- the names rule: a bare string is one name ----------------------------
+
+def _named_columns():
+    # read letter by letter, "ab" would be columns a and b, and "x1" would
+    # be x and 1
+    return Dataset({"a": np.arange(8.0), "b": np.arange(8.0) % 3,
+                    "ab": [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0],
+                    "x1": [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0, 8.0],
+                    "y": [0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]})
+
+
+def _outcome(call):
+    """What ``call()`` gives, or the named error it raises."""
+    try:
+        return call()
+    except ScmLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_GAUSS = NoiseSpec.gaussian()
+# a -> ab <- b, ab -> c, d -> a: "ab" read as {a, b} would overlap the
+# queries' other sets, and has ancestors a, b and d where a and b have d
+_AB_GRAPH = Dag(["a", "b", "ab", "c", "d"],
+                [("a", "ab"), ("b", "ab"), ("ab", "c"), ("d", "a")])
+# x <- ab -> y and x -> y: {ab} is a backdoor set, {a, b} is not
+_BACKDOOR = Dag(["a", "b", "ab", "x", "y"],
+                [("ab", "x"), ("ab", "y"), ("x", "y")])
+
+BARE_NAME_CALLS = [
+    (lambda: _named_columns().matrix("ab")[:, 0].tolist(),
+     [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]),
+    (lambda: ols_fit(_named_columns(), "y", "ab").terms, ["intercept", "ab"]),
+    (lambda: ols_fit(_named_columns(), "y", "x1").terms, ["intercept", "x1"]),
+    (lambda: logistic_fit(_named_columns(), "y", "ab").terms,
+     ["intercept", "ab"]),
+    (lambda: population_regression(StructuralModel({
+        "x1": Assignment.exogenous(_GAUSS),
+        "y": Assignment.linear(["x1"], [2.0], noise=_GAUSS)}),
+        "y", "x1").tolist(), [0.0, 2.0]),
+    (lambda: stepwise_forward(_named_columns(), "y", "ab",
+                              SplitPlan(np.arange(5), np.arange(5, 8))),
+     "ConfigValidationError: len(candidates) = 1 must lie in [2, inf)"),
+    (lambda: gbt_train(_named_columns(), "y", "ab",
+                       GbtConfig(n_trees=1, depth=1, min_leaf=1)).feature_names,
+     ["ab"]),
+    (lambda: mlp_train(_named_columns(), "y", "ab",
+                       MlpConfig(hidden=(2,), epochs=1)).feature_names,
+     ["ab"]),
+    (lambda: shapley_exact(lambda X: X[:, 0], [1.0], np.zeros((2, 1)),
+                           features="ab").phi.tolist(), [1.0]),
+    (lambda: Assignment.linear("x1", [1.0]).parents, ("x1",)),
+    (lambda: Assignment.custom("ab", np.tanh).parents, ("ab",)),
+    (lambda: StructuralModel({"ab": Assignment.exogenous(_GAUSS)},
+                             nodes="ab").nodes, ["ab"]),
+    (lambda: Dag("ab", []).nodes, ["ab"]),
+    (lambda: Dag(["ab", "c"], [("ab", "c")], observed="ab").observed, {"ab"}),
+    (lambda: sorted(_AB_GRAPH.ancestors_of("ab")), ["a", "b", "d"]),
+    (lambda: d_separated(_AB_GRAPH, "ab", "d", ["a"]), True),
+    (lambda: d_separated(_AB_GRAPH, "d", "ab", ["a"]), True),
+    (lambda: d_separated(_AB_GRAPH, "a", "c", "ab"), True),
+    (lambda: is_valid_backdoor_set(_BACKDOOR, "x", "y", "ab"), True),
+    (lambda: attribution_summary(_sum, _BACKGROUND, _BACKGROUND, "ab",
+                                 features=["ab", "b"]).relevant, ["ab"]),
+]
+
+
+@pytest.mark.parametrize("call, expected", BARE_NAME_CALLS, ids=[
+    "dataset-matrix", "ols-ab", "ols-x1", "logistic",
+    "population-regression", "stepwise-candidates", "gbt-features",
+    "mlp-features", "shapley-features", "assignment-linear",
+    "assignment-custom", "model-nodes", "dag-nodes", "dag-observed",
+    "dag-ancestors", "dsep-x", "dsep-y", "dsep-z", "backdoor-z",
+    "summary-relevant"])
+def test_a_bare_string_is_one_name_at_every_entry_point(call, expected):
+    assert _outcome(call) == expected
+
+
+def test_names_lists_an_iterable_and_keeps_none_a_type_error():
+    assert names("ab") == ["ab"]
+    assert names(("a", "b")) == names(iter("ab")) == ["a", "b"]
+    with pytest.raises(TypeError):
+        names(None)

@@ -12,9 +12,10 @@ from scmlab.errors import (ConfigValidationError, CycleError,
                            OverlappingSetsError, TooManyCandidatesError,
                            UnknownNodeError)
 
-from dsep_helpers import (all_dags, all_queries, moral_separated_batch,
-                          node_major, pack_rows, reflexive_closure,
-                          shared_child, square_closure, step, unpack_rows)
+from dsep_helpers import (all_dags, all_queries, descendants_of,
+                          moral_separated_batch, node_major, pack_rows,
+                          reflexive_closure, shared_child, square_closure,
+                          step, unpack_rows)
 from sem_helpers import random_linear_model
 
 
@@ -96,7 +97,7 @@ def test_from_structural_model_carries_edges():
 def test_ancestors_descendants():
     g = chain()
     assert g.ancestors_of({"y"}) == {"x", "m"}
-    assert g.descendants_of("x") == {"m", "y"}
+    assert descendants_of(g, "x") == {"m", "y"}
 
 
 # --- d-separation ---------------------------------------------------------
@@ -357,7 +358,7 @@ def _reference_backdoor_valid(g, cause, outcome, S):
     """The backdoor criterion from its definition: no member of ``S``
     descends from cause, and ``S`` separates cause from outcome, by the
     moral route, in a graph built without cause's outgoing edges."""
-    if set(S) & g.descendants_of(cause):
+    if set(S) & descendants_of(g, cause):
         return False
     cut = Dag(g.nodes, [e for e in g.edges if e[0] != cause])
     return d_separated(cut, {cause}, {outcome}, set(S), method="moral")
@@ -414,7 +415,7 @@ def test_minimal_backdoor_sets_match_per_subset_criterion():
             assert got.valid_sets == valid, (case, sorted(pool))
             assert got.minimal_sets == minimal, (case, sorted(pool))
             assert got.identifiable == bool(valid)
-        if everything & g.descendants_of(cause):
+        if everything & descendants_of(g, cause):
             with_descendant_candidates += 1
     assert with_descendant_candidates >= 6
 
@@ -423,7 +424,7 @@ def _per_subset_search(g, cause, outcome):
     """The backdoor search as one ``is_valid_backdoor_set`` call per subset
     of the usable candidates, by size then name: every valid set, and each
     one that contains no valid set found before it."""
-    usable = sorted(g.observed - {cause, outcome} - g.descendants_of(cause))
+    usable = sorted(g.observed - {cause, outcome} - descendants_of(g, cause))
     valid, minimal = [], []
     for k in range(len(usable) + 1):
         for S in itertools.combinations(usable, k):
@@ -457,7 +458,7 @@ def test_minimal_backdoor_sets_equal_a_per_subset_loop():
         assert got.valid_sets == valid
         assert got.minimal_sets == minimal
         searched += 2 ** len(g.observed - {cause, outcome}
-                             - g.descendants_of(cause))
+                             - descendants_of(g, cause))
     assert searched > 3 * 2 ** 14
 
 

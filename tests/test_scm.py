@@ -21,6 +21,7 @@ from scmlab.errors import (ConfigValidationError, CycleError,
 from scmlab import scm
 from scmlab.experiments.generators import (confounded_chain_model,
                                            exogenous_predictor_model)
+from dsep_helpers import descendants_of
 from sem_helpers import (dense_covariance, dense_mean, forward_covariance,
                          forward_mean, forward_total_effect, oracle_digest,
                          random_linear_model, total_effect_matrix)
@@ -566,7 +567,7 @@ def test_total_effect_custom_rule_on_random_models():
         pairs = np.random.default_rng(seed).choice(60, size=(150, 2))
         for cause, outcome in ((m.nodes[c], m.nodes[o]) for c, o in pairs
                                if c != o):
-            below = g.descendants_of(cause)
+            below = descendants_of(g, cause)
             above = g.ancestors_of([outcome]) | {outcome}
             hit = [n for n in custom if n in below and n in above]
             if hit:
