@@ -20,10 +20,11 @@ ALLOWED = {
 
 
 def _is_dataclass(node):
-    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
-               for d in node.decorator_list
-               if isinstance(d.func if isinstance(d, ast.Call) else d,
-                             ast.Name))
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if isinstance(d, ast.Name) and d.id == "dataclass":
+            return True
+    return False
 
 
 def _scan():
