@@ -11,6 +11,14 @@ from .errors import (DatasetShapeError, EmptyFeatureListError,
                      FeatureMismatchError, NonFiniteValueError, RowShapeError,
                      UnknownColumnError, names)
 
+# cache budget, in elements, of one step of work on a block of rows: a
+# chunk of evaluation rows that explain takes has at most this many
+# coalition outputs (8 rows x 256 coalitions x 64 background rows) and a
+# block of its coalition grid at most this many elements; GBT prediction
+# and the cell-table build take rows and cells in blocks of this many
+# elements over the group or feature count
+_CHUNK_ROWS = 131_072
+
 
 class Dataset:
     """Immutable table of named float64 columns of equal length.

@@ -57,6 +57,12 @@ class DuplicateNodeError(ScmLabError, ValueError):
     ``ValueError``, as it raised before."""
 
 
+class EdgeShapeError(ScmLabError, ValueError):
+    """An edge given to a graph is a string, or does not hold exactly two
+    names.  Also a ``ValueError``, as an edge of another length raised
+    one before (a two-letter string was read as its letters)."""
+
+
 class OverlappingSetsError(ScmLabError, ValueError):
     """A query's sets overlap: d-separation's X, Y, Z, or a cause, outcome
     and adjustment set.  Also a ``ValueError``, as the latter raised one."""

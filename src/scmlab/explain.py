@@ -28,7 +28,8 @@ from math import factorial
 
 import numpy as np
 
-from .dataset import _as_real, _distinct_features, _float_rows, _row_matrix
+from .dataset import (_CHUNK_ROWS, _as_real, _distinct_features,
+                      _float_rows, _row_matrix)
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
                      FeatureMismatchError, RowShapeError,
@@ -36,11 +37,6 @@ from .errors import (EmptyBackgroundError, EmptyEvaluationError,
 from .flexfit import GbtModel, gbt, predict_on_matrix
 
 _MAX_FEATURES = 12
-# cache budget, in elements, of one explain step: a chunk of evaluation rows
-# has at most this many coalition outputs (8 rows x 256 coalitions x 64
-# background rows), and a block of the coalition grid at most this many
-# elements
-_CHUNK_ROWS = 131_072
 
 
 @dataclass

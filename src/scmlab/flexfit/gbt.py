@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from ..dataset import _distinct_features
+from ..dataset import _CHUNK_ROWS, _distinct_features
 from ..errors import (DegenerateTargetError, NonBinaryTargetError,
                       check_fields)
 
@@ -141,12 +141,15 @@ class CellTables:
         C = np.empty(X.shape, dtype=np.intp)
         for f, th in enumerate(self.thresholds):
             C[:, f] = np.searchsorted(th, X[:, f], side="right")
-        return C + self.offset
+        C += self.offset
+        return C
 
 
 def _cell_tables(model):
     """The model's :class:`CellTables`, or None when they would hold more
-    than ``_MAX_CELLS`` cells."""
+    than ``_MAX_CELLS`` cells. A group's values are filled in blocks of at
+    most ``_CHUNK_ROWS // d`` cells, each block's corner points built from
+    its cell numbers."""
     d = len(model.feature_names)
     grids = []        # per group, {feature of U: its sorted thresholds}
     for group in model.tree_groups:
@@ -158,28 +161,33 @@ def _cell_tables(model):
     if sum(sizes) > _MAX_CELLS:
         return None
     sizes = np.array(sizes, dtype=np.intp)
+    start = np.cumsum(sizes) - sizes
     thresholds = tuple(np.unique(np.concatenate(
         [[]] + [g[f] for g in grids if f in g])) for f in range(d))
     widths = np.array([t.size + 1 for t in thresholds])
     offset = np.cumsum(widths) - widths
     lookup = np.zeros((len(grids), widths.sum()), dtype=np.intp)
     bits = np.zeros((len(grids), d), dtype=np.intp)
-    values = []
+    values = np.empty(sizes.sum())
+    step = max(1, _CHUNK_ROWS // max(1, d))
     for g, (group, grid, n) in enumerate(zip(model.tree_groups, grids,
                                              sizes)):
-        points = np.zeros((n, d), order="F")
+        axes = []     # per U-feature: (feature, stride, cell corners)
         stride = n
         for rank, (f, th) in enumerate(grid.items()):
             stride //= th.size + 1
             cells = np.searchsorted(th, thresholds[f], side="right")
             lookup[g, offset[f] + 1:offset[f] + widths[f]] = stride * cells
             bits[g, f] = 1 << rank
-            points[:, f] = np.tile(np.repeat(np.r_[-np.inf, th], stride),
-                                   n // (stride * (th.size + 1)))
-        values.append(_group_sum(model, group, points))
-    start = np.cumsum(sizes) - sizes
-    return CellTables(thresholds, offset, lookup, start,
-                      np.concatenate([[]] + values), bits)
+            axes.append((f, stride, np.r_[-np.inf, th]))
+        for lo in range(0, n, step):
+            cells = np.arange(lo, min(lo + step, n))
+            points = np.zeros((cells.size, d), order="F")
+            for f, stride, corners in axes:
+                points[:, f] = corners.take(cells // stride % corners.size)
+            values[start[g] + lo:start[g] + lo + cells.size] = _group_sum(
+                model, group, points)
+    return CellTables(thresholds, offset, lookup, start, values, bits)
 
 
 @dataclass
@@ -396,22 +404,34 @@ def predict_matrix(model: GbtModel, X: np.ndarray) -> np.ndarray:
 
 
 def _row_outputs(model: GbtModel, X, link: bool) -> np.ndarray:
-    """:func:`_output` at the rows of ``X``, each group's sum read from the
-    model's :class:`CellTables`, or, over the cell budget, from a walk of
-    its trees."""
+    """:func:`_output` at the rows of ``X``, in blocks of ``_CHUNK_ROWS``
+    elements over the wider of the group count and the feature count, so
+    the arrays a block needs stay within a few budgets at any row count."""
     X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    out = np.empty(n)
+    step = max(1, _CHUNK_ROWS // max(1, len(model.tree_groups), d))
+    for lo in range(0, n, step):
+        rows = X[lo:lo + step]
+        out[lo:lo + step] = _output(model, rows.shape[0],
+                                    _group_sums(model, rows), link)
+    return out
+
+
+def _group_sums(model: GbtModel, X: np.ndarray):
+    """Each group's sum at the rows of ``X``, in group order: read from
+    the model's :class:`CellTables` as one (groups, rows) array, or, over
+    the cell budget, from a walk of its trees."""
     tables = model.cell_tables
-    if tables is not None:
-        cell = np.repeat(tables.start[:, None], X.shape[0], axis=1)
-        for c in tables.columns(X).T:
-            cell += tables.lookup.take(c, axis=1)
-        sums = tables.values.take(cell)
-    else:
+    if tables is None:
         # column-major, so each tree walk gathers a split's feature from
         # one contiguous column
         X = np.asfortranarray(X)
-        sums = (_group_sum(model, group, X) for group in model.tree_groups)
-    return _output(model, X.shape[0], sums, link)
+        return (_group_sum(model, group, X) for group in model.tree_groups)
+    cell = np.repeat(tables.start[:, None], X.shape[0], axis=1)
+    for c in tables.columns(X).T:
+        cell += tables.lookup.take(c, axis=1)
+    return tables.values.take(cell)
 
 
 def _output(model: GbtModel, shape, group_sums, link: bool) -> np.ndarray:

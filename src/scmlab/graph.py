@@ -38,9 +38,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import (CycleError, DuplicateNodeError, GraphFileError,
-                     OverlappingSetsError, TooManyCandidatesError,
-                     UnknownNodeError, check_value, names, open_file)
+from .errors import (CycleError, DuplicateNodeError, EdgeShapeError,
+                     GraphFileError, OverlappingSetsError,
+                     TooManyCandidatesError, UnknownNodeError, check_value,
+                     names, open_file)
 
 _CANDIDATE_LIMIT = 20
 
@@ -61,8 +62,10 @@ class Dag:
     order : the :func:`topological_sort` of the graph, computed once at
         construction as its cycle check (raises CycleError).
 
-    Raises DuplicateNodeError for a name declared twice, UnknownNodeError
-    for an edge end or an observed name that is not declared.
+    Raises DuplicateNodeError for a name declared twice, EdgeShapeError
+    for an edge that is a string or does not hold two names, and
+    UnknownNodeError for an edge end or an observed name that is not
+    declared.
     """
 
     def __init__(self, nodes, edges, observed=None):
@@ -71,7 +74,15 @@ class Dag:
         if len(self._index) != len(self.nodes):
             raise DuplicateNodeError("duplicate node names")
         self.edges = set()
-        for p, c in edges:
+        for edge in edges:
+            if isinstance(edge, str):
+                raise EdgeShapeError(f"edge {edge!r} is a string, not a "
+                                     f"(parent, child) pair")
+            try:
+                p, c = edge
+            except ValueError:
+                raise EdgeShapeError(f"edge {edge!r} does not hold two "
+                                     f"names") from None
             if p not in self._index or c not in self._index:
                 raise UnknownNodeError(f"edge ({p!r}, {c!r}) references an undeclared node")
             self.edges.add((p, c))

@@ -14,10 +14,10 @@ from scmlab import (Assignment, Dag, Dataset, GbtConfig, MlpConfig,
                     rng, sample, save_graph, save_model, scm, shapley_exact,
                     split, stepwise_forward)
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
-                           DegenerateColumnError, FeatureMismatchError,
-                           IoError, ModelFileError, RankDeficientError,
-                           RowShapeError, ScmLabError, UnknownColumnError,
-                           names)
+                           DegenerateColumnError, EdgeShapeError,
+                           FeatureMismatchError, IoError, ModelFileError,
+                           RankDeficientError, RowShapeError, ScmLabError,
+                           UnknownColumnError, names)
 from scmlab.experiments import build_config, parse_config_file, run
 from scmlab.experiments.generators import shape_pair_model
 from scmlab.flexfit import SplitPlan, predict_on_matrix
@@ -177,6 +177,12 @@ BAD_CALLS = [
                                _BACKGROUND, features=["a", "b"]),
      RowShapeError, ValueError,
      "instance feature 'a' is not a number: np.complex128(1+2j)"),
+    (lambda tmp: Dag(["x", "y"], ["xy"]), EdgeShapeError, ValueError,
+     "edge 'xy' is a string, not a (parent, child) pair"),
+    (lambda tmp: Dag(["x", "y"], ("x", "y")), EdgeShapeError, ValueError,
+     "edge 'x' is a string, not a (parent, child) pair"),
+    (lambda tmp: Dag(["x", "y", "z"], [("x", "y", "z")]), EdgeShapeError,
+     ValueError, "edge ('x', 'y', 'z') does not hold two names"),
 ]
 
 
@@ -199,7 +205,8 @@ BAD_CALLS = [
     "logistic-repeated-regressor", "logistic-collinear-regressors",
     "stepwise-constant-training-target", "stepwise-constant-test-target",
     "gbt-repeated-feature", "mlp-repeated-feature",
-    "shapley-complex-dict-value"])
+    "shapley-complex-dict-value", "dag-string-edge", "dag-bare-pair-edges",
+    "dag-three-name-edge"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:
@@ -250,6 +257,14 @@ def test_a_none_instance_value_keeps_its_type_error():
     with pytest.raises(TypeError, match="not 'NoneType'"):
         shapley_exact(_sum, {"a": None, "b": 1.0}, _BACKGROUND,
                       features=["a", "b"])
+
+
+def test_a_none_edge_keeps_its_type_error():
+    # an edge that is no iterable at all is a TypeError, as None in place
+    # of a names argument is
+    for edges in ([None], None):
+        with pytest.raises(TypeError):
+            Dag(["x", "y"], edges)
 
 
 def test_unknown_column_message_is_not_quoted():

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +476,90 @@ def test_gbt_one_feature_set_sums_in_tree_order():
                        for t in model.trees])
     assert np.array_equal(gbt_module.decision_function(model, X),
                           model.base_score + np.cumsum(leaves, axis=0)[-1])
+
+
+# --- GBT prediction in blocks ----------------------------------------------
+
+def many_groups_model(n_trees):
+    """A depth-2 GBT on eight features that all carry signal, so its trees
+    split on many feature sets (28 groups at 40 trees)."""
+    n = 1000
+    cols = {f"x{j}": uniform_column(41, (j,), n) * 4.0 - 2.0
+            for j in range(8)}
+    y = (sum(np.sin((j + 1) * c) for j, c in enumerate(cols.values()))
+         + 0.1 * normal_column(41, (9,), n))
+    model = gbt_train(make_data(**cols, y=y), "y", list(cols),
+                      GbtConfig(n_trees=n_trees, depth=2, learning_rate=0.3,
+                                min_leaf=5))
+    return model, np.column_stack(list(cols.values()))
+
+
+def rows_per_block(model):
+    """The rows that prediction takes per block: the step budget over the
+    wider of the group count and the feature count."""
+    return gbt_module._CHUNK_ROWS // max(1, len(model.tree_groups),
+                                         len(model.feature_names))
+
+
+@pytest.mark.parametrize("budget", [None, 97])
+@pytest.mark.parametrize("kind", ["tables", "few-groups", "walk",
+                                  "zero-trees"])
+def test_gbt_prediction_in_blocks_matches_reference(kind, budget,
+                                                    monkeypatch):
+    # row counts on both sides of each block boundary; at the small budget
+    # the cell tables are also built in blocks of a few cells
+    if budget is not None:
+        monkeypatch.setattr(gbt_module, "_CHUNK_ROWS", budget)
+    n_trees = {"tables": 40, "few-groups": 3, "walk": 40, "zero-trees": 0}
+    model, X = many_groups_model(n_trees[kind])
+    if kind == "walk":
+        monkeypatch.setattr(gbt_module, "_MAX_CELLS", 0)
+    model = dataclasses.replace(model)      # tables built under the patches
+    assert (model.cell_tables is None) == (kind == "walk")
+    groups = len(model.tree_groups)
+    assert {"tables": groups > 8, "few-groups": 0 < groups < 8,
+            "walk": groups > 8, "zero-trees": groups == 0}[kind]
+    arrays = [(t.feature, t.threshold, t.left, t.right, t.value)
+              for t in model.trees]
+    pool = np.vstack([X, rows_on_thresholds(model, X), rows_off_the_line(X)])
+    B = rows_per_block(model)
+    for count in (1, B - 1, B, B + 1, 2 * B + 3):
+        rows = np.resize(pool, (count, pool.shape[1]))
+        assert np.array_equal(
+            gbt_module.decision_function(model, rows),
+            gbt_helpers.decision_function(arrays, model.learning_rate,
+                                          model.base_score, rows))
+
+
+def test_gbt_cell_tables_do_not_depend_on_the_block_size(monkeypatch):
+    model, _ = many_groups_model(40)
+    tables = model.cell_tables
+    for budget in (8, 9, 8 * 37):
+        monkeypatch.setattr(gbt_module, "_CHUNK_ROWS", budget)
+        small = dataclasses.replace(model).cell_tables
+        for field in dataclasses.fields(tables):
+            a, b = getattr(tables, field.name), getattr(small, field.name)
+            if field.name == "thresholds":
+                assert all(map(np.array_equal, a, b))
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_gbt_prediction_memory_does_not_grow_with_rows_times_groups():
+    # 100 000 rows through a 28-group model: besides the output, prediction
+    # holds a few blocks of the step budget (8-byte elements), where one
+    # (groups x rows) array alone would take 22 MB
+    model, X = many_groups_model(40)
+    assert len(model.tree_groups) >= 10
+    rows = np.resize(X, (100_000, X.shape[1]))
+    model.cell_tables                       # built once, before the trace
+    tracemalloc.start()
+    try:
+        out = gbt_module.predict_matrix(model, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 8 * gbt_module._CHUNK_ROWS
 
 
 # --- split / stepwise -----------------------------------------------------
