@@ -29,6 +29,9 @@ cell of the grid cut by the group's thresholds. A model whose tables would
 hold more than ``_MAX_CELLS`` values has none and walks its trees. Exact
 Shapley values read their coalition outputs from the same tables, and
 prediction and Shapley both add the group sums up in ``_output``.
+Prediction takes rows, and the table build cells, in blocks of the step
+budget ``dataset._CHUNK_ROWS``, so their working arrays do not grow with
+the number of rows or cells.
 """
 
 from __future__ import annotations
@@ -185,8 +188,7 @@ def _cell_tables(model):
             points = np.zeros((cells.size, d), order="F")
             for f, stride, corners in axes:
                 points[:, f] = corners.take(cells // stride % corners.size)
-            values[start[g] + lo:start[g] + lo + cells.size] = _group_sum(
-                model, group, points)
+            values[start[g] + cells] = _group_sum(model, group, points)
     return CellTables(thresholds, offset, lookup, start, values, bits)
 
 

@@ -494,13 +494,6 @@ def many_groups_model(n_trees):
     return model, np.column_stack(list(cols.values()))
 
 
-def rows_per_block(model):
-    """The rows that prediction takes per block: the step budget over the
-    wider of the group count and the feature count."""
-    return gbt_module._CHUNK_ROWS // max(1, len(model.tree_groups),
-                                         len(model.feature_names))
-
-
 @pytest.mark.parametrize("budget", [None, 97])
 @pytest.mark.parametrize("kind", ["tables", "few-groups", "walk",
                                   "zero-trees"])
@@ -522,7 +515,9 @@ def test_gbt_prediction_in_blocks_matches_reference(kind, budget,
     arrays = [(t.feature, t.threshold, t.left, t.right, t.value)
               for t in model.trees]
     pool = np.vstack([X, rows_on_thresholds(model, X), rows_off_the_line(X)])
-    B = rows_per_block(model)
+    # rows per block: the step budget over the wider of the group count
+    # and the feature count
+    B = gbt_module._CHUNK_ROWS // max(1, groups, len(model.feature_names))
     for count in (1, B - 1, B, B + 1, 2 * B + 3):
         rows = np.resize(pool, (count, pool.shape[1]))
         assert np.array_equal(
