@@ -4,6 +4,13 @@ logistic regression, and k-nearest-neighbour mutual information.
 All fits are closed-form or Newton-type on small dense matrices; standard
 errors use the classical homoskedastic formulas, which the synthetic
 generators in this package satisfy by construction.
+
+Least squares, Pearson's r and both rank checks make no BLAS or LAPACK
+call: column products are summed by ``np.add.reduce`` and the design is
+triangularized by Householder reflections (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, ch. 19), so their bits do not
+depend on the CPU's BLAS kernel, and no tall LAPACK call wakes OpenBLAS's
+threads.
 """
 
 from __future__ import annotations
@@ -20,8 +27,7 @@ from .errors import (DegenerateColumnError, InsufficientDataError,
                      names)
 from .rng import substream
 
-_RANK_TOL = 1e-10          # singular values below tol*s_max are rank loss
-_GRAM_CLEAR = 1e-8         # X'X eigenvalues above this*max: full rank
+_RANK_TOL = 1e-10          # |R_jj| below tol*max|R_jj| is rank loss
 _INFO_RIDGE = 1e-10        # added to the logistic information's diagonal
 _GRAD_TOL = 1e-8           # logistic convergence: max |gradient|
 _MAX_NEWTON_ITER = 200     # logistic Newton steps before giving up
@@ -99,14 +105,61 @@ def _design(data: Dataset, regressors) -> np.ndarray:
     return X
 
 
-def _check_rank(s) -> None:
-    """RankDeficientError unless a design matrix with singular values
-    ``s`` (largest first) has full rank: the smallest must be at least
-    _RANK_TOL times the largest."""
-    if s[0] == 0 or s[-1] < _RANK_TOL * s[0]:
+def _dots(rows, v):
+    """Each row of ``rows`` times ``v``, summed by ``np.add.reduce`` along
+    the row: numpy's pairwise order, fixed by the row's length alone."""
+    return np.add.reduce(rows * v, axis=-1)
+
+
+def _reflect(x, rest) -> float:
+    """One Householder reflection: the one that maps the column tail ``x``
+    onto its first axis is applied, in place, to every row of ``rest``
+    (tails of the same length, one column per row). Returns R's diagonal
+    entry -sign(x[0]) ||x||, or 0.0, with no reflection, for a zero tail."""
+    norm = np.sqrt(_dots(x, x))
+    if norm == 0.0:
+        return 0.0
+    r = -norm if x[0] >= 0.0 else norm
+    v = x.copy()
+    v[0] -= r
+    # H = I - v v' / (v'v / 2), and v'v / 2 = ||x|| (||x|| + |x[0]|)
+    rest -= (_dots(rest, v) / (norm * (norm + abs(x[0]))))[:, None] * v
+    return r
+
+
+def _triangularize(cols, p: int) -> np.ndarray:
+    """R of the QR factorization of the first ``p`` rows of ``cols`` (one
+    design column per row), by ``p`` reflections applied in place to every
+    row; rows past ``p`` (targets) end as Q' times themselves."""
+    R = np.zeros((p, p))
+    for j in range(p):
+        R[j, j] = _reflect(cols[j, j:], cols[j + 1:, j:])
+        R[j, j + 1:] = cols[j + 1:p, j]
+    return R
+
+
+def _back_substitute(R, B) -> np.ndarray:
+    """R^-1 B for an upper-triangular R of full rank, one row at a time from
+    the last; a row's terms are added in column order (B has at least two
+    columns, so the leading-axis reduce adds in order)."""
+    Z = np.empty_like(B)
+    for i in range(R.shape[0] - 1, -1, -1):
+        Z[i] = (B[i] - np.add.reduce(R[i, i + 1:, None] * Z[i + 1:])) / R[i, i]
+    return Z
+
+
+def _check_rank(diag) -> None:
+    """RankDeficientError unless a design whose R has diagonal ``diag`` has
+    full rank: the smallest |R_jj| must be at least _RANK_TOL times the
+    largest. A 2-D ``diag`` holds one design per row, checked in order."""
+    d = np.abs(np.atleast_2d(diag))
+    lo, hi = d.min(axis=1), d.max(axis=1)
+    bad = np.flatnonzero((hi == 0) | (lo < _RANK_TOL * hi))
+    if bad.size:
+        i = bad[0]
         raise RankDeficientError(
             "design matrix is rank deficient "
-            f"(singular value ratio {s[-1] / max(s[0], 1e-300):.2e})")
+            f"(R diagonal ratio {lo[i] / max(hi[i], 1e-300):.2e})")
 
 
 def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
@@ -114,31 +167,38 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     intercept; classical standard errors and t-test p-values.
 
     Raises InsufficientDataError unless n > #regressors + 1,
-    RankDeficientError when the design matrix loses rank (smallest singular
-    value below 1e-10 times the largest), and NonFiniteValueError when the
-    residual variance overflows the float range.
+    RankDeficientError when the design matrix loses rank (smallest |R_jj|
+    of its QR factorization below 1e-10 times the largest), and
+    NonFiniteValueError when the residual variance overflows the float
+    range.
     """
     regressors = names(regressors)
     n, p = data.n_rows, len(regressors) + 1
     if n <= p:
         raise InsufficientDataError(
             f"{n} rows cannot support {p} coefficients")
-    X = _design(data, regressors)
-    y = data.column(target)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    _check_rank(s)
-    beta = Vt.T @ ((U.T @ y) / s)
-    resid = y - X @ beta
+    cols = np.empty((p + 1, n))
+    cols[0] = 1.0
+    for j, name in enumerate(regressors, 1):
+        cols[j] = data.column(name)
+    cols[p] = data.column(target)
+    # a huge target overflows only its own row: the residual variance check
+    # below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _triangularize(cols, p)
+        rss = _dots(cols[p, p:], cols[p, p:])
+    _check_rank(np.diag(R))
     dof = n - p
-    with np.errstate(over="ignore"):
-        sigma2 = float(resid @ resid) / dof
+    sigma2 = float(rss) / dof
     if not np.isfinite(sigma2):
         raise NonFiniteValueError(
             f"residual_variance of {target!r} on {regressors} is not finite: "
             "the residual sum of squares overflows")
-    # (X'X)^-1 = V diag(s^-2) V'
-    xtx_inv_diag = np.einsum("ji,i,ji->j", Vt.T, 1.0 / s**2, Vt.T)
-    se = np.sqrt(sigma2 * xtx_inv_diag)
+    # beta = R^-1 Q'y; (X'X)^-1 = R^-1 R^-T, so its diagonal holds the
+    # squared row norms of R^-1
+    Z = _back_substitute(R, np.column_stack([cols[p, :p], np.eye(p)]))
+    beta, r_inv = Z[:, 0], Z[:, 1:]
+    se = np.sqrt(sigma2 * _dots(r_inv, r_inv))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     t = np.where((se == 0) & (beta == 0), 0.0, t)
@@ -154,11 +214,11 @@ def pearson(data: Dataset, a: str, b: str) -> CorrResult:
         raise InsufficientDataError("pearson needs at least 3 rows")
     x, y = data.column(a), data.column(b)
     xc, yc = x - x.mean(), y - y.mean()
-    sx, sy = np.sqrt(xc @ xc), np.sqrt(yc @ yc)
+    sx, sy = np.sqrt(_dots(xc, xc)), np.sqrt(_dots(yc, yc))
     if sx == 0 or sy == 0:
         raise DegenerateColumnError(
             f"column {a if sx == 0 else b!r} has zero variance")
-    r = float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
+    r = float(np.clip(_dots(xc, yc) / (sx * sy), -1.0, 1.0))
     # exactly collinear columns can round to 1 - O(eps); snap, since the
     # t statistic is infinite there either way
     if 1.0 - abs(r) < 4.0 * np.finfo(float).eps:
@@ -194,13 +254,7 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     n, p = X.shape
     if n <= p:
         raise InsufficientDataError(f"{n} rows cannot support {p} coefficients")
-    # X'X's eigenvalues settle a design that is clearly of full rank
-    # (singular values within 1e-4 of each other) without a LAPACK call on
-    # the tall X, which wakes OpenBLAS's threads to spin for about 0.13 s
-    # of CPU; any other design is judged on X's own singular values
-    eig = np.linalg.eigvalsh(X.T @ X)
-    if eig[0] < _GRAM_CLEAR * eig[-1]:
-        _check_rank(np.linalg.svd(X, compute_uv=False))
+    _check_rank(np.diag(_triangularize(X.T.copy(), p)))
     beta = np.zeros(p)
 
     def nll(b):

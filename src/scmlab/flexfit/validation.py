@@ -11,7 +11,7 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import (ConfigValidationError, DegenerateColumnError,
                       InsufficientDataError, check_value, names)
-from ..estimators import ols_fit
+from ..estimators import _check_rank, _dots, _reflect, ols_fit
 from ..rng import substream
 
 
@@ -67,6 +67,17 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     it needs at least 2 test rows (else InsufficientDataError), and the
     target must vary on each side (else DegenerateColumnError).
     ``min_improvement`` may be infinite (nothing joins), but not NaN.
+
+    The candidates are scored by orthogonal updates (Miller, *Subset
+    Selection in Regression*, 2nd ed., 2002, ch. 3): the training design
+    keeps ``ols_fit``'s Householder reflections, a candidate's part x⊥
+    orthogonal to the selected columns gains (r·x⊥)² / ‖x⊥‖² of the
+    residual sum of squares, and the largest gain wins, the earliest
+    candidate on a tie. ‖x⊥‖ is the R diagonal entry ``ols_fit`` would
+    reach for the candidate, so every step first applies its rank rule to
+    every remaining candidate and raises RankDeficientError as a refit
+    would. Only the chosen candidate is fitted by ``ols_fit``, whose R²
+    goes to the trace and the ``min_improvement`` test.
     """
     if math.isnan(min_improvement):
         raise ConfigValidationError("min_improvement = nan must be a number")
@@ -85,28 +96,38 @@ def stepwise_forward(data: Dataset, target: str, candidates,
             raise DegenerateColumnError(
                 f"target {target!r} does not vary on the {side} rows, so "
                 f"its R^2 is undefined")
-    selected = []
+    # one design column per row: the intercept, the candidates (the
+    # selected ones moved up front in their order, the rest in the given
+    # order), then the target; ``order`` names rows 1 to k
+    k = len(candidates)
+    cols = np.empty((k + 2, train.n_rows))
+    cols[0] = 1.0
+    for i, name in enumerate(candidates, 1):
+        cols[i] = train.column(name)
+    cols[k + 1] = y_tr
+    order = list(candidates)
+    diag = [_reflect(cols[0], cols[1:])]
     trace = []
     current_r2 = 0.0
-    remaining = list(candidates)
-    while remaining:
-        if train.n_rows <= len(selected) + 2:
+    for j in range(1, k + 1):
+        if train.n_rows <= j + 1:
             raise InsufficientDataError(
                 "training rows exhausted by the growing design")
-        best = None
-        for cand in remaining:
-            fit = ols_fit(train, target, selected + [cand])
-            r2 = _r2(y_tr, _predict_linear(fit, train))
-            if best is None or r2 > best[1]:
-                best = (cand, r2, fit)
-        cand, r2, fit = best
+        tails, r = cols[j:k + 1, j:], cols[k + 1, j:]
+        sq = _dots(tails, tails)
+        _check_rank(np.column_stack(
+            [np.broadcast_to(diag, (k + 1 - j, j)), np.sqrt(sq)]))
+        best = j + int(np.argmax(_dots(tails, r) ** 2 / sq))
+        cols[j:best + 1] = cols[[best, *range(j, best)]]
+        order.insert(j - 1, order.pop(best - 1))
+        fit = ols_fit(train, target, order[:j])
+        r2 = _r2(y_tr, _predict_linear(fit, train))
         if r2 - current_r2 <= min_improvement:
             break
-        selected.append(cand)
-        remaining.remove(cand)
+        diag.append(_reflect(cols[j, j:], cols[j + 1:, j:]))
         current_r2 = r2
         out_r2 = _r2(y_te, _predict_linear(fit, test))
-        trace.append(StepRecord(cand, r2, out_r2))
+        trace.append(StepRecord(order[j - 1], r2, out_r2))
     return trace
 
 

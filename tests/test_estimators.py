@@ -109,6 +109,62 @@ def test_ols_and_logistic_share_one_rank_rule(eps, ratio):
             fit(d, "y", ["x", "w"])
 
 
+@pytest.mark.parametrize("k, n", [(1, 3), (4, 60), (12, 40), (20, 22),
+                                  (20, 300)])
+def test_householder_core_matches_lstsq_and_classical_se(k, n):
+    # k regressors and an intercept: designs of up to 21 columns, down to
+    # n = p + 1 rows (one residual degree of freedom)
+    rng = np.random.default_rng(k * 1000 + n)
+    X = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
+    y = X @ rng.standard_normal(k) + rng.standard_normal(n)
+    d = make_data(**{f"x{i}": X[:, i] for i in range(k)}, y=y)
+    fit = ols_fit(d, "y", [f"x{i}" for i in range(k)])
+    D = np.column_stack([np.ones(n), X])
+    beta = np.linalg.lstsq(D, y, rcond=None)[0]
+    resid = y - D @ beta
+    sigma2 = resid @ resid / (n - k - 1)
+    se = np.sqrt(np.diag(sigma2 * np.linalg.inv(D.T @ D)))
+    assert np.allclose(fit.coefficients, beta, rtol=1e-9, atol=1e-12)
+    assert fit.residual_variance == pytest.approx(sigma2, rel=1e-9)
+    assert np.allclose(fit.stderr, se, rtol=1e-9)
+    R = np.linalg.qr(D, mode="r")
+    assert np.allclose(np.abs(np.diag(estimators._triangularize(D.T.copy(),
+                                                                k + 1))),
+                       np.abs(np.diag(R)), rtol=1e-12)
+
+
+def test_householder_core_leaves_a_zero_column_on_the_diagonal():
+    d = linear_data(n=40, seed=2)
+    d = make_data(x1=d.column("x1"), zero=np.zeros(40), x2=d.column("x2"),
+                  y=d.column("y"), b=(d.column("y") > 1.5).astype(float))
+    D = estimators._design(d, ["x1", "zero", "x2"])
+    diag = np.diag(estimators._triangularize(D.T.copy(), 4))
+    assert diag[2] == 0.0           # no reflection, no division by zero
+    assert np.isfinite(diag).all() and diag[3] != 0.0
+    before = np.linalg.qr(D[:, :2], mode="r")
+    assert np.allclose(np.abs(diag[:2]), np.abs(np.diag(before)))
+    for fit, target in ((ols_fit, "y"), (logistic_fit, "b")):
+        with pytest.raises(RankDeficientError, match="ratio 0.00e"):
+            fit(d, target, ["x1", "zero", "x2"])
+
+
+def test_least_squares_and_rank_checks_make_no_linalg_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    d = linear_data(n=300, seed=4)
+    fit = ols_fit(d, "y", ["x1", "x2"])
+    assert np.allclose(fit.coefficients, [1.5, -2.0, 0.5], atol=0.2)
+    assert pearson(d, "x1", "y").r < -0.5
+    x = d.column("x1")
+    dup = make_data(x=x, x_copy=x.copy(), y=(x > 0).astype(float))
+    for fit in (ols_fit, logistic_fit):
+        with pytest.raises(RankDeficientError):
+            fit(dup, "y", ["x", "x_copy"])
+
+
 # --- p-values: scipy.special forms of the scipy.stats survival functions --
 
 def test_t_and_z_pvalues_equal_scipy_stats_bit_for_bit():

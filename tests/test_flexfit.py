@@ -13,14 +13,16 @@ from scmlab.errors import (ConfigValidationError, DegenerateTargetError,
                            DivergenceError, EmptyFeatureListError,
                            InsufficientDataError, MissingFeatureError,
                            NonBinaryTargetError, NonFiniteValueError,
-                           NotAModelError, ScmLabError)
+                           NotAModelError, RankDeficientError, ScmLabError)
 from scmlab.experiments import build_config
 from scmlab.experiments.generators import (blended_logit_features,
-                                           blended_logit_model)
-from scmlab.flexfit import predict_on_matrix
+                                           blended_logit_model,
+                                           noise_candidates_model)
+from scmlab.flexfit import SplitPlan, predict_on_matrix
 from scmlab.flexfit import gbt as gbt_module
-from scmlab.rng import normal_column, uniform_column
+from scmlab.rng import derive_seed, normal_column, uniform_column
 from scmlab.scm import sample
+from stepwise_helpers import refit_forward
 import gbt_helpers
 import mlp_helpers
 
@@ -637,3 +639,55 @@ def test_stepwise_rejects_a_nan_min_improvement():
     with pytest.raises(ConfigValidationError, match="min_improvement = nan"):
         stepwise_forward(d, "y", ["c0", "c1"], plan,
                          min_improvement=float("nan"))
+
+
+@pytest.mark.parametrize("n, k, seed", [(200, 20, 1), (200, 20, 2),
+                                        (200, 20, 3), (200, 20, 4),
+                                        (200, 20, 5), (2000, 50, 7)])
+def test_stepwise_equals_the_refit_loop(n, k, seed):
+    # overfit_demo's noise candidates: every gain is small and many are
+    # close, so a scoring slip shows as a different order
+    data = sample(noise_candidates_model(k), n, seed)
+    plan = split(data, test_fraction=0.5, seed=derive_seed(seed, 1))
+    candidates = [f"c{i}" for i in range(1, k + 1)]
+    trace = stepwise_forward(data, "y", candidates, plan)
+    assert len(trace) == k
+    assert trace == refit_forward(data, "y", candidates, plan)
+
+
+def tied_candidates():
+    # 16 training rows, so the intercept's reflection has norm 4 and
+    # leaves integer columns that sum to 0 and start with 0 unchanged:
+    # every sum below is exact, and a and b gain exactly alike
+    a = [0, 1, -1, 1, -1, 1, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0]
+    b = [0, 1, 1, -1, -1, 1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0]
+    e = [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1, 0]
+    y = 2 * np.array(a) + 2 * np.array(b) + np.array(e)
+    data = make_data(a=a + [1, 0, 2, -1], b=b + [0, 1, -1, 2],
+                     e=e + [1, 1, 0, 0], y=list(y) + [1, -1, 2, 0])
+    return data, SplitPlan(np.arange(16), np.arange(16, 20))
+
+
+@pytest.mark.parametrize("order", [["a", "b", "e"], ["b", "a", "e"],
+                                   ["e", "b", "a"]])
+def test_stepwise_breaks_an_exact_tie_by_the_given_order(order):
+    data, plan = tied_candidates()
+    trace = stepwise_forward(data, "y", order, plan)
+    first = [c for c in order if c != "e"][0]
+    assert trace[0].feature == first
+    assert [rec.feature for rec in trace] == [
+        rec.feature for rec in refit_forward(data, "y", order, plan)]
+
+
+def test_stepwise_refuses_a_duplicated_candidate():
+    n = 80
+    x = normal_column(23, (0,), n)
+    d = make_data(x=x, x_copy=x.copy(), c=normal_column(23, (1,), n),
+                  y=x + 0.5 * normal_column(23, (2,), n))
+    plan = split(d, test_fraction=0.5, seed=0)
+    for candidates in (["c", "x", "x_copy"], ["x", "c", "x"]):
+        with pytest.raises(RankDeficientError) as err:
+            stepwise_forward(d, "y", candidates, plan)
+        with pytest.raises(RankDeficientError) as twin:
+            refit_forward(d, "y", candidates, plan)
+        assert str(err.value) == str(twin.value)

@@ -9,6 +9,12 @@ these numpy behaviours on a value whose in-order sum, 1e16, differs from
 any regrouping, so that a numpy upgrade that changes a summation order
 fails here, by name, and not as an unexplained move of a report digest.
 
+The least-squares core (``estimators._dots``) sums each column product by
+``np.add.reduce`` along a contiguous row, in numpy's pairwise order. That
+order is fixed by the row's length alone, which is why forward
+selection's ‖x⊥‖ equals the R diagonal entry ``ols_fit`` reaches for the
+same column bit for bit; the last test pins it.
+
 What the code avoids, as measured on numpy 2.4: a 1-D ``sum`` (or
 ``np.add.reduce``) and a reduce whose trailing size is one add pairwise,
 and ``np.add.reduceat`` does not add in order along axis 0 either, even on
@@ -51,3 +57,19 @@ def test_reduce_over_the_leading_axis_adds_in_order(trailing):
 @pytest.mark.parametrize("trailing", [(), (1, 1), (2, 3)])
 def test_cumsum_adds_in_order(trailing):
     assert (np.cumsum(stacked(trailing), axis=0)[-1] == 1e16).all()
+
+
+@pytest.mark.parametrize("length", [41, 5000, 20_000])
+def test_a_row_sums_alike_wherever_it_sits(length):
+    row = np.array([1e16] + [1.0] * (length - 1))
+    alone = np.add.reduce(row)
+    assert alone != in_order(row)                 # pairwise, not in order
+    block = np.zeros((4, length + 3))
+    block[2, 3:] = row
+    # one row of a strided block, alone or with others, at any offset
+    assert np.add.reduce(block[1:, 3:], axis=-1)[1] == alone
+    assert np.add.reduce(block[2:3, 3:], axis=1)[0] == alone
+    for offset in range(1, 8):
+        shifted = np.zeros(length + offset)
+        shifted[offset:] = row
+        assert np.add.reduce(shifted[offset:]) == alone

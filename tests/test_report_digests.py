@@ -17,6 +17,9 @@ there the comparison is skipped, with the versions named.
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -94,6 +97,42 @@ def test_fig5_report_matches_committed_digests(manifest, fig5_report):
 
 def test_fig3_report_matches_committed_digests(manifest, fig3_report):
     assert file_digests(fig3_report[0]) == manifest["fig3_fit"]
+
+
+# reports that no BLAS or LAPACK call reaches: their bytes must not depend
+# on the OpenBLAS kernel, so they are compared on every host
+KERNEL_FREE = ("table2", "table3", "fig2_panels", "overfit_demo")
+_RUN_IN_CHILD = """
+import sys
+from pathlib import Path
+from test_report_digests import blas_core, build_config, run
+for name in sys.argv[2:]:
+    run(build_config(name, out_dir=str(Path(sys.argv[1]) / name)))
+print(blas_core())
+"""
+
+
+def test_light_reports_do_not_depend_on_the_openblas_kernel(tmp_path,
+                                                            src_env):
+    # Nehalem's kernel has no FMA, so any BLAS call moves last bits
+    path = os.pathsep.join([str(Path(__file__).parent), src_env["PYTHONPATH"]])
+    env = {**src_env, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": path}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _RUN_IN_CHILD, str(tmp_path / "nehalem"),
+         *KERNEL_FREE], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    for name in KERNEL_FREE:
+        run(build_config(name, out_dir=str(tmp_path / "default" / name)))
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    assert out.strip() in ("Nehalem", "unknown")
+    for name in KERNEL_FREE:
+        here, there = tmp_path / "default" / name, tmp_path / "nehalem" / name
+        files = sorted(p.name for p in here.iterdir())
+        assert sorted(p.name for p in there.iterdir()) == files
+        for f in files:
+            assert (there / f).read_bytes() == (here / f).read_bytes(), \
+                f"{name}/{f} moves under the Nehalem kernel"
 
 
 if __name__ == "__main__":
