@@ -105,6 +105,16 @@ def _design(data: Dataset, regressors) -> np.ndarray:
     return X
 
 
+def _columns(data: Dataset, columns) -> np.ndarray:
+    """A column of ones, then the named columns: one design column per row,
+    the layout the Householder core works on."""
+    cols = np.empty((len(columns) + 1, data.n_rows))
+    cols[0] = 1.0
+    for j, name in enumerate(columns, 1):
+        cols[j] = data.column(name)
+    return cols
+
+
 def _dots(rows, v):
     """Each row of ``rows`` times ``v``, summed by ``np.add.reduce`` along
     the row: numpy's pairwise order, fixed by the row's length alone."""
@@ -151,10 +161,11 @@ def _back_substitute(R, B) -> np.ndarray:
 def _check_rank(diag) -> None:
     """RankDeficientError unless a design whose R has diagonal ``diag`` has
     full rank: the smallest |R_jj| must be at least _RANK_TOL times the
-    largest. A 2-D ``diag`` holds one design per row, checked in order."""
+    largest (a diagonal that overflowed to inf or NaN fails). A 2-D
+    ``diag`` holds one design per row, checked in order."""
     d = np.abs(np.atleast_2d(diag))
     lo, hi = d.min(axis=1), d.max(axis=1)
-    bad = np.flatnonzero((hi == 0) | (lo < _RANK_TOL * hi))
+    bad = np.flatnonzero((hi == 0) | ~(lo >= _RANK_TOL * hi))
     if bad.size:
         i = bad[0]
         raise RankDeficientError(
@@ -177,13 +188,9 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
     if n <= p:
         raise InsufficientDataError(
             f"{n} rows cannot support {p} coefficients")
-    cols = np.empty((p + 1, n))
-    cols[0] = 1.0
-    for j, name in enumerate(regressors, 1):
-        cols[j] = data.column(name)
-    cols[p] = data.column(target)
-    # a huge target overflows only its own row: the residual variance check
-    # below names it
+    cols = _columns(data, [*regressors, target])
+    # an overflow is caught below: in the design's rows by the rank rule,
+    # in the target's row by the residual variance check
     with np.errstate(over="ignore", invalid="ignore"):
         R = _triangularize(cols, p)
         rss = _dots(cols[p, p:], cols[p, p:])
@@ -254,7 +261,9 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     n, p = X.shape
     if n <= p:
         raise InsufficientDataError(f"{n} rows cannot support {p} coefficients")
-    _check_rank(np.diag(_triangularize(X.T.copy(), p)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _triangularize(X.T.copy(), p)
+    _check_rank(np.diag(R))
     beta = np.zeros(p)
 
     def nll(b):

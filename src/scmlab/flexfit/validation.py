@@ -11,7 +11,7 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import (ConfigValidationError, DegenerateColumnError,
                       InsufficientDataError, check_value, names)
-from ..estimators import _check_rank, _dots, _reflect, ols_fit
+from ..estimators import _check_rank, _columns, _dots, _reflect, ols_fit
 from ..rng import substream
 
 
@@ -100,11 +100,7 @@ def stepwise_forward(data: Dataset, target: str, candidates,
     # selected ones moved up front in their order, the rest in the given
     # order), then the target; ``order`` names rows 1 to k
     k = len(candidates)
-    cols = np.empty((k + 2, train.n_rows))
-    cols[0] = 1.0
-    for i, name in enumerate(candidates, 1):
-        cols[i] = train.column(name)
-    cols[k + 1] = y_tr
+    cols = _columns(train, [*candidates, target])
     order = list(candidates)
     diag = [_reflect(cols[0], cols[1:])]
     trace = []

@@ -148,6 +148,18 @@ def test_householder_core_leaves_a_zero_column_on_the_diagonal():
             fit(d, target, ["x1", "zero", "x2"])
 
 
+@pytest.mark.parametrize("regressors", [["x"], ["x", "z"]])
+def test_rank_rule_refuses_a_column_whose_norm_overflows(regressors):
+    # logistic_fit's X'X overflowed with a RuntimeWarning; a column after
+    # the overflowing one reflects to NaN, which must fail the rule too
+    x = normal_column(0, (0,), 50)
+    d = make_data(x=1e160 * x, z=normal_column(0, (1,), 50),
+                  y=x + normal_column(0, (2,), 50), b=(x > 0).astype(float))
+    for fit, target in ((ols_fit, "y"), (logistic_fit, "b")):
+        with pytest.raises(RankDeficientError):
+            fit(d, target, regressors)
+
+
 def test_least_squares_and_rank_checks_make_no_linalg_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")

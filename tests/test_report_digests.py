@@ -117,13 +117,17 @@ def test_light_reports_do_not_depend_on_the_openblas_kernel(tmp_path,
     # Nehalem's kernel has no FMA, so any BLAS call moves last bits
     path = os.pathsep.join([str(Path(__file__).parent), src_env["PYTHONPATH"]])
     env = {**src_env, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": path}
-    child = subprocess.Popen(
-        [sys.executable, "-c", _RUN_IN_CHILD, str(tmp_path / "nehalem"),
-         *KERNEL_FREE], env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True)
-    for name in KERNEL_FREE:
-        run(build_config(name, out_dir=str(tmp_path / "default" / name)))
-    out, err = child.communicate(timeout=120)
+    with subprocess.Popen(
+            [sys.executable, "-c", _RUN_IN_CHILD, str(tmp_path / "nehalem"),
+             *KERNEL_FREE], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True) as child:
+        try:         # the child runs while this process runs the default
+            for name in KERNEL_FREE:
+                run(build_config(name,
+                                 out_dir=str(tmp_path / "default" / name)))
+            out, err = child.communicate(timeout=120)
+        finally:
+            child.kill()
     assert child.returncode == 0, err
     assert out.strip() in ("Nehalem", "unknown")
     for name in KERNEL_FREE:
