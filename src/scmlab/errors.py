@@ -102,7 +102,8 @@ class UnknownColumnError(ScmLabError, KeyError):
 
 class RankDeficientError(ScmLabError):
     """The design matrix of an OLS or logistic fit is rank deficient
-    (smallest singular value below 1e-10 times the largest)."""
+    (smallest |R_jj| of its QR factorization below 1e-10 times the
+    largest)."""
 
 
 class InsufficientDataError(ScmLabError):

@@ -5,12 +5,15 @@ All fits are closed-form or Newton-type on small dense matrices; standard
 errors use the classical homoskedastic formulas, which the synthetic
 generators in this package satisfy by construction.
 
-Least squares, Pearson's r and both rank checks make no BLAS or LAPACK
-call: column products are summed by ``np.add.reduce`` and the design is
-triangularized by Householder reflections (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, ch. 19), so their bits do not
-depend on the CPU's BLAS kernel, and no tall LAPACK call wakes OpenBLAS's
-threads.
+Least squares, logistic regression, Pearson's r and the rank rule make no
+BLAS or LAPACK call: column products are summed by ``np.add.reduce``,
+the design times the coefficients is added one column at a time, and
+every solve runs on R of a Householder triangularization (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 19): the
+design's for least squares and the rank rule, the weighted design's for
+each logistic Newton step. Both regressions take their standard errors
+from the row norms of R^-1. So their bits do not depend on the CPU's BLAS
+kernel, and no tall LAPACK call wakes OpenBLAS's threads.
 """
 
 from __future__ import annotations
@@ -92,19 +95,6 @@ def _z_pvalue(z):
     return 2.0 * ndtr(-np.abs(z))
 
 
-def _information(X, prob) -> np.ndarray:
-    """The logistic information matrix X' diag(prob (1 - prob)) X, plus
-    _INFO_RIDGE on its diagonal."""
-    w = prob * (1.0 - prob)
-    return X.T @ (X * w[:, None]) + _INFO_RIDGE * np.eye(X.shape[1])
-
-
-def _design(data: Dataset, regressors) -> np.ndarray:
-    X = np.column_stack([np.ones(data.n_rows),
-                         *(data.column(r) for r in regressors)])
-    return X
-
-
 def _columns(data: Dataset, columns) -> np.ndarray:
     """A column of ones, then the named columns: one design column per row,
     the layout the Householder core works on."""
@@ -119,6 +109,15 @@ def _dots(rows, v):
     """Each row of ``rows`` times ``v``, summed by ``np.add.reduce`` along
     the row: numpy's pairwise order, fixed by the row's length alone."""
     return np.add.reduce(rows * v, axis=-1)
+
+
+def _combine(cols, b) -> np.ndarray:
+    """The design times ``b``: ``b[j]`` times row ``j`` of ``cols`` (one
+    design column per row), added one column at a time from +0.0."""
+    total = np.zeros(cols.shape[1])
+    for bj, col in zip(b, cols):
+        total += bj * col
+    return total
 
 
 def _reflect(x, rest) -> float:
@@ -156,6 +155,13 @@ def _back_substitute(R, B) -> np.ndarray:
     for i in range(R.shape[0] - 1, -1, -1):
         Z[i] = (B[i] - np.add.reduce(R[i, i + 1:, None] * Z[i + 1:])) / R[i, i]
     return Z
+
+
+def _stderr(r_inv, scale) -> np.ndarray:
+    """Standard errors from R^-1, for an R whose R'R is the information up
+    to the dispersion ``scale``: the covariance scale * R^-1 R^-T holds
+    the squared row norms of R^-1, times ``scale``, on its diagonal."""
+    return np.sqrt(scale * _dots(r_inv, r_inv))
 
 
 def _check_rank(diag) -> None:
@@ -201,11 +207,10 @@ def ols_fit(data: Dataset, target: str, regressors) -> FitResult:
         raise NonFiniteValueError(
             f"residual_variance of {target!r} on {regressors} is not finite: "
             "the residual sum of squares overflows")
-    # beta = R^-1 Q'y; (X'X)^-1 = R^-1 R^-T, so its diagonal holds the
-    # squared row norms of R^-1
+    # beta = R^-1 Q'y, and (X'X)^-1 = R^-1 R^-T
     Z = _back_substitute(R, np.column_stack([cols[p, :p], np.eye(p)]))
     beta, r_inv = Z[:, 0], Z[:, 1:]
-    se = np.sqrt(sigma2 * _dots(r_inv, r_inv))
+    se = _stderr(r_inv, sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     t = np.where((se == 0) & (beta == 0), 0.0, t)
@@ -257,45 +262,52 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     if y.min() == y.max():
         raise SeparationError(
             "target is all one class; intercept diverges")
-    X = _design(data, regressors)
-    n, p = X.shape
+    n, p = data.n_rows, len(regressors) + 1
     if n <= p:
         raise InsufficientDataError(f"{n} rows cannot support {p} coefficients")
+    X = _columns(data, regressors)
     with np.errstate(over="ignore", invalid="ignore"):
-        R = _triangularize(X.T.copy(), p)
+        R = _triangularize(X.copy(), p)
     _check_rank(np.diag(R))
-    beta = np.zeros(p)
+    ridge = np.sqrt(_INFO_RIDGE) * np.eye(p)
 
-    def nll(b):
-        eta = X @ b
+    def info_r_inv(prob):
+        # R of sqrt(w) X over sqrt(ridge) I has R'R = X'WX + ridge I, the
+        # ridged information; the ridge keeps R nonsingular
+        weighted = np.hstack([X * np.sqrt(prob * (1.0 - prob)), ridge])
+        return _back_substitute(_triangularize(weighted, p), np.eye(p))
+
+    def nll(eta):
         # log(1 + e^eta) - y*eta, computed stably
         return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
 
-    loss = nll(beta)
+    beta = np.zeros(p)
+    eta = _combine(X, beta)
+    loss = nll(eta)
     converged = False
     for _ in range(_MAX_NEWTON_ITER):
-        prob = expit(X @ beta)
-        grad = X.T @ (y - prob)
+        prob = expit(eta)
+        grad = _dots(X, y - prob)
         if np.max(np.abs(grad)) < _GRAD_TOL:
             converged = True
             break
-        try:
-            step = np.linalg.solve(_information(X, prob), grad)
-        except np.linalg.LinAlgError:
-            raise SeparationError("information matrix became singular") from None
+        # step = R^-1 R^-T grad; a NaN step fails every damping trial
+        r_inv = info_r_inv(prob)
+        step = _dots(r_inv, _dots(r_inv.T.copy(), grad))
         # damping: halve until the objective stops increasing
         improved = False
         scale = 1.0
         for _ in range(40):
             trial = beta + scale * step
-            trial_loss = nll(trial)
+            trial_eta = _combine(X, trial)
+            trial_loss = nll(trial_eta)
             if trial_loss <= loss + 1e-12:
                 improved = True
                 break
             scale *= 0.5
         if not improved:
             break
-        beta, loss = trial, trial_loss
+        beta, eta, loss = trial, trial_eta, trial_loss
         if np.max(np.abs(beta)) > 1e3:
             raise SeparationError(
                 "coefficients diverged; data are (quasi-)separated")
@@ -303,12 +315,11 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
         raise SeparationError("no convergence; data look separated")
     # a finite "optimum" that strictly separates the classes only appears
     # through probability saturation: the true MLE is at infinity
-    if np.all((2.0 * y - 1.0) * (X @ beta) > 0.0):
+    if np.all((2.0 * y - 1.0) * eta > 0.0):
         raise SeparationError(
             "fitted coefficients separate the classes perfectly; "
             "the maximum-likelihood estimate does not exist")
-    cov = np.linalg.inv(_information(X, expit(X @ beta)))
-    se = np.sqrt(np.diag(cov))
+    se = _stderr(info_r_inv(prob), 1.0)     # a binomial has dispersion 1
     z = beta / se
     pvals = _z_pvalue(z)
     return FitResult(["intercept", *regressors], beta, se, pvals,

@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit, logit
 
 import scmlab.estimators as estimators
 from scmlab import (Dataset, logistic_fit, mutual_information, ols_fit,
@@ -93,13 +97,15 @@ def test_ols_rank_deficient_design():
 @pytest.mark.parametrize("eps, ratio", [(1e-2, 4.9e-3), (1e-9, 4.9e-10),
                                         (1e-11, 4.9e-12)])
 def test_ols_and_logistic_share_one_rank_rule(eps, ratio):
-    # w = x + eps*z: X'X's eigenvalues settle the first design; the others
-    # fall to X's singular values, whose ratio sits just above and just
-    # below the 1e-10 rule
+    # w = x + eps*z: the rule reads R's diagonal, whose smallest-to-largest
+    # ratio is about twice X's singular-value ratio checked here (9.8e-3,
+    # 9.8e-10 and 9.8e-12), so the last two sit just above and just below
+    # the 1e-10 rule
     rng = np.random.default_rng(3)
     x, z, noise = rng.standard_normal((3, 400))
     d = make_data(x=x, w=x + eps * z, y=(x + noise > 0).astype(float))
-    s = np.linalg.svd(estimators._design(d, ["x", "w"]), compute_uv=False)
+    s = np.linalg.svd(estimators._columns(d, ["x", "w"]).T,
+                      compute_uv=False)
     assert s[-1] / s[0] == pytest.approx(ratio, rel=0.05)
     for fit in (ols_fit, logistic_fit):
         if ratio < estimators._RANK_TOL:
@@ -137,7 +143,7 @@ def test_householder_core_leaves_a_zero_column_on_the_diagonal():
     d = linear_data(n=40, seed=2)
     d = make_data(x1=d.column("x1"), zero=np.zeros(40), x2=d.column("x2"),
                   y=d.column("y"), b=(d.column("y") > 1.5).astype(float))
-    D = estimators._design(d, ["x1", "zero", "x2"])
+    D = estimators._columns(d, ["x1", "zero", "x2"]).T
     diag = np.diag(estimators._triangularize(D.T.copy(), 4))
     assert diag[2] == 0.0           # no reflection, no division by zero
     assert np.isfinite(diag).all() and diag[3] != 0.0
@@ -175,6 +181,9 @@ def test_least_squares_and_rank_checks_make_no_linalg_call(monkeypatch):
     for fit in (ols_fit, logistic_fit):
         with pytest.raises(RankDeficientError):
             fit(dup, "y", ["x", "x_copy"])
+    b = (uniform_column(4, (3,), 300) < expit(x)).astype(float)
+    logit_fit = logistic_fit(make_data(x=x, b=b), "b", ["x"])
+    assert 0.5 < logit_fit.coef("x") < 2.0 and logit_fit.se("x") > 0.0
 
 
 # --- p-values: scipy.special forms of the scipy.stats survival functions --
@@ -255,6 +264,64 @@ def test_logistic_wald_inference_shape():
     fit = logistic_fit(make_data(x=x, y=y), "y", ["x"])
     assert abs(fit.coef("x")) < 0.1
     assert fit.p_values[1] > 0.01
+
+
+def test_logistic_matches_closed_forms_and_dense_information():
+    # intercept only: the MLE is logit(ybar), with information n ybar(1-ybar)
+    n = 500
+    y = (uniform_column(5, (0,), n) < 0.3).astype(float)
+    fit = logistic_fit(make_data(y=y), "y", [])
+    ybar = y.mean()
+    assert fit.coef("intercept") == pytest.approx(logit(ybar), rel=1e-9)
+    assert fit.se("intercept") == pytest.approx(
+        1.0 / np.sqrt(n * ybar * (1.0 - ybar)), rel=1e-9)
+    # two regressors: the standard errors are the diagonal of the inverse
+    # ridged information X'WX + 1e-10 I at the fitted coefficients
+    x1, x2 = normal_column(6, (0,), n), 3.0 * normal_column(6, (1,), n)
+    eta = 0.4 + 0.8 * x1 - 0.3 * x2
+    y = (uniform_column(6, (2,), n) < expit(eta)).astype(float)
+    fit = logistic_fit(make_data(x1=x1, x2=x2, y=y), "y", ["x1", "x2"])
+    X = np.column_stack([np.ones(n), x1, x2])
+    prob = expit(X @ fit.coefficients)
+    info = X.T @ (X * (prob * (1.0 - prob))[:, None]) + 1e-10 * np.eye(3)
+    assert np.allclose(fit.stderr, np.sqrt(np.diag(np.linalg.inv(info))),
+                       rtol=1e-10, atol=0.0)
+    assert np.abs(X.T @ (y - prob)).max() < 1e-8
+
+
+# fig5's logistic fit at q = 1 on its registered training sample
+_FIG5_LOGIT = """
+from scmlab.estimators import logistic_fit
+from scmlab.experiments import build_config
+from scmlab.experiments.generators import (blended_logit_features,
+                                           blended_logit_model)
+from scmlab.rng import derive_seed
+from scmlab.scm import sample
+cfg = build_config("fig5_sweep", out_dir="unused")
+p = cfg.params
+model = blended_logit_model(1.0, p["coefficients"], p["proxy_sd"],
+                            p["n_noise_features"])
+fit = logistic_fit(sample(model, cfg.n, derive_seed(cfg.seed, 0)), "y",
+                   blended_logit_features(p["n_noise_features"]))
+bits = fit.coefficients.tobytes().hex() + " " + fit.stderr.tobytes().hex()
+"""
+
+
+def test_logistic_fit_does_not_depend_on_the_openblas_kernel(src_env):
+    # Nehalem's kernel has no FMA, so any BLAS call moves last bits
+    env = {**src_env, "OPENBLAS_CORETYPE": "Nehalem"}
+    with subprocess.Popen(
+            [sys.executable, "-c", _FIG5_LOGIT + "print(bits)"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as child:
+        try:         # the child fits while this process fits on the default
+            here = {}
+            exec(_FIG5_LOGIT, here)
+            out, err = child.communicate(timeout=120)
+        finally:
+            child.kill()
+    assert child.returncode == 0, err
+    assert out.strip() == here["bits"]
 
 
 def test_logistic_rejects_nonbinary_target():
