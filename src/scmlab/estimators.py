@@ -269,12 +269,12 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
     with np.errstate(over="ignore", invalid="ignore"):
         R = _triangularize(X.copy(), p)
     _check_rank(np.diag(R))
-    ridge = np.sqrt(_INFO_RIDGE) * np.eye(p)
+    root_ridge = np.sqrt(_INFO_RIDGE) * np.eye(p)
 
     def info_r_inv(prob):
         # R of sqrt(w) X over sqrt(ridge) I has R'R = X'WX + ridge I, the
         # ridged information; the ridge keeps R nonsingular
-        weighted = np.hstack([X * np.sqrt(prob * (1.0 - prob)), ridge])
+        weighted = np.hstack([X * np.sqrt(prob * (1.0 - prob)), root_ridge])
         return _back_substitute(_triangularize(weighted, p), np.eye(p))
 
     def nll(eta):
@@ -291,7 +291,8 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
         if np.max(np.abs(grad)) < _GRAD_TOL:
             converged = True
             break
-        # step = R^-1 R^-T grad; a NaN step fails every damping trial
+        # step = R^-1 R^-T grad, R^-T's rows made contiguous for _dots' order;
+        # a NaN step fails every damping trial
         r_inv = info_r_inv(prob)
         step = _dots(r_inv, _dots(r_inv.T.copy(), grad))
         # damping: halve until the objective stops increasing

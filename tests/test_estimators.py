@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import expit, logit
+from scipy.special import expit
 
 import scmlab.estimators as estimators
 from scmlab import (Dataset, logistic_fit, mutual_information, ols_fit,
@@ -272,7 +272,8 @@ def test_logistic_matches_closed_forms_and_dense_information():
     y = (uniform_column(5, (0,), n) < 0.3).astype(float)
     fit = logistic_fit(make_data(y=y), "y", [])
     ybar = y.mean()
-    assert fit.coef("intercept") == pytest.approx(logit(ybar), rel=1e-9)
+    assert fit.coef("intercept") == pytest.approx(np.log(ybar / (1.0 - ybar)),
+                                                  rel=1e-9)
     assert fit.se("intercept") == pytest.approx(
         1.0 / np.sqrt(n * ybar * (1.0 - ybar)), rel=1e-9)
     # two regressors: the standard errors are the diagonal of the inverse
