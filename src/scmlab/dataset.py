@@ -112,6 +112,16 @@ def _as_real(values) -> np.ndarray:
                              f"real numbers") from None
 
 
+def _linear(start, weights, columns, n) -> np.ndarray:
+    """``n`` copies of ``start``, to which each weight times its column is
+    added in order: the one summation order of every linear predictor, so
+    its bits depend on no BLAS kernel."""
+    total = np.full(n, start, dtype=np.float64)
+    for w, col in zip(weights, columns):
+        total += w * col
+    return total
+
+
 def _distinct_features(features) -> list:
     """``features`` as a list; FeatureMismatchError names the first
     feature that is listed twice."""

@@ -7,8 +7,9 @@ generators in this package satisfy by construction.
 
 Least squares, logistic regression, Pearson's r and the rank rule make no
 BLAS or LAPACK call: column products are summed by ``np.add.reduce``,
-the design times the coefficients is added one column at a time, and
-every solve runs on R of a Householder triangularization (Higham,
+a logistic margin is the intercept plus each coefficient times its
+column, added in order by ``dataset._linear``, and every solve runs on
+R of a Householder triangularization (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 19): the
 design's for least squares and the rank rule, the weighted design's for
 each logistic Newton step. Both regressions take their standard errors
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, expit, ndtr, stdtr
 
-from .dataset import Dataset
+from .dataset import Dataset, _linear
 from .errors import (DegenerateColumnError, InsufficientDataError,
                      NonBinaryTargetError, NonFiniteValueError,
                      RankDeficientError, SeparationError, check_value,
@@ -109,15 +110,6 @@ def _dots(rows, v):
     """Each row of ``rows`` times ``v``, summed by ``np.add.reduce`` along
     the row: numpy's pairwise order, fixed by the row's length alone."""
     return np.add.reduce(rows * v, axis=-1)
-
-
-def _combine(cols, b) -> np.ndarray:
-    """The design times ``b``: ``b[j]`` times row ``j`` of ``cols`` (one
-    design column per row), added one column at a time from +0.0."""
-    total = np.zeros(cols.shape[1])
-    for bj, col in zip(b, cols):
-        total += bj * col
-    return total
 
 
 def _reflect(x, rest) -> float:
@@ -282,7 +274,7 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
         return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
 
     beta = np.zeros(p)
-    eta = _combine(X, beta)
+    eta = _linear(beta[0], beta[1:], X[1:], n)
     loss = nll(eta)
     converged = False
     for _ in range(_MAX_NEWTON_ITER):
@@ -300,7 +292,7 @@ def logistic_fit(data: Dataset, target: str, regressors) -> FitResult:
         scale = 1.0
         for _ in range(40):
             trial = beta + scale * step
-            trial_eta = _combine(X, trial)
+            trial_eta = _linear(trial[0], trial[1:], X[1:], n)
             trial_loss = nll(trial_eta)
             if trial_loss <= loss + 1e-12:
                 improved = True

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
+from ..dataset import _linear
 from ..estimators import logistic_fit
 from ..explain import attribution_summary
 from ..flexfit import GbtConfig, gbt_train
@@ -94,7 +95,7 @@ def run_fig5_sweep(cfg):
         beta = logit.coefficients
 
         def logit_prob(X, beta=beta):
-            return expit(beta[0] + X @ beta[1:])
+            return expit(_linear(beta[0], beta[1:], X.T, len(X)))
 
         gbt = gbt_train(train, "y", features, gbt_cfg)
         X_test = test.matrix(features)

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, _as_real
+from .dataset import Dataset, _as_real, _linear
 from .errors import (ConfigValidationError, DatasetShapeError,
                      DuplicateAssignmentError, ModelFileError,
                      NonlinearModelError, SingularCovarianceError,
@@ -319,9 +319,8 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
         a = model.assignments[name]
         noise = a.noise.draw(seed, (index[name],), n)
         if a.kind == "linear":
-            value = np.full(n, a.intercept, dtype=np.float64)
-            for p, w in zip(a.parents, a.weights):
-                value += w * cols[p]
+            value = _linear(a.intercept, a.weights,
+                            [cols[p] for p in a.parents], n)
             value += noise
         else:
             value = a.func(*[cols[p] for p in a.parents])

@@ -8,10 +8,11 @@ change that moves them on purpose rewrites the manifest in the same diff:
     PYTHONPATH=src python tests/test_report_digests.py
 
 runs the eight experiments at their registered defaults and writes the
-manifest, with the numpy, scipy and BLAS versions it was made with and the
-OpenBLAS kernel numpy's BLAS picked for this CPU. Float results can differ
-in their last digits on another build of those or on another kernel, so
-there the comparison is skipped, with the versions named.
+manifest, with the numpy, scipy and BLAS versions it was made with, the
+OpenBLAS kernel numpy's BLAS picked for this CPU and numpy's enabled
+dispatch targets. Float results can differ in their last digits on another
+build of those, on another kernel or at another dispatch level, so there
+the comparison is skipped, with the versions named.
 """
 
 import ctypes
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from scmlab.experiments import build_config, list_experiments, run
 
@@ -54,7 +56,9 @@ def build_versions() -> dict:
     except (KeyError, TypeError):
         blas = "unknown"
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": blas, "blas_core": blas_core()}
+            "blas": blas, "blas_core": blas_core(),
+            "npy_dispatch": [t for t in __cpu_dispatch__
+                             if __cpu_features__[t]]}
 
 
 def file_digests(out_dir: Path) -> dict:
@@ -99,18 +103,29 @@ def test_fig3_report_matches_committed_digests(manifest, fig3_report):
     assert file_digests(fig3_report[0]) == manifest["fig3_fit"]
 
 
-# reports that no BLAS or LAPACK call reaches: their bytes must not depend
-# on the OpenBLAS kernel, so they are compared on every host
-KERNEL_FREE = ("table2", "table3", "fig2_panels", "overfit_demo",
-               "backdoor_report")
+# reports that no BLAS or LAPACK call reaches (fig5's one, np.corrcoef on
+# ranks, is exact), with the overrides they run at: their bytes must not
+# depend on the OpenBLAS kernel, so they are compared on every host (fig5
+# at a small config, to keep the test cheap)
+KERNEL_FREE = {
+    "table2": {}, "table3": {}, "fig2_panels": {}, "overfit_demo": {},
+    "backdoor_report": {},
+    "fig5_sweep": {"n": 2000, "q_grid": (0.0, 1.0), "gbt_trees": 20,
+                   "eval_rows": 8, "background_rows": 16},
+}
 _RUN_IN_CHILD = """
 import sys
 from pathlib import Path
-from test_report_digests import blas_core, build_config, run
-for name in sys.argv[2:]:
-    run(build_config(name, out_dir=str(Path(sys.argv[1]) / name)))
+from test_report_digests import blas_core, run_kernel_free
+run_kernel_free(Path(sys.argv[1]))
 print(blas_core())
 """
+
+
+def run_kernel_free(out_dir: Path) -> None:
+    for name, overrides in KERNEL_FREE.items():
+        run(build_config(name, out_dir=str(out_dir / name),
+                         overrides=overrides))
 
 
 def test_light_reports_do_not_depend_on_the_openblas_kernel(tmp_path,
@@ -119,13 +134,11 @@ def test_light_reports_do_not_depend_on_the_openblas_kernel(tmp_path,
     path = os.pathsep.join([str(Path(__file__).parent), src_env["PYTHONPATH"]])
     env = {**src_env, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": path}
     with subprocess.Popen(
-            [sys.executable, "-c", _RUN_IN_CHILD, str(tmp_path / "nehalem"),
-             *KERNEL_FREE], env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True) as child:
+            [sys.executable, "-c", _RUN_IN_CHILD, str(tmp_path / "nehalem")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as child:
         try:         # the child runs while this process runs the default
-            for name in KERNEL_FREE:
-                run(build_config(name,
-                                 out_dir=str(tmp_path / "default" / name)))
+            run_kernel_free(tmp_path / "default")
             out, err = child.communicate(timeout=120)
         finally:
             child.kill()
