@@ -8,8 +8,9 @@ import numpy as np
 from numpy.exceptions import ComplexWarning
 
 from .errors import (DatasetShapeError, EmptyFeatureListError,
-                     FeatureMismatchError, NonFiniteValueError, RowShapeError,
-                     UnknownColumnError, names)
+                     FeatureMismatchError, NonFiniteValueError,
+                     NotARealNumberError, RowShapeError, UnknownColumnError,
+                     names)
 
 # cache budget, in elements, of one step of work on a block of rows: a
 # chunk of evaluation rows that explain takes has at most this many
@@ -134,12 +135,17 @@ def _distinct_features(features) -> list:
 
 def _float_rows(rows, what):
     """``rows`` as a float array; RowShapeError names them as ``what`` when
-    a value is not a real number or their lengths differ."""
+    a value is not a real number or their lengths differ, and
+    NotARealNumberError when numpy refuses a value's type (a Python
+    ``complex``)."""
     try:
         return _as_real(rows)
     except ValueError as exc:
         raise RowShapeError(f"{what} must hold numbers in rows of one "
                             f"length: {exc}") from None
+    except TypeError as exc:
+        raise NotARealNumberError(f"{what} must hold real numbers: "
+                                  f"{exc}") from None
 
 
 def _row_matrix(rows, features, what):

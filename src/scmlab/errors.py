@@ -88,6 +88,13 @@ class DatasetShapeError(ScmLabError, ValueError):
     Also a ``ValueError``, as these checks raised before."""
 
 
+class NotARealNumberError(ScmLabError, TypeError):
+    """A value that must be a real number is of a type ``float()`` or numpy
+    refuses: ``None``, a Python ``complex`` or a sequence in place of one
+    number; the message names where it sits.  Also a ``TypeError``, as
+    the conversion raised before."""
+
+
 class UnknownColumnError(ScmLabError, KeyError):
     """A dataset has no column of the requested name (an estimator's
     target or regressor, say).  Also a ``KeyError``, as it raised before.

@@ -32,8 +32,9 @@ from .dataset import (_CHUNK_ROWS, _as_real, _distinct_features,
                       _float_rows, _row_matrix)
 from .errors import (EmptyBackgroundError, EmptyEvaluationError,
                      EmptyFeatureListError, FeatureListRequiredError,
-                     FeatureMismatchError, RowShapeError,
-                     TooManyFeaturesError, UnknownColumnError, names)
+                     FeatureMismatchError, NotARealNumberError,
+                     RowShapeError, TooManyFeaturesError,
+                     UnknownColumnError, names)
 from .flexfit import GbtModel, gbt, predict_on_matrix
 
 _MAX_FEATURES = 12
@@ -121,8 +122,9 @@ def _feature_list(model, features):
 
 def _instance_value(instance: dict, f: str) -> float:
     """A mapping instance's value of feature ``f``, as a real number by
-    ``_as_real``'s rule; ``None``, which numpy would read as NaN, keeps
-    ``float()``'s TypeError."""
+    ``_as_real``'s rule. A value whose type ``float()`` refuses (``None``,
+    which numpy would read as NaN, a Python ``complex`` or a sequence)
+    raises NotARealNumberError, a TypeError as before."""
     if f not in instance:
         raise UnknownColumnError(f"instance has no feature {f!r}")
     value = instance[f]
@@ -131,6 +133,9 @@ def _instance_value(instance: dict, f: str) -> float:
     except ValueError:
         raise RowShapeError(f"instance feature {f!r} is not a number: "
                             f"{value!r}") from None
+    except TypeError as exc:
+        raise NotARealNumberError(f"instance feature {f!r} is not a real "
+                                  f"number: {value!r} ({exc})") from None
 
 
 def _features_and_background(model, features, background):

@@ -8,20 +8,27 @@ sum_l^2/n_l + sum_r^2/n_r under a min-leaf constraint. Leaves carry the
 mean residual, shrunk by the learning rate. No second-order weights, no
 column or row subsampling — small-scale fidelity over system parity.
 
-The training matrix is binned once per fit. A node scores every feature's
-candidates in one pass over padded (feature, bin) sum and count tables.
-The root's count table is counted once per fit and its sum table once per
-tree, from the residuals in row order. Below the root the tables come
-down from the parent (histogram subtraction, as in LightGBM): a split
-counts only its smaller child's tables from that child's rows (the left
-child's on a tie) and takes the larger child's as the parent's minus the
-smaller's. Count tables stay exact integers; a derived sum table can
-differ from a row-order count in its last digits, and so can the gains
-and node values read from it. A child's residual sum and row count are
-read off its parent's cumulative tables, and a split whose children are
-leaves gives them those sums over counts and writes their training
-predictions with one ``where``, without partitioning rows. Other splits
-partition rows with ``compress``, as the tree walk does.
+The training matrix is binned once per fit. Nodes score every feature's
+candidates over padded (feature, bin) sum and count tables, and the two
+children of a split are scored together, in one pass over their stacked
+tables. The root's count table and its gain terms are computed once per
+fit, and its sum table once per tree, from the residuals in row order.
+Below the root the tables come down from the parent (histogram
+subtraction, as in LightGBM): a split counts only its smaller child's sum
+table from that child's rows (the left child's on a tie) and takes the
+larger child's as the parent's minus the smaller's. The root's children
+take their count tables from pair counts made once per fit and feature,
+and the smaller one copies its sum-table row on the root's split feature
+from the root's, whose rows it holds in the same order. Count tables stay
+exact integers; a derived sum table can differ from a row-order count in
+its last digits, and so can the gains and node values read from it. A
+child's residual sum and row count are read off its parent's cumulative
+tables. The root and its children hold about half the rows or more, so
+they split whole columns and the training predictions of the top two
+levels are one ``take`` by each row's leaf code there; deeper nodes
+partition their rows with ``compress``, as the tree walk does, and a split
+whose children are leaves writes their training predictions with one
+``where``.
 
 A fitted model predicts from its :class:`CellTables`: the trees that split
 on one feature set form one summation group, whose sum takes one value per
@@ -245,11 +252,13 @@ class _Bins:
 
 
 def _bin_columns(X, n_bins):
-    """Per-feature quantile edges and integer codes, as :class:`_Bins`."""
+    """Per-feature quantile edges and integer codes, as :class:`_Bins`.
+    Each column's edges are read from one sorted copy of it (the quantiles
+    of a sorted column are those of the column)."""
     edges, codes = [], np.empty(X.shape, dtype=np.intp, order="F")
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     for j in range(X.shape[1]):
-        e = np.unique(np.quantile(X[:, j], qs))
+        e = np.unique(np.quantile(np.sort(X[:, j]), qs))
         edges.append(e)
         codes[:, j] = np.searchsorted(e, X[:, j], side="right")
     sizes = np.array([e.size for e in edges], dtype=np.intp)
@@ -261,22 +270,66 @@ def _bin_columns(X, n_bins):
     return _Bins(columns, edges, counts, splittable)
 
 
-def _grow_tree(bins, resid, depth, min_leaf, train_pred):
-    """Grow one tree on the binned columns; fills ``train_pred`` with the
-    tree's prediction for every training row as leaves are finalized.
+class _Fit:
+    """What the trees of one fit share besides the bins: every root holds
+    all rows, so its cumulative counts, gain divisors and candidate mask
+    are computed once, and so are, per feature a root splits on, the count
+    tables of its children (:meth:`below`)."""
 
-    A node searches its (feature, bin) sum and count tables with one
-    cumulative sum, gain and flat ``argmax``.  Among equal gains the flat
-    argmax takes the earliest feature, then the earliest bin.  A child's
-    residual sum and row count are read off its parent's cumulative
-    tables.  Only the smaller child of a split (the left one on a tie)
-    counts its tables from its rows; the larger child's are its parent's
-    minus the smaller's.  A split whose children are leaves partitions no
-    rows.
+    def __init__(self, bins, depth, min_leaf):
+        self.bins, self.depth, self.min_leaf = bins, depth, min_leaf
+        n = bins.columns.shape[1]
+        self.root_cnts = bins.counts.cumsum(axis=1)[:, :-1]
+        rcnts = n - self.root_cnts
+        self.root_ok = (bins.splittable & (self.root_cnts >= min_leaf)
+                        & (rcnts >= min_leaf))
+        self.root_divisors = (np.maximum(self.root_cnts, 1).astype(np.float64),
+                              np.maximum(rcnts, 1).astype(np.float64))
+        self.root_sums = np.empty(bins.counts.shape)
+        self._below = {}
+
+    def below(self, j):
+        """(width, d, width) counts: entry i is the count table of the
+        rows whose code on feature j is at most i, from one pair count
+        (code on j, code on k) per feature k. They are held in the
+        smallest unsigned type that holds the row count."""
+        if j not in self._below:
+            d, width = self.bins.counts.shape
+            key = self.bins.columns[j] * width
+            pairs = np.empty((width, d, width), dtype=np.min_scalar_type(
+                self.bins.columns.shape[1]))
+            for k, column in enumerate(self.bins.columns):
+                pairs[:, k] = np.bincount(key + column, minlength=width
+                                          * width).reshape(width, width)
+            self._below[j] = pairs.cumsum(axis=0, out=pairs)
+        return self._below[j]
+
+
+def _grow_tree(fit, resid, train_pred):
+    """Grow one tree on the binned columns and write its prediction for
+    every training row into ``train_pred``.
+
+    Nodes are numbered in pre-order.  The two children of a split are
+    searched together: one cumulative sum, gain and ``argmax`` over their
+    stacked (node, feature, bin) tables.  Among equal gains a node takes
+    the earliest feature, then the earliest bin.  A child's residual sum
+    and row count are read off its parent's cumulative tables.  Only the
+    smaller child of a split (the left one on a tie) counts its sum table
+    from its rows; the larger child's is its parent's minus the smaller's,
+    and so are the count tables below the root.
+
+    The root and its children hold about half the rows or more, and work
+    on whole columns: the root's children take their count tables from
+    :meth:`_Fit.below`, the smaller one copies its sum-table row on the
+    root's split feature from the root's, and their splits are boolean
+    masks over all rows.  Every row's training prediction is first that
+    of its node two levels down, one ``take`` by its code there; deeper
+    leaves then overwrite their rows'.  Deeper nodes hold their rows as
+    ascending indices and partition them with ``compress``.
     """
+    bins, depth, min_leaf = fit.bins, fit.depth, fit.min_leaf
     columns, edges = bins.columns, bins.edges
     d, width = bins.counts.shape
-    all_rows = np.arange(resid.size)
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node(v):
@@ -287,73 +340,173 @@ def _grow_tree(bins, resid, depth, min_leaf, train_pred):
         value.append(v)
         return len(feature) - 1
 
-    def tables(rows):
-        """The sum and count tables of ``rows``, counted in row order."""
-        r = resid.take(rows)
-        sums = np.empty((d, width))
-        counts = np.empty((d, width), dtype=np.intp)
-        for j, column in enumerate(columns):
-            c = column.take(rows)
-            sums[j] = np.bincount(c, weights=r, minlength=width)
-            counts[j] = np.bincount(c, minlength=width)
-        return sums, counts
+    def split_node(node, split):
+        j, i = split[:2]
+        feature[node] = j
+        threshold[node] = float(edges[j][i])
 
-    def build(rows, s, sums, counts, remaining):
-        """Grow the subtree on ``rows``, whose residuals sum to ``s`` and
-        whose tables are ``sums`` and ``counts`` (unread when the node
-        cannot split)."""
-        cnt = rows.size
-        node = new_node(s / cnt)
-        if remaining == 0 or cnt < 2 * min_leaf:
-            train_pred[rows] = value[node]
-            return node
-        sums_l = sums.cumsum(axis=1)[:, :-1]
-        cnts = counts.cumsum(axis=1)[:, :-1]
-        rcnts = cnt - cnts
+    def best(gain, sums_l, cnts, s, cnt):
+        """Each stacked node's best split as (feature, bin, left sum, left
+        count), or None when it gains nothing."""
+        picks = gain.reshape(len(s), -1).argmax(axis=1).tolist()
+        out = []
+        for k, flat in enumerate(picks):
+            j, i = divmod(flat, width - 1)
+            if float(gain[k, j, i]) - s[k] * s[k] / cnt[k] <= 1e-12:
+                out.append(None)
+            else:
+                out.append((j, i, float(sums_l[k, j, i]), int(cnts[k, j, i])))
+        return out
+
+    def search(sums, counts, s, cnt):
+        """:func:`best` over the nodes stacked in ``sums`` and ``counts``
+        (node, feature, bin), whose residual sums and row counts are
+        ``s`` and ``cnt``."""
+        sums_l = sums.cumsum(axis=2)[:, :, :-1]
+        cnts = counts.cumsum(axis=2)[:, :, :-1]
+        rcnts = np.array(cnt)[:, None, None] - cnts
         ok = bins.splittable & (cnts >= min_leaf) & (rcnts >= min_leaf)
         gain = np.where(
             ok,
             sums_l * sums_l / np.maximum(cnts, 1)
-            + (s - sums_l) ** 2 / np.maximum(rcnts, 1),
+            + (np.array(s)[:, None, None] - sums_l) ** 2
+            / np.maximum(rcnts, 1),
             -np.inf)
-        j, i = divmod(int(gain.argmax()), width - 1)
-        if float(gain[j, i]) - s * s / cnt <= 1e-12:
+        return best(gain, sums_l, cnts, s, cnt)
+
+    def count(rows, sums, counts=None, skip=-1):
+        """Fill ``sums`` (and ``counts``) with the tables of ``rows``,
+        counted in row order, leaving feature ``skip``'s row alone."""
+        r = resid.take(rows)
+        for j, column in enumerate(columns):
+            if j != skip:
+                c = column.take(rows)
+                sums[j] = np.bincount(c, weights=r, minlength=width)
+                if counts is not None:
+                    counts[j] = np.bincount(c, minlength=width)
+
+    def search_pair(sums, counts, s, cnt, remaining):
+        """The best splits of two siblings with stacked tables, None for
+        each one that cannot split."""
+        live = [k for k in (0, 1) if remaining and cnt[k] >= 2 * min_leaf]
+        splits = [None, None]
+        if live:
+            at = slice(live[0], live[-1] + 1)
+            for k, split in zip(live, search(sums[at], counts[at], s[at],
+                                             cnt[at])):
+                splits[k] = split
+        return splits
+
+    def children(rows, s, sums, counts, remaining):
+        """Grow both children of a split, ``rows`` and ``s`` per child,
+        from the parent's tables; returns their node numbers."""
+        cnt = (rows[0].size, rows[1].size)
+        S = np.empty((2, d, width))
+        C = np.empty((2, d, width), dtype=np.intp)
+        small = 0 if cnt[0] <= cnt[1] else 1
+        if remaining and max(cnt) >= 2 * min_leaf:
+            count(rows[small], S[small], C[small])
+            np.subtract(sums, S[small], out=S[1 - small])
+            np.subtract(counts, C[small], out=C[1 - small])
+        splits = search_pair(S, C, s, cnt, remaining)
+        return tuple(grow(rows[k], s[k], splits[k], S[k], C[k], remaining)
+                     for k in (0, 1))
+
+    def grow(rows, s, split, sums, counts, remaining):
+        """Grow the subtree on ``rows``, whose residuals sum to ``s``,
+        whose tables are ``sums`` and ``counts`` and whose split, found by
+        its parent's search, is ``split`` (None for a leaf)."""
+        cnt = rows.size
+        node = new_node(s / cnt)
+        if split is None:
             train_pred[rows] = value[node]
             return node
-        go_left = (columns[j] if rows is all_rows
-                   else columns[j].take(rows)) <= i
-        s_l, n_l = float(sums_l[j, i]), int(cnts[j, i])
-        s_r, n_r = s - s_l, cnt - n_l
-        feature[node] = j
-        threshold[node] = float(edges[j][i])
+        split_node(node, split)
+        j, i, s_l, n_l = split
+        go_left = columns[j].take(rows) <= i
         if remaining == 1:
             left[node] = new_node(s_l / n_l)
-            right[node] = new_node(s_r / n_r)
+            right[node] = new_node((s - s_l) / (cnt - n_l))
             train_pred[rows] = np.where(go_left, value[left[node]],
                                         value[right[node]])
             return node
-        rows_l, rows_r = rows.compress(go_left), rows.compress(~go_left)
-        if n_l <= n_r:
-            left_tables = tables(rows_l)
-            right_tables = sums - left_tables[0], counts - left_tables[1]
-        else:
-            right_tables = tables(rows_r)
-            left_tables = sums - right_tables[0], counts - right_tables[1]
-        left[node] = build(rows_l, s_l, *left_tables, remaining - 1)
-        right[node] = build(rows_r, s_r, *right_tables, remaining - 1)
+        left[node], right[node] = children(
+            (rows.compress(go_left), rows.compress(~go_left)),
+            (s_l, s - s_l), sums, counts, remaining - 1)
         return node
 
-    root_sums = np.empty((d, width))
-    for j, column in enumerate(columns):
-        root_sums[j] = np.bincount(column, weights=resid, minlength=width)
-    # with no candidate at all (every column constant, or n_bins = 1) the
-    # tree is one leaf
-    build(all_rows, float(resid.sum()), root_sums, bins.counts,
-          depth if bins.splittable.any() else 0)
-    # build reaches itself through its closure; dropping the name breaks
-    # that cycle, so the tree's row and residual arrays are freed now, not
-    # at the next garbage collection
-    del build
+    n = resid.size
+    s = float(resid.sum())
+    root = new_node(s / n)
+    split = None
+    if fit.root_ok.any():
+        sums = fit.root_sums
+        for j, column in enumerate(columns):
+            sums[j] = np.bincount(column, weights=resid, minlength=width)
+        sums_l = sums.cumsum(axis=1)[:, :-1]
+        div_l, div_r = fit.root_divisors
+        gain = np.where(fit.root_ok,
+                        sums_l * sums_l / div_l + (s - sums_l) ** 2 / div_r,
+                        -np.inf)
+        split = best(gain[None], sums_l[None], fit.root_cnts[None], [s],
+                     [n])[0]
+    if split is None:
+        train_pred.fill(value[root])
+    else:
+        split_node(root, split)
+        j, i, s_l, n_l = split
+        go_right = columns[j] > i
+        sides = (~go_right, go_right)
+        s1, cnt1 = (s_l, s - s_l), (n_l, n - n_l)
+        # the children's tables: counts from the pair counts, and the
+        # smaller child's sums counted from its rows but on feature j,
+        # where its row is the root's on its side of bin i
+        S = np.empty((2, d, width))
+        C = np.empty((2, d, width), dtype=np.intp)
+        small = 0 if cnt1[0] <= cnt1[1] else 1
+        if depth > 1 and max(cnt1) >= 2 * min_leaf:
+            C[0] = fit.below(j)[i]
+            np.subtract(bins.counts, C[0], out=C[1])
+            count(np.flatnonzero(sides[small]), S[small], skip=j)
+            side = slice(0, i + 1) if small == 0 else slice(i + 1, width)
+            S[small, j] = 0.0
+            S[small, j, side] = sums[j, side]
+            np.subtract(sums, S[small], out=S[1 - small])
+        splits = search_pair(S, C, s1, cnt1, depth - 1)
+        # every row's training prediction is first its node's two levels
+        # down, read by its code there (2 on the root's right, plus 1 on
+        # its child's right); deeper leaves then overwrite their rows'
+        code = go_right.view(np.uint8) + go_right.view(np.uint8)
+        below_child, values = [], []
+        for k in (0, 1):
+            if splits[k] is None:
+                below_child.append(None)
+                values += [s1[k] / cnt1[k]] * 2
+                continue
+            j, i, s_l, n_l = splits[k]
+            to_right = sides[k] & (columns[j] > i)
+            code |= to_right.view(np.uint8)
+            below_child.append((sides[k] ^ to_right, to_right))
+            values += [s_l / n_l, (s1[k] - s_l) / (cnt1[k] - n_l)]
+        np.take(values, code, out=train_pred)
+        for k in (0, 1):
+            node = new_node(s1[k] / cnt1[k])
+            (left if k == 0 else right)[root] = node
+            if splits[k] is None:
+                continue
+            split_node(node, splits[k])
+            if depth == 2:
+                left[node] = new_node(values[2 * k])
+                right[node] = new_node(values[2 * k + 1])
+            else:
+                s_l = splits[k][2]
+                left[node], right[node] = children(
+                    tuple(np.flatnonzero(m) for m in below_child[k]),
+                    (s_l, s1[k] - s_l), S[k], C[k], depth - 2)
+    # grow and children reach each other through their closures; dropping
+    # the names breaks that cycle, so the tree's row and residual arrays
+    # are freed now, not at the next garbage collection
+    del grow, children
     return Tree(np.asarray(feature, dtype=np.int32),
                 np.asarray(threshold),
                 np.asarray(left, dtype=np.int32),
@@ -381,15 +534,19 @@ def gbt_train(train, target: str, features, config: GbtConfig = None) -> GbtMode
             raise DegenerateTargetError("target has zero variance")
         base = float(y.mean())
 
-    bins = _bin_columns(X, cfg.n_bins)
+    fit = _Fit(_bin_columns(X, cfg.n_bins), cfg.depth, cfg.min_leaf)
     F = np.full(y.size, base)
     trees = []
-    train_pred = np.empty(y.size)
+    # per-fit buffers: the residuals, and the tree's training prediction,
+    # shrunk in place by the learning rate before it is added to F
+    resid, train_pred = np.empty(y.size), np.empty(y.size)
     for _ in range(cfg.n_trees):
-        resid = y - expit(F) if cfg.loss == "logistic" else y - F
-        trees.append(_grow_tree(bins, resid, cfg.depth, cfg.min_leaf,
-                                train_pred))
-        F += cfg.learning_rate * train_pred
+        if cfg.loss == "logistic":
+            np.subtract(y, expit(F, out=resid), out=resid)
+        else:
+            np.subtract(y, F, out=resid)
+        trees.append(_grow_tree(fit, resid, train_pred))
+        F += np.multiply(cfg.learning_rate, train_pred, out=train_pred)
     return GbtModel(trees, cfg.learning_rate, base, cfg.loss, features)
 
 

@@ -1,6 +1,6 @@
 """Bad library calls end in a named ScmLabError that is still the builtin
-exception the call raised before (``ValueError``, ``KeyError`` or
-``OSError``), with a message naming the fault.  A call that raised no
+exception the call raised before (``ValueError``, ``KeyError``,
+``OSError`` or ``TypeError``), with a message naming the fault.  A call that raised no
 error before, or a ``ZeroDivisionError``, raises a plain ScmLabError."""
 
 import numpy as np
@@ -16,8 +16,9 @@ from scmlab import (Assignment, Dag, Dataset, GbtConfig, MlpConfig,
 from scmlab.errors import (ConfigValidationError, DatasetShapeError,
                            DegenerateColumnError, EdgeShapeError,
                            FeatureMismatchError, IoError, ModelFileError,
-                           RankDeficientError, RowShapeError, ScmLabError,
-                           UnknownColumnError, names)
+                           NotARealNumberError, RankDeficientError,
+                           RowShapeError, ScmLabError, UnknownColumnError,
+                           names)
 from scmlab.experiments import build_config, parse_config_file, run
 from scmlab.experiments.generators import shape_pair_model
 from scmlab.flexfit import SplitPlan, predict_on_matrix
@@ -183,6 +184,18 @@ BAD_CALLS = [
      "edge 'x' is a string, not a (parent, child) pair"),
     (lambda tmp: Dag(["x", "y", "z"], [("x", "y", "z")]), EdgeShapeError,
      ValueError, "edge ('x', 'y', 'z') does not hold two names"),
+    # the rows below raised a bare TypeError before
+    (lambda tmp: shapley_exact(_sum, {"a": None, "b": 1.0}, _BACKGROUND,
+                               features=["a", "b"]),
+     NotARealNumberError, TypeError,
+     "instance feature 'a' is not a real number: None"),
+    (lambda tmp: shapley_exact(_sum, [1 + 2j, 1.0], _BACKGROUND,
+                               features=["a", "b"]),
+     NotARealNumberError, TypeError, "instance must hold real numbers"),
+    (lambda tmp: shapley_exact(_sum, {"a": [1, 2], "b": 1.0}, _BACKGROUND,
+                               features=["a", "b"]),
+     NotARealNumberError, TypeError,
+     "instance feature 'a' is not a real number: [1, 2]"),
 ]
 
 
@@ -206,7 +219,8 @@ BAD_CALLS = [
     "stepwise-constant-training-target", "stepwise-constant-test-target",
     "gbt-repeated-feature", "mlp-repeated-feature",
     "shapley-complex-dict-value", "dag-string-edge", "dag-bare-pair-edges",
-    "dag-three-name-edge"])
+    "dag-three-name-edge", "shapley-none-dict-value",
+    "shapley-python-complex-instance", "shapley-sequence-dict-value"])
 def test_bad_library_calls_raise_named_errors(call, error, builtin, message,
                                               tmp_path):
     with pytest.raises(error) as err:

@@ -373,6 +373,15 @@ GBT_REFERENCE_CASES = {
     "one-bin": ("mixed", dict(n_trees=3, n_bins=1, min_leaf=1)),
     "min-leaf-above-half": ("mixed", dict(n_trees=3, depth=2, min_leaf=201)),
     "fig5-sized": ("fig5", None),
+    # deeper than the grower's whole-column levels (the root and its
+    # children), with small leaves, and with root children that cannot
+    # split while deeper nodes could
+    "logistic-depth5-small-leaves": (
+        "mixed", dict(n_trees=12, depth=5, learning_rate=0.3, min_leaf=2,
+                      loss="logistic")),
+    "squared-depth4-min-leaf40": (
+        "mixed", dict(n_trees=12, depth=4, learning_rate=0.3, min_leaf=40)),
+    "fig5-depth4": ("fig5", dict(depth=4)),
 }
 
 
@@ -381,12 +390,13 @@ def reference_case(case):
     data, config = GBT_REFERENCE_CASES[case]
     if data == "fig5":
         # the registered fig5 model and GBT at q = 1, on 2000 rows and 25
-        # trees
+        # trees, with the case's settings in place of the registered ones
         p = build_config("fig5_sweep", "unused").params
-        config = GbtConfig(n_trees=25, depth=p["gbt_depth"],
-                           learning_rate=p["gbt_learning_rate"],
-                           min_leaf=p["gbt_min_leaf"], n_bins=p["gbt_bins"],
-                           loss="logistic")
+        config = GbtConfig(**{"n_trees": 25, "depth": p["gbt_depth"],
+                              "learning_rate": p["gbt_learning_rate"],
+                              "min_leaf": p["gbt_min_leaf"],
+                              "n_bins": p["gbt_bins"], "loss": "logistic",
+                              **(config or {})})
         names = blended_logit_features(p["n_noise_features"])
         train = sample(blended_logit_model(1.0, p["coefficients"],
                                            p["proxy_sd"],

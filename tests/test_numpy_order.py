@@ -13,7 +13,13 @@ The least-squares core (``estimators._dots``) sums each column product by
 ``np.add.reduce`` along a contiguous row, in numpy's pairwise order. That
 order is fixed by the row's length alone, which is why forward
 selection's ‖x⊥‖ equals the R diagonal entry ``ols_fit`` reaches for the
-same column bit for bit; the last test pins it.
+same column bit for bit; the fourth test pins it.
+
+The GBT grower searches two sibling nodes at once: one ``cumsum`` along
+the bins of their stacked (node, feature, bin) tables and one ``argmax``
+per node over its flattened gains, which must equal each node's own
+search. It reads a column's bin edges from a sorted copy, which must give
+``np.quantile``'s values on the column. The last three tests pin these.
 
 What the code avoids, as measured on numpy 2.4: a 1-D ``sum`` (or
 ``np.add.reduce``) and a reduce whose trailing size is one add pairwise,
@@ -73,3 +79,39 @@ def test_a_row_sums_alike_wherever_it_sits(length):
         shifted = np.zeros(length + offset)
         shifted[offset:] = row
         assert np.add.reduce(shifted[offset:]) == alone
+
+
+def test_cumsum_along_the_last_axis_of_stacked_tables_is_each_tables():
+    # the GBT grower searches two sibling nodes' (feature, bin) tables
+    # stacked as (node, feature, bin), with one cumsum along the bins
+    tables = np.empty((2, 3, len(SKEWED)))
+    tables[0] = SKEWED
+    tables[1] = SKEWED[::-1]
+    tables[1, 1] = np.roll(SKEWED, 7)
+    stacked = tables.cumsum(axis=2)
+    for node in range(2):
+        assert np.array_equal(stacked[node], tables[node].cumsum(axis=1))
+    assert (stacked[0, :, -1] == 1e16).all()
+
+
+def test_argmax_along_rows_takes_each_rows_first_maximum():
+    # each sibling's best split is the first maximum of its row of the
+    # stacked gains, flattened (feature, bin) in C order
+    gains = np.array([[[1.0, 3.0, 3.0], [3.0, -np.inf, 2.0]],
+                      [[-np.inf, -np.inf, 0.5], [0.5, 0.5, 0.5]]])
+    flat = gains.reshape(2, -1)
+    assert flat.argmax(axis=1).tolist() == [1, 2]
+    assert [int(np.argmax(row)) for row in flat] == [1, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 400, 2000])
+def test_quantiles_of_a_sorted_column_are_the_columns(n):
+    # the GBT reads each column's bin edges from one sorted copy of it
+    qs = np.linspace(0.0, 1.0, 65)[1:-1]
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        column = rng.standard_normal(n)
+        if n > 3:
+            column[rng.integers(0, n, n // 4)] = column[0]     # ties
+        assert np.array_equal(np.quantile(np.sort(column), qs),
+                              np.quantile(column, qs))

@@ -1,5 +1,5 @@
 """README.md's Python examples run as written and give what their comments
-state."""
+state, and every repository path it names exists."""
 
 import re
 from pathlib import Path
@@ -20,3 +20,23 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert ns["analysis"].minimal_sets == [("z",)]
     assert ns["analysis"].identifiable is True
     assert abs(ns["att"].efficiency_residual) < 1e-9
+
+
+def test_readme_paths_exist():
+    # a word of an inline code span names a repository path when it holds
+    # a "/", starts with BENCH_ or ends in .py or .toml; <...> marks a
+    # placeholder. A path may be written from the root, from src/ or from
+    # the package
+    root = README.parent
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"),
+                  flags=re.DOTALL | re.MULTILINE)
+    paths = {word for span in re.findall(r"`([^`]+)`", text)
+             for word in span.split()
+             if ("/" in word or word.startswith("BENCH_")
+                 or word.endswith((".py", ".toml"))) and "<" not in word}
+    assert len(paths) >= 10
+    missing = [p for p in sorted(paths)
+               if not any((base / p).exists()
+                          for base in (root, root / "src",
+                                       root / "src" / "scmlab"))]
+    assert missing == []
