@@ -1,7 +1,8 @@
 """Bad library calls end in a named ScmLabError that is still the builtin
 exception the call raised before (``ValueError``, ``KeyError``,
-``OSError`` or ``TypeError``), with a message naming the fault.  A call that raised no
-error before, or a ``ZeroDivisionError``, raises a plain ScmLabError."""
+``OSError`` or ``TypeError``), with a message naming the fault.  A call
+that raised no error before, or a ``ZeroDivisionError``, raises a plain
+ScmLabError."""
 
 import numpy as np
 import pytest
